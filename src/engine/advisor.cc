@@ -10,7 +10,6 @@
 #include "util/check.h"
 #include "util/cpu_info.h"
 #include "util/env.h"
-#include "util/stopwatch.h"
 
 namespace pjoin {
 
@@ -47,6 +46,9 @@ constexpr double kAdaptivePassRate = 0.8;
 // sequential temp-file I/O is slower than a DRAM pass but not catastrophically
 // so; the factor applies to write + re-read of every spilled byte.
 constexpr double kSpillIoFactor = 4.0;
+// Runtime guardrail: a guarded partitioned plan runs not partitioned when
+// its staged build side exceeds the estimate by this factor.
+constexpr double kBuildOverflowFactor = 4.0;
 
 // Stride of a [hash:8B][row] partition tuple as the radix partitioner pads
 // it (power of two up to 64 bytes for write-combine buffers).
@@ -70,6 +72,16 @@ double EvenPartitionShare(uint64_t est_build_rows, uint32_t build_width,
   int bits = 1;
   while (bits < 16 && (1u << bits) < want) ++bits;
   return 1.0 / static_cast<double>(1u << bits);
+}
+
+// Scales `rows` by observed/estimated, clamped to at least one row: the
+// cardinality-feedback correction re-planning applies up a join chain.
+uint64_t ScaleRows(uint64_t rows, uint64_t observed, uint64_t estimated) {
+  const double ratio = static_cast<double>(std::max<uint64_t>(1, observed)) /
+                       static_cast<double>(std::max<uint64_t>(1, estimated));
+  return std::max<uint64_t>(
+      1, static_cast<uint64_t>(std::llround(
+             static_cast<double>(std::max<uint64_t>(1, rows)) * ratio)));
 }
 
 // --- Plan walk -------------------------------------------------------------
@@ -458,371 +470,125 @@ JoinDecision JoinAdvisor::Decide(JoinKind kind, uint64_t est_build_rows,
   return d;
 }
 
-// --- Guarded runtime -------------------------------------------------------
+// --- Runtime resolution ----------------------------------------------------
 
-AutoJoinRuntime::AutoJoinRuntime(JoinKind kind, const RowLayout* build_layout,
-                                 std::vector<int> build_keys,
-                                 const RowLayout* probe_layout,
-                                 std::vector<int> probe_keys,
-                                 JoinProjection projection,
-                                 const RadixJoin::Options& radix_options,
-                                 const JoinDecision& decision,
-                                 double overflow_factor)
+JoinStrategy JoinAdvisor::PartitionedVariant(JoinKind kind,
+                                             const JoinDecision& plan) {
+  if (plan.choice != JoinStrategy::kBHJ) return plan.choice;
+  return RadixJoin::BloomApplicable(kind) && plan.cost_brj < plan.cost_rj
+             ? JoinStrategy::kBRJ
+             : JoinStrategy::kRJ;
+}
+
+JoinResolution JoinAdvisor::Resolve(JoinKind kind, const JoinDecision& plan,
+                                    uint64_t staged_build,
+                                    uint64_t corrected_probe,
+                                    double replan_qerror,
+                                    const AdvisorOptions& options) {
+  JoinResolution r;
+  ReplanMetrics& rp = r.replan;
+  const bool planned_bhj = plan.choice == JoinStrategy::kBHJ;
+  bool bhj = planned_bhj;
+  if (replan_qerror > 0) {
+    rp.enabled = true;
+    rp.staged_build_tuples = staged_build;
+    rp.corrected_probe_tuples = corrected_probe;
+    rp.qerror_build = EstimateQError(plan.est_build_rows, staged_build);
+    rp.qerror_probe = EstimateQError(plan.est_probe_rows, corrected_probe);
+    if (std::max(rp.qerror_build, rp.qerror_probe) >= replan_qerror) {
+      // Estimate wrong: re-cost with the observed build side and the
+      // corrected probe side. The skew sample survives from plan time (it
+      // sampled the base column, which did not change).
+      rp.triggered = true;
+      SkewEstimate skew;
+      skew.present = plan.skew_sampled;
+      skew.sample_rows = plan.skew_sample_rows;
+      skew.top_share = plan.est_top_share;
+      skew.topk_share = plan.est_topk_share;
+      skew.key_payload_corr = plan.est_key_payload_corr;
+      const JoinDecision re = Decide(
+          kind, staged_build, std::max(plan.est_build_base_rows, staged_build),
+          corrected_probe, plan.build_width, plan.probe_width,
+          plan.probe_depth, options, skew.present ? &skew : nullptr);
+      rp.recost_bhj = re.cost_bhj;
+      rp.recost_rj = re.cost_rj;
+      rp.recost_brj = re.cost_brj;
+      bhj = re.choice == JoinStrategy::kBHJ;
+    }
+  }
+  if (!rp.triggered && !bhj) {
+    // Guardrail: an undersold build side mis-sizes the partition fan-out.
+    const double estimate =
+        static_cast<double>(std::max<uint64_t>(1, plan.est_build_rows));
+    const auto limit = static_cast<uint64_t>(
+        std::max(1.0, std::ceil(estimate * kBuildOverflowFactor)));
+    if (staged_build > limit) {
+      r.overflow_demoted = true;
+      bhj = true;
+    }
+  }
+  r.partition = !bhj;
+  if (rp.enabled) {
+    rp.switched = bhj != planned_bhj;
+    rp.final_choice = bhj ? JoinStrategy::kBHJ : PartitionedVariant(kind, plan);
+  }
+  return r;
+}
+
+AdvisorGuard::AdvisorGuard(JoinKind kind, const JoinDecision& decision,
+                           const AdvisorOptions& options, int join_id,
+                           int feedback_begin)
     : kind_(kind),
       decision_(decision),
-      radix_strategy_(radix_options.strategy) {
-  const double estimate =
-      static_cast<double>(std::max<uint64_t>(1, decision.est_build_rows));
-  build_limit_ = static_cast<uint64_t>(
-      std::max(1.0, std::ceil(estimate * overflow_factor)));
-  radix_ = std::make_unique<RadixJoin>(kind, build_layout, build_keys,
-                                       probe_layout, probe_keys, projection,
-                                       radix_options);
-  hash_ = std::make_unique<HashJoin>(kind, build_layout, std::move(build_keys),
-                                     probe_layout, std::move(probe_keys),
-                                     std::move(projection));
-}
+      options_(options),
+      replan_qerror_(JoinAdvisor::ResolvedReplanThreshold(options)),
+      join_id_(join_id),
+      feedback_begin_(feedback_begin) {}
 
-void AutoJoinRuntime::set_join_id(int id) {
-  radix_->set_join_id(id);
-  hash_->set_join_id(id);
-}
-
-JoinMetrics AutoJoinRuntime::CollectMetrics() const {
-  JoinMetrics m =
-      fell_back_ ? hash_->CollectMetrics() : radix_->CollectMetrics();
-  m.advisor.present = true;
-  m.advisor.choice = decision_.choice;
-  m.advisor.est_build_tuples = decision_.est_build_rows;
-  m.advisor.est_probe_tuples = decision_.est_probe_rows;
-  m.advisor.cost_bhj = decision_.cost_bhj;
-  m.advisor.cost_rj = decision_.cost_rj;
-  m.advisor.cost_brj = decision_.cost_brj;
-  m.advisor.fell_back = overflow_demoted_;
-  m.advisor.reason = decision_.reason;
-  m.advisor.skew_sampled = decision_.skew_sampled;
-  m.advisor.est_top_share = decision_.est_top_share;
-  m.advisor.est_max_partition_share = decision_.est_max_partition_share;
-  m.advisor.est_key_payload_corr = decision_.est_key_payload_corr;
-  m.advisor.skew_defense = decision_.skew_defense;
-  m.advisor.quality = StatsEnabled();
-  m.replan = replan_;
-  return m;
-}
-
-JoinAudit AutoJoinRuntime::Audit(int join_id) const {
-  JoinAudit audit =
-      fell_back_ ? hash_->Audit(join_id) : radix_->Audit(join_id);
-  if (fell_back_) audit.strategy = JoinStrategy::kBHJ;
-  return audit;
-}
-
-void AutoJoinRuntime::PrepareSpill(int num_threads, uint32_t out_stride) {
-  if (!spill_.empty()) return;
-  spill_.reserve(num_threads);
-  // A count(*)-only query projects zero columns out of the join; the spill
-  // buffers then only track row counts (RowBuffer requires stride >= 1).
-  const uint32_t stride = std::max<uint32_t>(1, out_stride);
-  for (int i = 0; i < num_threads; ++i) spill_.emplace_back(stride);
-}
-
-void AutoJoinRuntime::ArmReplan(double qerror_threshold,
-                                const AdvisorOptions& options,
-                                int feedback_begin, int feedback_end) {
-  replan_qerror_ = qerror_threshold;
-  replan_options_ = options;
-  feedback_begin_ = feedback_begin;
-  feedback_end_ = feedback_end;
-}
-
-void AutoJoinRuntime::RouteStagedToHashTable(ExecContext& exec) {
-  RadixPartitioner& part = radix_->build_partitioner();
-  ChainingHashTable& ht = hash_->table();
-  const uint32_t row_stride = radix_->build_layout()->stride();
-  part.ForEachStagedTuple([&](uint64_t hash, const std::byte* row) {
-    ht.MaterializeEntry(0, hash, row, row_stride);
-  });
-  // FinishBuild, not a raw Build: under a memory budget the re-routed BHJ
-  // must be able to go hybrid (spill partitions) like a planned BHJ would.
-  hash_->FinishBuild(exec);
-}
-
-void AutoJoinRuntime::DeferDecision(ExecContext& exec,
-                                    RadixBuildSink* build_sink,
-                                    uint64_t staged) {
-  decision_pending_ = true;
-  deferred_build_sink_ = build_sink;
-  staged_build_ = staged;
-  // Publish this join's corrected output estimate: downstream joins in the
-  // same chain resolve after us and scale their probe estimate by the same
-  // ratio the build side was off by.
-  ExecContext::CardFeedback fb;
-  fb.est_rows = decision_.est_out_rows;
-  const double ratio =
-      static_cast<double>(std::max<uint64_t>(1, staged)) /
-      static_cast<double>(std::max<uint64_t>(1, decision_.est_build_rows));
-  fb.corrected_rows = std::max<uint64_t>(
-      1, static_cast<uint64_t>(std::llround(
-             static_cast<double>(std::max<uint64_t>(
-                 1, decision_.est_out_rows)) *
-             ratio)));
-  exec.RecordCardFeedback(join_id(), fb);
-}
-
-void AutoJoinRuntime::ResolveDeferred(ExecContext& exec) {
-  if (!decision_pending_) return;
-  decision_pending_ = false;
-  Stopwatch watch;
-  // Correct the probe estimate from the nearest upstream join that already
-  // published feedback (post-order: the probe subtree's top join has the
-  // highest id below ours).
-  const uint64_t est_probe =
-      std::max<uint64_t>(1, decision_.est_probe_rows);
-  uint64_t corrected_probe = est_probe;
-  for (int id = feedback_end_ - 1; id >= feedback_begin_; --id) {
-    const ExecContext::CardFeedback* fb = exec.FindCardFeedback(id);
-    if (fb == nullptr) continue;
-    const double ratio =
-        static_cast<double>(std::max<uint64_t>(1, fb->corrected_rows)) /
-        static_cast<double>(std::max<uint64_t>(1, fb->est_rows));
-    corrected_probe = std::max<uint64_t>(
-        1, static_cast<uint64_t>(
-               std::llround(static_cast<double>(est_probe) * ratio)));
-    break;
+bool AdvisorGuard::Partition(ExecContext& exec, uint64_t staged_build) {
+  uint64_t corrected_probe = std::max<uint64_t>(1, decision_.est_probe_rows);
+  if (deferred()) {
+    // Correct the probe estimate from the nearest upstream join that
+    // published feedback (post-order: the probe subtree's top join has the
+    // highest id below ours).
+    for (int id = join_id_ - 1; id >= feedback_begin_; --id) {
+      const ExecContext::CardFeedback* fb = exec.FindCardFeedback(id);
+      if (fb == nullptr) continue;
+      corrected_probe =
+          ScaleRows(corrected_probe, fb->corrected_rows, fb->est_rows);
+      break;
+    }
+    // Publish this join's output estimate, corrected by the ratio the build
+    // side was off by; downstream joins resolve after us.
+    ExecContext::CardFeedback fb;
+    fb.est_rows = decision_.est_out_rows;
+    fb.corrected_rows = ScaleRows(decision_.est_out_rows, staged_build,
+                                  decision_.est_build_rows);
+    exec.RecordCardFeedback(join_id_, fb);
   }
-  replan_.enabled = true;
-  replan_.staged_build_tuples = staged_build_;
-  replan_.corrected_probe_tuples = corrected_probe;
-  replan_.qerror_build =
-      EstimateQError(decision_.est_build_rows, staged_build_);
-  replan_.qerror_probe =
-      EstimateQError(decision_.est_probe_rows, corrected_probe);
-
-  bool use_bhj = decision_.choice == JoinStrategy::kBHJ;
-  if (std::max(replan_.qerror_build, replan_.qerror_probe) >=
-      replan_qerror_) {
-    // Estimate wrong: re-cost the strategy with the observed build side and
-    // the corrected probe side. The skew sample survives from plan time (it
-    // sampled the base column, which did not change).
-    replan_.triggered = true;
-    SkewEstimate skew;
-    skew.present = decision_.skew_sampled;
-    skew.sample_rows = decision_.skew_sample_rows;
-    skew.top_share = decision_.est_top_share;
-    skew.topk_share = decision_.est_topk_share;
-    skew.key_payload_corr = decision_.est_key_payload_corr;
-    const uint64_t base =
-        std::max(decision_.est_build_base_rows, staged_build_);
-    JoinDecision re = JoinAdvisor::Decide(
-        kind_, staged_build_, base, corrected_probe, decision_.build_width,
-        decision_.probe_width, decision_.probe_depth, replan_options_,
-        skew.present ? &skew : nullptr);
-    replan_.recost_bhj = re.cost_bhj;
-    replan_.recost_rj = re.cost_rj;
-    replan_.recost_brj = re.cost_brj;
-    // The re-plan is the paper's binary question — partition or not. The
-    // partitioned variant (RJ/BRJ) stays whatever the engine was built as;
-    // the Bloom filter cannot be retrofitted mid-query.
-    use_bhj = re.choice == JoinStrategy::kBHJ;
-  } else if (!use_bhj && staged_build_ > build_limit_) {
-    // Untriggered path keeps the original overflow guardrail.
-    overflow_demoted_ = true;
-    use_bhj = true;
-  }
-  replan_.switched = use_bhj != (decision_.choice == JoinStrategy::kBHJ);
-  replan_.final_choice = use_bhj ? JoinStrategy::kBHJ : radix_strategy_;
-  if (use_bhj) {
-    fell_back_ = true;
-    RouteStagedToHashTable(exec);
-  } else {
-    deferred_build_sink_->Finish(exec);  // Bloom sizing + Finalize
-  }
-  exec.timer().Add(JoinPhase::kBuildPipeline, watch.ElapsedSeconds());
+  resolution_ = JoinAdvisor::Resolve(kind_, decision_, staged_build,
+                                     corrected_probe, replan_qerror_, options_);
+  return resolution_.partition;
 }
 
-void AutoJoinRuntime::RecordProbeFeedback(ExecContext& exec,
-                                          uint64_t actual_probe) {
-  if (!replan_armed()) return;
-  // Refine this join's published output estimate with the observed probe
-  // count (build ratio was already folded in by DeferDecision).
-  const ExecContext::CardFeedback* prev = exec.FindCardFeedback(join_id());
+void AdvisorGuard::ProbeCounted(ExecContext& exec, uint64_t rows) {
+  if (!deferred()) return;
+  // Refine the published output estimate with the observed probe count.
+  const ExecContext::CardFeedback* prev = exec.FindCardFeedback(join_id_);
   if (prev == nullptr || prev->exact) return;
   ExecContext::CardFeedback fb = *prev;
-  const double ratio =
-      static_cast<double>(std::max<uint64_t>(1, actual_probe)) /
-      static_cast<double>(std::max<uint64_t>(1, decision_.est_probe_rows));
-  fb.corrected_rows = std::max<uint64_t>(
-      1, static_cast<uint64_t>(std::llround(
-             static_cast<double>(fb.corrected_rows) * ratio)));
-  exec.RecordCardFeedback(join_id(), fb);
+  fb.corrected_rows =
+      ScaleRows(fb.corrected_rows, rows, decision_.est_probe_rows);
+  exec.RecordCardFeedback(join_id_, fb);
 }
 
-void AutoJoinRuntime::RecordOutputFeedback(ExecContext& exec,
-                                           uint64_t actual_out) {
-  if (!replan_armed()) return;
+void AdvisorGuard::OutputCounted(ExecContext& exec, uint64_t rows) {
+  if (!deferred()) return;
   ExecContext::CardFeedback fb;
   fb.est_rows = decision_.est_out_rows;
-  fb.corrected_rows = actual_out;
+  fb.corrected_rows = rows;
   fb.exact = true;
-  exec.RecordCardFeedback(join_id(), fb);
-}
-
-void AutoBuildSink::Prepare(ExecContext& exec) {
-  radix_sink_.set_metrics(metrics_);
-  radix_sink_.Prepare(exec);
-}
-
-void AutoBuildSink::Consume(Batch& batch, ThreadContext& ctx) {
-  radix_sink_.Consume(batch, ctx);
-}
-
-void AutoBuildSink::Close(ThreadContext& ctx) { radix_sink_.Close(ctx); }
-
-void AutoBuildSink::Finish(ExecContext& exec) {
-  RadixPartitioner& part = rt_->radix().build_partitioner();
-  const uint64_t staged = part.PendingTuples();
-  if (rt_->replan_armed()) {
-    // Re-planning owns the decision: leave the build staged and resolve in
-    // the probe sink's Prepare, once upstream joins have reported actuals.
-    rt_->DeferDecision(exec, &radix_sink_, staged);
-    return;
-  }
-  if (staged <= rt_->build_limit()) {
-    radix_sink_.Finish(exec);  // Bloom sizing + Finalize: the radix path
-    return;
-  }
-  // Guardrail tripped: the estimate undersold the build side badly enough
-  // that the partition fan-out is mis-sized. Re-route the staged tuples into
-  // the non-partitioned join — the staged hashes are exactly what the
-  // chaining table keys on, so no input re-read is needed.
-  rt_->set_fell_back();
-  Stopwatch watch;
-  ChainingHashTable& ht = rt_->hash().table();
-  const uint32_t row_stride = rt_->radix().build_layout()->stride();
-  part.ForEachStagedTuple([&](uint64_t hash, const std::byte* row) {
-    ht.MaterializeEntry(0, hash, row, row_stride);
-  });
-  // FinishBuild, not a raw Build: under a memory budget the fallback BHJ
-  // must be able to go hybrid (spill partitions) like a planned BHJ would.
-  rt_->hash().FinishBuild(exec);
-  exec.timer().Add(JoinPhase::kBuildPipeline, watch.ElapsedSeconds());
-}
-
-AutoProbeSink::AutoProbeSink(AutoJoinRuntime* rt)
-    : rt_(rt),
-      radix_sink_(&rt->radix()),
-      hash_probe_(&rt->hash()),
-      spill_(rt) {}
-
-void AutoProbeSink::Prepare(ExecContext& exec) {
-  rt_->ResolveDeferred(exec);
-  if (rt_->fell_back()) {
-    rt_->PrepareSpill(exec.num_threads(),
-                      rt_->hash().projection().output->stride());
-    hash_probe_.set_metrics(metrics_);
-    hash_probe_.set_next(&spill_);
-    hash_probe_.Prepare(exec);
-    spill_.Prepare(exec);
-  } else {
-    radix_sink_.set_metrics(metrics_);
-    radix_sink_.Prepare(exec);
-  }
-}
-
-void AutoProbeSink::Open(ThreadContext& ctx) {
-  if (rt_->fell_back()) {
-    hash_probe_.Open(ctx);
-  } else {
-    radix_sink_.Open(ctx);
-  }
-}
-
-void AutoProbeSink::Consume(Batch& batch, ThreadContext& ctx) {
-  if (rt_->fell_back()) {
-    hash_probe_.Consume(batch, ctx);
-  } else {
-    radix_sink_.Consume(batch, ctx);
-  }
-}
-
-void AutoProbeSink::Close(ThreadContext& ctx) {
-  if (rt_->fell_back()) {
-    hash_probe_.Close(ctx);
-  } else {
-    radix_sink_.Close(ctx);
-  }
-}
-
-void AutoProbeSink::Finish(ExecContext& exec) {
-  if (!rt_->fell_back()) radix_sink_.Finish(exec);
-  if (metrics_ != nullptr) {
-    rt_->RecordProbeFeedback(exec, metrics_->Totals().rows_in);
-  }
-}
-
-void AutoProbeSink::SpillSink::Consume(Batch& batch, ThreadContext& ctx) {
-  RowBuffer& buf = rt_->spill(ctx.thread_id);
-  if (batch.layout->stride() == 0) {
-    // Zero-width output rows: record the count, there is nothing to copy.
-    for (uint32_t i = 0; i < batch.size; ++i) buf.AppendSlot();
-    return;
-  }
-  for (uint32_t i = 0; i < batch.size; ++i) buf.Append(batch.Row(i));
-}
-
-AutoJoinSource::AutoJoinSource(AutoJoinRuntime* rt)
-    : rt_(rt), partition_src_(&rt->radix()), ht_scan_(&rt->hash()) {}
-
-void AutoJoinSource::Prepare(ExecContext& exec) {
-  if (rt_->fell_back()) {
-    spill_cursor_.store(0, std::memory_order_relaxed);
-    if (EmitsBuildRows(rt_->kind())) {
-      ht_scan_.set_metrics(metrics_);
-      ht_scan_.Prepare(exec);
-    }
-  } else {
-    partition_src_.set_metrics(metrics_);
-    partition_src_.Prepare(exec);
-  }
-}
-
-void AutoJoinSource::Open(ThreadContext& ctx) {
-  if (!rt_->fell_back()) partition_src_.Open(ctx);
-}
-
-bool AutoJoinSource::ProduceMorsel(Operator& consumer, ThreadContext& ctx) {
-  if (!rt_->fell_back()) return partition_src_.ProduceMorsel(consumer, ctx);
-  const int idx = spill_cursor_.fetch_add(1, std::memory_order_relaxed);
-  if (idx < rt_->num_spill_buffers()) {
-    RowBuffer& buf = rt_->spill(idx);
-    if (buf.size() == 0) return true;
-    const RowLayout* out = rt_->radix().projection().output;
-    buf.ForEachPage([&](const std::byte* rows, uint32_t count) {
-      for (uint32_t off = 0; off < count; off += kBatchCapacity) {
-        Batch batch;
-        batch.layout = out;
-        batch.rows = const_cast<std::byte*>(rows) +
-                     static_cast<size_t>(off) * out->stride();
-        batch.size = std::min<uint32_t>(kBatchCapacity, count - off);
-        PushOut(consumer, batch, ctx);
-      }
-    });
-    return true;
-  }
-  if (EmitsBuildRows(rt_->kind())) {
-    return ht_scan_.ProduceMorsel(consumer, ctx);
-  }
-  return false;
-}
-
-void AutoJoinSource::Close(ThreadContext& ctx) {
-  if (!rt_->fell_back()) partition_src_.Close(ctx);
-}
-
-void AutoJoinSource::Finish(ExecContext& exec) {
-  if (metrics_ != nullptr) {
-    rt_->RecordOutputFeedback(exec, metrics_->Totals().rows_out);
-  }
+  exec.RecordCardFeedback(join_id_, fb);
 }
 
 }  // namespace pjoin

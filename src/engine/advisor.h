@@ -16,13 +16,14 @@
 // clear margin before it is chosen, because the BHJ's downside is bounded
 // while the RJ's is not (Section 5.2, "when in doubt, do not partition").
 //
-// Because estimates lie, advisor-chosen radix joins run under a runtime
-// guardrail (AutoJoinRuntime): the build side is staged through the radix
-// partitioner's pass 1 as usual, but if the staged tuple count overflows the
-// estimate by a configurable factor, the join falls back to BHJ on the spot —
-// the staged [hash][row] tuples are re-routed into the chaining hash table
-// without re-reading the input, and the probe and join pipelines execute the
-// non-partitioned plan. The fallback is recorded in QueryMetrics.
+// Because estimates lie, an advisor-chosen radix join runs guarded: the build
+// side is staged through the radix partitioner's pass 1 as usual, and once
+// the staged count is known JoinAdvisor::Resolve answers partition-or-not a
+// second time. If the staged count overflows the estimate 4x (or, with
+// re-planning armed, a re-cost says so) the join runs not partitioned: the
+// staged [hash][row] tuples are re-routed into the chaining hash table
+// without re-reading the input (join/radix_join.h). The outcome is recorded
+// in QueryMetrics.
 #ifndef PJOIN_ENGINE_ADVISOR_H_
 #define PJOIN_ENGINE_ADVISOR_H_
 
@@ -34,9 +35,7 @@
 #include "engine/plan.h"
 #include "engine/sampler.h"
 #include "exec/pipeline.h"
-#include "join/hash_join.h"
 #include "join/radix_join.h"
-#include "storage/row_buffer.h"
 
 namespace pjoin {
 
@@ -45,10 +44,6 @@ struct AdvisorOptions {
   // GetCpuInfo(). Tests pin these to make decisions machine-independent.
   uint64_t l2_bytes = 0;
   uint64_t llc_bytes = 0;
-
-  // Runtime guardrail: an advisor-chosen radix join falls back to BHJ when
-  // the staged build side exceeds estimate * build_overflow_factor.
-  double build_overflow_factor = 4.0;
 
   // A partitioned strategy is chosen only when its modeled cost is below
   // margin * cost(BHJ) — the "when in doubt, do not partition" asymmetry.
@@ -69,11 +64,11 @@ struct AdvisorOptions {
   uint64_t skew_sample_size = UINT64_MAX;
 
   // Mid-query re-planning trigger. When the resolved value is > 0, every
-  // advised join defers its engine choice from the build sink's Finish to
-  // the probe sink's Prepare and re-costs the strategy when the observed
-  // build/probe q-error meets the threshold. 0 disables (the plan-time
-  // choice runs, guarded only by the overflow fallback); the default
-  // sentinel (-1) reads PJOIN_REPLAN_QERROR, which defaults to 0.
+  // advised join runs guarded and resolves at the probe sink's Prepare,
+  // re-costing the strategy when the observed build/probe q-error meets the
+  // threshold. 0 disables (the plan-time choice runs, guarded only by the
+  // overflow fallback); the default sentinel (-1) reads PJOIN_REPLAN_QERROR,
+  // which defaults to 0.
   double replan_qerror = -1.0;
 
   // Fault injection for re-planner tests and bench/ext_misestimate:
@@ -109,6 +104,13 @@ struct JoinDecision {
   bool skew_overflow = false;  // share overflows one margin-scaled partition
   bool skew_defense = false;   // partitioned pick runs the runtime defense
   const char* reason = "";  // static string, stable across runs
+};
+
+// How a guarded join resolved once its build side was staged.
+struct JoinResolution {
+  bool partition = true;          // false: run the non-partitioned BHJ
+  bool overflow_demoted = false;  // the 4x build-overflow guardrail tripped
+  ReplanMetrics replan;           // enabled only when re-planning was armed
 };
 
 class JoinAdvisor {
@@ -148,201 +150,50 @@ class JoinAdvisor {
   // Resolved estimate-corruption factor: options.est_scale, or
   // PJOIN_EST_SCALE when the option holds the sentinel.
   static double ResolvedEstimateScale(const AdvisorOptions& options);
+
+  // The partitioned variant a guarded join builds its radix engine as: the
+  // plan's pick, or for a plan-time BHJ (guarded only under re-planning) the
+  // cheaper of RJ/BRJ — the Bloom filter cannot be retrofitted mid-query.
+  static JoinStrategy PartitionedVariant(JoinKind kind,
+                                         const JoinDecision& plan);
+
+  // Partition-or-not, answered again once the build side is staged: the only
+  // post-lowering strategy decision, made once per guarded join. With
+  // `replan_qerror` > 0 the strategy is re-costed from the staged build and
+  // the feedback-corrected probe count when either q-error reaches the
+  // threshold. A partitioned plan that is not re-costed runs not partitioned
+  // when the staged build exceeds 4x its estimate (the guardrail).
+  static JoinResolution Resolve(JoinKind kind, const JoinDecision& plan,
+                                uint64_t staged_build, uint64_t corrected_probe,
+                                double replan_qerror,
+                                const AdvisorOptions& options);
 };
 
-// Shared state of one advisor-chosen radix join running under the build
-// guardrail. Owns both physical joins; only one of them executes the probe:
-// the radix join on the happy path, the hash join after a fallback.
-class AutoJoinRuntime {
+// The advisor behind a guarded radix join: resolves through Resolve and,
+// with re-planning armed, keeps the ExecContext cardinality feedback that
+// downstream joins correct their probe estimates from. Joins in the probe
+// subtree hold post-order ids [feedback_begin, join_id).
+class AdvisorGuard : public PartitionGuard {
  public:
-  AutoJoinRuntime(JoinKind kind, const RowLayout* build_layout,
-                  std::vector<int> build_keys, const RowLayout* probe_layout,
-                  std::vector<int> probe_keys, JoinProjection projection,
-                  const RadixJoin::Options& radix_options,
-                  const JoinDecision& decision, double overflow_factor);
+  AdvisorGuard(JoinKind kind, const JoinDecision& decision,
+               const AdvisorOptions& options, int join_id, int feedback_begin);
 
-  JoinKind kind() const { return kind_; }
-  RadixJoin& radix() { return *radix_; }
-  HashJoin& hash() { return *hash_; }
+  bool deferred() const override { return replan_qerror_ > 0; }
+  bool Partition(ExecContext& exec, uint64_t staged_build) override;
+  void ProbeCounted(ExecContext& exec, uint64_t rows) override;
+  void OutputCounted(ExecContext& exec, uint64_t rows) override;
+
   const JoinDecision& decision() const { return decision_; }
-
-  bool fell_back() const { return fell_back_; }
-  void set_fell_back() {
-    fell_back_ = true;
-    overflow_demoted_ = true;
-  }
-  uint64_t build_limit() const { return build_limit_; }
-
-  // --- mid-query re-planning (PJOIN_REPLAN_QERROR > 0) ---------------------
-  // Arms deferred resolution: the engine decision moves from the build
-  // sink's Finish to the probe sink's Prepare, after every join in the probe
-  // subtree (post-order ids [feedback_begin, feedback_end)) has published
-  // its observed cardinality into ExecContext. The runtime then re-costs the
-  // strategy with the staged build count and the feedback-corrected probe
-  // estimate whenever either q-error reaches the threshold.
-  void ArmReplan(double qerror_threshold, const AdvisorOptions& options,
-                 int feedback_begin, int feedback_end);
-  bool replan_armed() const { return replan_qerror_ > 0; }
-
-  // Build pipeline finished with the decision still open: remember the
-  // staged tuple count and the sink that can finalize the radix build, and
-  // publish this join's corrected output estimate for downstream joins.
-  void DeferDecision(ExecContext& exec, RadixBuildSink* build_sink,
-                     uint64_t staged);
-
-  // Resolves a deferred decision (no-op otherwise): reads upstream
-  // cardinality feedback, re-costs if the q-error trigger fires, then either
-  // finalizes the radix build or re-routes the staged tuples into the BHJ
-  // table. Called from AutoProbeSink::Prepare — pipelines prepare and finish
-  // serially, so no synchronization is needed.
-  void ResolveDeferred(ExecContext& exec);
-
-  // Feedback refinements on the resolved path (observed probe count, exact
-  // join output); no-ops when re-planning is off.
-  void RecordProbeFeedback(ExecContext& exec, uint64_t actual_probe);
-  void RecordOutputFeedback(ExecContext& exec, uint64_t actual_out);
-
-  const ReplanMetrics& replan() const { return replan_; }
-
-  void set_join_id(int id);
-  int join_id() const { return radix_->join_id(); }
-
-  // Executor accounting, routed to whichever engine actually ran.
-  uint64_t PartitionBytes() const {
-    return fell_back_ ? 0 : radix_->PartitionBytes();
-  }
-  uint64_t BloomDropped() const {
-    return fell_back_ ? 0 : radix_->bloom_dropped();
-  }
-  JoinMetrics CollectMetrics() const;
-  JoinAudit Audit(int join_id) const;
-
-  // Fallback probe output: the BHJ probe emits output-format rows into
-  // per-worker buffers here; the join source replays them downstream.
-  void PrepareSpill(int num_threads, uint32_t out_stride);
-  RowBuffer& spill(int thread_id) { return spill_[thread_id]; }
-  int num_spill_buffers() const { return static_cast<int>(spill_.size()); }
+  const JoinResolution& resolution() const { return resolution_; }
 
  private:
-  // Re-routes the staged pass-1 tuples into the chaining hash table and
-  // finishes the BHJ build (shared by the overflow guardrail and a re-plan
-  // switch to BHJ).
-  void RouteStagedToHashTable(ExecContext& exec);
-
   JoinKind kind_;
   JoinDecision decision_;
-  JoinStrategy radix_strategy_;  // partitioned variant the radix engine runs
-  uint64_t build_limit_;
-  std::unique_ptr<RadixJoin> radix_;
-  std::unique_ptr<HashJoin> hash_;
-  bool fell_back_ = false;         // the hash engine executes this join
-  bool overflow_demoted_ = false;  // legacy guardrail demotion (metrics flag)
-  std::vector<RowBuffer> spill_;
-
-  // Deferred-replan state.
-  double replan_qerror_ = 0;  // 0 = re-planning off
-  AdvisorOptions replan_options_;
-  int feedback_begin_ = 0;
-  int feedback_end_ = 0;
-  bool decision_pending_ = false;
-  uint64_t staged_build_ = 0;
-  RadixBuildSink* deferred_build_sink_ = nullptr;
-  ReplanMetrics replan_;
-};
-
-// Terminates the build pipeline of an advisor-chosen radix join. Stages
-// tuples through the radix partitioner's pass 1; Finish applies the
-// guardrail — within budget it finalizes the partitioner (normal radix
-// path), on overflow it re-routes the staged tuples into the BHJ table.
-class AutoBuildSink : public Operator {
- public:
-  explicit AutoBuildSink(AutoJoinRuntime* rt) : rt_(rt), radix_sink_(&rt->radix()) {}
-
-  void Prepare(ExecContext& exec) override;
-  void Consume(Batch& batch, ThreadContext& ctx) override;
-  void Close(ThreadContext& ctx) override;
-  void Finish(ExecContext& exec) override;
-  const RowLayout* OutputLayout() const override {
-    return rt_->radix().build_layout();
-  }
-
-  const char* MetricsName() const override { return "auto_build"; }
-  std::string MetricsDetail() const override {
-    return "j" + std::to_string(rt_->join_id());
-  }
-
- private:
-  AutoJoinRuntime* rt_;
-  RadixBuildSink radix_sink_;
-};
-
-// Terminates the probe pipeline: radix probe sink on the happy path, BHJ
-// probe (spilling its output) after a fallback. The mode is fixed by the
-// time Prepare runs, because the build pipeline finished first.
-class AutoProbeSink : public Operator {
- public:
-  explicit AutoProbeSink(AutoJoinRuntime* rt);
-
-  void Prepare(ExecContext& exec) override;
-  void Open(ThreadContext& ctx) override;
-  void Consume(Batch& batch, ThreadContext& ctx) override;
-  void Close(ThreadContext& ctx) override;
-  void Finish(ExecContext& exec) override;
-  const RowLayout* OutputLayout() const override {
-    return rt_->radix().probe_layout();
-  }
-
-  const char* MetricsName() const override { return "auto_probe"; }
-  std::string MetricsDetail() const override {
-    return "j" + std::to_string(rt_->join_id());
-  }
-
- private:
-  // Fallback only: copies probe output batches into the runtime's spill.
-  class SpillSink : public Operator {
-   public:
-    explicit SpillSink(AutoJoinRuntime* rt) : rt_(rt) {}
-    void Consume(Batch& batch, ThreadContext& ctx) override;
-    const RowLayout* OutputLayout() const override {
-      return rt_->hash().projection().output;
-    }
-
-   private:
-    AutoJoinRuntime* rt_;
-  };
-
-  AutoJoinRuntime* rt_;
-  RadixProbeSink radix_sink_;
-  HashJoinProbe hash_probe_;
-  SpillSink spill_;
-};
-
-// Starts the join pipeline: partition-pair joining on the happy path; after
-// a fallback it replays the spilled probe output and (for build-preserving
-// kinds) the BHJ's post-probe hash-table scan.
-class AutoJoinSource : public Source {
- public:
-  explicit AutoJoinSource(AutoJoinRuntime* rt);
-
-  void Prepare(ExecContext& exec) override;
-  void Open(ThreadContext& ctx) override;
-  bool ProduceMorsel(Operator& consumer, ThreadContext& ctx) override;
-  void Close(ThreadContext& ctx) override;
-  void Finish(ExecContext& exec) override;
-  const RowLayout* OutputLayout() const override {
-    return rt_->radix().projection().output;
-  }
-
-  const char* MetricsName() const override { return "auto_join"; }
-  std::string MetricsDetail() const override {
-    return "j" + std::to_string(rt_->join_id());
-  }
-
- private:
-  AutoJoinRuntime* rt_;
-  PartitionJoinSource partition_src_;
-  HashJoinBuildScanSource ht_scan_;
-  std::atomic<int> spill_cursor_{0};
+  AdvisorOptions options_;
+  double replan_qerror_;
+  int join_id_;
+  int feedback_begin_;
+  JoinResolution resolution_;
 };
 
 }  // namespace pjoin

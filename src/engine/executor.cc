@@ -113,9 +113,11 @@ void CollectEarlyUses(const PlanNode& node, std::set<std::string>* out) {
   }
 }
 
-// Copies the advisor's decision record into a join's metrics so EXPLAIN
-// ANALYZE and the JSON export can show estimated vs actual.
-void AttachAdvisorMetrics(JoinMetrics& m, const JoinDecision& d) {
+// Copies the advisor's decision record, and how a guarded join resolved at
+// runtime, into a join's metrics so EXPLAIN ANALYZE and the JSON export can
+// show estimated vs actual.
+void AttachAdvisorMetrics(JoinMetrics& m, const JoinDecision& d,
+                          const JoinResolution& r) {
   m.advisor.present = true;
   m.advisor.choice = d.choice;
   m.advisor.est_build_tuples = d.est_build_rows;
@@ -129,7 +131,8 @@ void AttachAdvisorMetrics(JoinMetrics& m, const JoinDecision& d) {
   m.advisor.est_max_partition_share = d.est_max_partition_share;
   m.advisor.est_key_payload_corr = d.est_key_payload_corr;
   m.advisor.skew_defense = d.skew_defense;
-  m.advisor.quality = StatsEnabled();
+  m.advisor.fell_back = r.overflow_demoted;
+  m.replan = r.replan;
 }
 
 class Lowerer {
@@ -189,12 +192,10 @@ class Lowerer {
   std::vector<std::unique_ptr<Operator>> operators_;
   std::vector<std::unique_ptr<HashJoin>> hash_joins_;
   std::vector<std::unique_ptr<RadixJoin>> radix_joins_;
-  std::vector<std::unique_ptr<AutoJoinRuntime>> auto_joins_;
   std::vector<std::unique_ptr<Pipeline>> pipelines_;
   std::vector<Pipeline*> run_order_;
   std::vector<TableScanSource*> scans_;
   std::set<const Table*> scanned_tables_;  // for the stats metrics snapshot
-  std::vector<RadixProbeSink*> radix_probe_sinks_;
   // Rewrite-planted Bloom filters, keyed by BloomPlant::id. Created when
   // the planting join's build side is lowered — always before the distant
   // probe scan, which lives in that join's probe subtree.
@@ -343,8 +344,7 @@ Lowerer::Stream Lowerer::LowerJoin(const PlanNode& node,
   if (it != options_.join_overrides.end()) strategy = it->second;
 
   // kAuto resolves to the advisor's per-join pick (computed in LowerQuery
-  // with the same post-order numbering). Advisor-chosen radix joins run
-  // guarded; advisor-chosen BHJ joins only carry the decision record.
+  // with the same post-order numbering).
   const JoinDecision* decision = nullptr;
   if (strategy == JoinStrategy::kAuto) {
     auto ad = advice_.find(join_id);
@@ -384,13 +384,17 @@ Lowerer::Stream Lowerer::LowerJoin(const PlanNode& node,
   const bool advised = decision != nullptr;
   const JoinDecision adv = advised ? *decision : JoinDecision{};
 
-  // Mid-query re-planning keeps every advised join on the guarded Auto
-  // path — even an advised BHJ — because the staged pass-1 tuples can become
-  // either engine's build when the decision resolves at probe time.
-  const double replan_q =
-      advised ? JoinAdvisor::ResolvedReplanThreshold(options_.advisor) : 0.0;
+  // Two pipeline shapes. A manual BHJ, and an advised BHJ with re-planning
+  // off, lower to the pipelined probe (the HashJoin family); every other
+  // join lowers to the breaker probe (the radix family). Advised joins there
+  // run guarded, so partition-or-not is answered again once the build side
+  // is staged — with re-planning armed even an advised BHJ, whose staged
+  // build can become either engine's.
+  const bool guarded =
+      advised && (strategy != JoinStrategy::kBHJ ||
+                  JoinAdvisor::ResolvedReplanThreshold(options_.advisor) > 0);
 
-  if (strategy == JoinStrategy::kBHJ && replan_q <= 0) {
+  if (strategy == JoinStrategy::kBHJ && !guarded) {
     hash_joins_.push_back(std::make_unique<HashJoin>(
         node.join_kind, build.layout, build_keys, probe.layout, probe_keys,
         *projection));
@@ -405,52 +409,38 @@ Lowerer::Stream Lowerer::LowerJoin(const PlanNode& node,
     operators_.push_back(std::make_unique<HashJoinProbe>(join));
     Operator* probe_op = operators_.back().get();
     probe.pipeline->AddOperator(probe_op);
-    if (!EmitsBuildRows(node.join_kind)) {
-      metrics_fns_.push_back([join, probe_op, advised, adv] {
-        JoinMetrics m = join->CollectMetrics();
-        if (probe_op->metrics() != nullptr) {
-          m.rows_out = probe_op->metrics()->Totals().rows_out;
-        }
-        if (advised) AttachAdvisorMetrics(m, adv);
-        return m;
-      });
-      return Stream{probe.pipeline, out};
-    }
     // Build-preserving kinds: the probe pipeline only sets flags; a scan
     // over the hash table starts the next pipeline.
-    CompletePipeline(probe.pipeline);
-    sources_.push_back(std::make_unique<HashJoinBuildScanSource>(join));
-    Source* scan_src = sources_.back().get();
+    Source* scan_src = nullptr;
+    if (EmitsBuildRows(node.join_kind)) {
+      CompletePipeline(probe.pipeline);
+      sources_.push_back(std::make_unique<HashJoinBuildScanSource>(join));
+      scan_src = sources_.back().get();
+    }
     metrics_fns_.push_back([join, probe_op, scan_src, advised, adv] {
       JoinMetrics m = join->CollectMetrics();
-      // Right-outer pairs and build-only rows replay through the ht scan;
-      // probe-side emission (none for these kinds) would land on the probe.
+      // Right-outer pairs and build-only rows replay through the ht scan.
       if (probe_op->metrics() != nullptr) {
         m.rows_out += probe_op->metrics()->Totals().rows_out;
       }
-      if (scan_src->metrics() != nullptr) {
+      if (scan_src != nullptr && scan_src->metrics() != nullptr) {
         m.rows_out += scan_src->metrics()->Totals().rows_out;
       }
-      if (advised) AttachAdvisorMetrics(m, adv);
+      if (advised) AttachAdvisorMetrics(m, adv, JoinResolution{});
       return m;
     });
+    if (scan_src == nullptr) return Stream{probe.pipeline, out};
     Pipeline* next = NewPipeline(scan_src, JoinPhase::kJoin,
                                  "ht scan j" + std::to_string(join_id));
     return Stream{next, out};
   }
 
-  // Radix joins (RJ / BRJ / adaptive BRJ).
+  // Breaker probe: radix joins (RJ / BRJ / adaptive BRJ), guarded when
+  // advised.
   RadixJoin::Options radix_options;
-  radix_options.strategy = strategy;
-  if (strategy == JoinStrategy::kBHJ) {
-    // Replan-armed advised BHJ: construct the radix engine as the cheaper
-    // partitioned variant in case the re-plan flips the decision (the Bloom
-    // filter cannot be retrofitted after construction).
-    radix_options.strategy =
-        RadixJoin::BloomApplicable(node.join_kind) && adv.cost_brj < adv.cost_rj
-            ? JoinStrategy::kBRJ
-            : JoinStrategy::kRJ;
-  }
+  radix_options.strategy =
+      guarded ? JoinAdvisor::PartitionedVariant(node.join_kind, adv)
+              : strategy;
   radix_options.expected_build_tuples =
       (advised ? adv.est_build_rows : node.build->EstimateRows()) | 1;
   radix_options.num_threads = num_threads_;
@@ -460,52 +450,20 @@ Lowerer::Stream Lowerer::LowerJoin(const PlanNode& node,
   radix_options.use_streaming = options_.use_streaming;
   // A sampled-skew overflow arms the runtime defense on the partitioned
   // pick: heavy-hitter bypass plus per-partition re-split.
-  if (advised && adv.skew_defense) radix_options.skew_defense = true;
-
-  if (advised) {
-    // Advisor-chosen radix joins run under the build-overflow guardrail:
-    // same pipeline shape, but the sinks/source can switch the join to the
-    // BHJ engine at Finish time if the estimate undersold the build side.
-    auto_joins_.push_back(std::make_unique<AutoJoinRuntime>(
-        node.join_kind, build.layout, build_keys, probe.layout, probe_keys,
-        *projection, radix_options, adv,
-        options_.advisor.build_overflow_factor));
-    AutoJoinRuntime* rt = auto_joins_.back().get();
-    rt->set_join_id(join_id);
-    if (replan_q > 0) {
-      rt->ArmReplan(replan_q, options_.advisor, probe_ids_begin, join_id);
-    }
-    audit_fns_.push_back([rt, join_id] { return rt->Audit(join_id); });
-
-    operators_.push_back(std::make_unique<AutoBuildSink>(rt));
-    build.pipeline->AddOperator(operators_.back().get());
-    build.pipeline->timing_phase = JoinPhase::kBuildPipeline;
-    if (!build_completed) CompletePipeline(build.pipeline);
-
-    operators_.push_back(std::make_unique<AutoProbeSink>(rt));
-    probe.pipeline->AddOperator(operators_.back().get());
-    probe.pipeline->timing_phase = JoinPhase::kPartitionPass1;
-    CompletePipeline(probe.pipeline);
-
-    sources_.push_back(std::make_unique<AutoJoinSource>(rt));
-    Source* join_src = sources_.back().get();
-    metrics_fns_.push_back([rt, join_src] {
-      JoinMetrics m = rt->CollectMetrics();
-      if (join_src->metrics() != nullptr) {
-        m.rows_out = join_src->metrics()->Totals().rows_out;
-      }
-      return m;
-    });
-    Pipeline* next = NewPipeline(join_src, JoinPhase::kJoin,
-                                 "auto join j" + std::to_string(join_id));
-    return Stream{next, out};
-  }
+  radix_options.skew_defense = adv.skew_defense;
 
   radix_joins_.push_back(std::make_unique<RadixJoin>(
       node.join_kind, build.layout, build_keys, probe.layout, probe_keys,
       *projection, radix_options));
   RadixJoin* join = radix_joins_.back().get();
   join->set_join_id(join_id);
+  const AdvisorGuard* guard = nullptr;
+  if (guarded) {
+    auto owned = std::make_unique<AdvisorGuard>(
+        node.join_kind, adv, options_.advisor, join_id, probe_ids_begin);
+    guard = owned.get();
+    join->set_guard(std::move(owned));
+  }
   audit_fns_.push_back([join, join_id] { return join->Audit(join_id); });
 
   operators_.push_back(std::make_unique<RadixBuildSink>(join));
@@ -514,18 +472,19 @@ Lowerer::Stream Lowerer::LowerJoin(const PlanNode& node,
   if (!build_completed) CompletePipeline(build.pipeline);
 
   operators_.push_back(std::make_unique<RadixProbeSink>(join));
-  radix_probe_sinks_.push_back(
-      static_cast<RadixProbeSink*>(operators_.back().get()));
   probe.pipeline->AddOperator(operators_.back().get());
   probe.pipeline->timing_phase = JoinPhase::kPartitionPass1;
   CompletePipeline(probe.pipeline);
 
   sources_.push_back(std::make_unique<PartitionJoinSource>(join));
   Source* join_src = sources_.back().get();
-  metrics_fns_.push_back([join, join_src] {
+  metrics_fns_.push_back([join, join_src, guard] {
     JoinMetrics m = join->CollectMetrics();
     if (join_src->metrics() != nullptr) {
       m.rows_out = join_src->metrics()->Totals().rows_out;
+    }
+    if (guard != nullptr) {
+      AttachAdvisorMetrics(m, guard->decision(), guard->resolution());
     }
     return m;
   });
@@ -774,16 +733,10 @@ QueryResult Lowerer::Run(ThreadPool& pool, QueryStats* stats) {
     stats->phase_timer = exec.timer();
     stats->bytes = exec.MergedBytes();
     stats->bloom_dropped = 0;
-    for (RadixProbeSink* sink : radix_probe_sinks_) {
-      stats->bloom_dropped += sink->tuples_dropped_by_filter();
-    }
     stats->partition_bytes = 0;
     for (const auto& join : radix_joins_) {
+      stats->bloom_dropped += join->bloom_dropped();
       stats->partition_bytes += join->PartitionBytes();
-    }
-    for (const auto& rt : auto_joins_) {
-      stats->bloom_dropped += rt->BloomDropped();
-      stats->partition_bytes += rt->PartitionBytes();
     }
     stats->join_audits.clear();
     for (const auto& fn : audit_fns_) stats->join_audits.push_back(fn());

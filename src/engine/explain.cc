@@ -98,8 +98,8 @@ void RenderAdvisorLine(const JoinDecision& d, int depth, bool fell_back,
        << " rj=" << static_cast<uint64_t>(std::llround(d.cost_rj))
        << " brj=" << static_cast<uint64_t>(std::llround(d.cost_brj))
        << "] -- " << d.reason;
-  if (jm != nullptr && jm->advisor.quality) {
-    // Estimate quality against the observed counts (stats subsystem on).
+  if (jm != nullptr && jm->advisor.present) {
+    // Estimate quality against the observed counts.
     const double qb = EstimateQError(d.est_build_rows, jm->build_tuples);
     const double qp = EstimateQError(d.est_probe_rows, jm->probe_tuples);
     *out << " qerr[build=" << Fixed(qb, 3) << " probe=" << Fixed(qp, 3)

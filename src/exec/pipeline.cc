@@ -1,5 +1,7 @@
 #include "exec/pipeline.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 #include "util/stopwatch.h"
 
@@ -15,6 +17,21 @@ ByteCounter ExecContext::MergedBytes() const {
   ByteCounter merged;
   for (const auto& counter : bytes_) merged.Merge(counter);
   return merged;
+}
+
+void Source::PushRows(Operator& consumer, const RowBuffer& rows,
+                      ThreadContext& ctx) {
+  const RowLayout* layout = OutputLayout();
+  rows.ForEachPage([&](const std::byte* page, uint32_t count) {
+    for (uint32_t off = 0; off < count; off += kBatchCapacity) {
+      Batch batch;
+      batch.layout = layout;
+      batch.rows = const_cast<std::byte*>(page) +
+                   static_cast<size_t>(off) * layout->stride();
+      batch.size = std::min<uint32_t>(kBatchCapacity, count - off);
+      PushOut(consumer, batch, ctx);
+    }
+  });
 }
 
 void Pipeline::Run(ExecContext& exec) {

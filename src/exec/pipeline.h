@@ -18,6 +18,7 @@
 #include "exec/batch.h"
 #include "exec/query_metrics.h"
 #include "exec/thread_pool.h"
+#include "storage/row_buffer.h"
 #include "util/byte_counter.h"
 
 namespace pjoin {
@@ -175,6 +176,10 @@ class Source {
     }
     consumer.Consume(batch, ctx);
   }
+
+  // Forwards buffered OutputLayout()-format rows batch-wise, without copying
+  // (pages hold rows contiguously).
+  void PushRows(Operator& consumer, const RowBuffer& rows, ThreadContext& ctx);
 
   OperatorMetrics* metrics_ = nullptr;
 };

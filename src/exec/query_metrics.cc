@@ -277,22 +277,20 @@ std::string QueryMetrics::ToJson(bool include_timings) const {
         out << ",\"skew_defense\":"
             << (j.advisor.skew_defense ? "true" : "false");
       }
-      if (j.advisor.quality) {
-        // Estimate-quality report (stats subsystem on): symmetric q-errors
-        // of the cardinality estimates against the observed counts.
-        const double qb =
-            EstimateQError(j.advisor.est_build_tuples, j.build_tuples);
-        const double qp =
-            EstimateQError(j.advisor.est_probe_tuples, j.probe_tuples);
-        out << ",\"qerror_build\":";
-        AppendDouble(out, qb);
-        out << ",\"qerror_probe\":";
-        AppendDouble(out, qp);
-        out << ",\"mispredict\":"
-            << (qb >= kMispredictQError || qp >= kMispredictQError ? "true"
-                                                                   : "false");
-      }
-      out << "}";
+      // Estimate quality: symmetric q-errors of the cardinality estimates
+      // against the observed counts.
+      const double qb =
+          EstimateQError(j.advisor.est_build_tuples, j.build_tuples);
+      const double qp =
+          EstimateQError(j.advisor.est_probe_tuples, j.probe_tuples);
+      out << ",\"qerror_build\":";
+      AppendDouble(out, qb);
+      out << ",\"qerror_probe\":";
+      AppendDouble(out, qp);
+      out << ",\"mispredict\":"
+          << (qb >= kMispredictQError || qp >= kMispredictQError ? "true"
+                                                                 : "false")
+          << "}";
     }
     if (j.replan.enabled) {
       const ReplanMetrics& r = j.replan;

@@ -228,10 +228,6 @@ struct AdvisorMetrics {
   double est_max_partition_share = 0;
   double est_key_payload_corr = 0;
   bool skew_defense = false;  // partitioned pick armed the runtime defense
-  // Estimation-quality reporting (q-error + mispredict flag in JSON and
-  // EXPLAIN ANALYZE). Set only when the statistics subsystem is enabled, so
-  // PJOIN_STATS=0 output is byte-identical to the pre-statistics engine.
-  bool quality = false;
 };
 
 // Mid-query re-planning record of one advisor-chosen join

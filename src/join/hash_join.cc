@@ -425,21 +425,7 @@ bool HashJoinBuildScanSource::ProduceMorsel(Operator& consumer,
   }
   if (idx < num_buffers_) {
     if (!join_->HasPairBuffers()) return true;
-    RowBuffer& pairs = join_->pair_buffer(idx);
-    if (pairs.size() == 0) return true;
-    const RowLayout* out = join_->projection().output;
-    pairs.ForEachPage([&](const std::byte* rows, uint32_t count) {
-      // Pages hold output-format rows contiguously: forward them batch-wise
-      // without copying.
-      for (uint32_t off = 0; off < count; off += kBatchCapacity) {
-        Batch batch;
-        batch.layout = out;
-        batch.rows = const_cast<std::byte*>(rows) +
-                     static_cast<size_t>(off) * out->stride();
-        batch.size = std::min<uint32_t>(kBatchCapacity, count - off);
-        PushOut(consumer, batch, ctx);
-      }
-    });
+    PushRows(consumer, join_->pair_buffer(idx), ctx);
     return true;
   }
   RowBuffer& buffer = ht.build_buffer(idx - num_buffers_);

@@ -12,6 +12,13 @@
 // *before* partitioning, so non-joining probe tuples are never materialized.
 // The adaptive variant samples the filter pass rate and switches the filter
 // off when (almost) everything passes.
+//
+// An advisor-chosen radix join runs guarded (PartitionGuard): once its build
+// side is staged the guard answers partition-or-not again. A "not" re-routes
+// the staged pass-1 tuples into a chaining hash table, the probe sink runs
+// the BHJ probe into per-worker output buffers, and the join source replays
+// them — so both answers share one pipeline shape, and the unguarded radix
+// path pays one branch per batch or morsel for it.
 #ifndef PJOIN_JOIN_RADIX_JOIN_H_
 #define PJOIN_JOIN_RADIX_JOIN_H_
 
@@ -22,12 +29,30 @@
 #include "filter/blocked_bloom.h"
 #include "hash_table/robin_hood.h"
 #include "join/emitter.h"
+#include "join/hash_join.h"
 #include "join/join_types.h"
 #include "join/key_spec.h"
 #include "partition/radix_partitioner.h"
 #include "spill/spill_join.h"
 
 namespace pjoin {
+
+// Partition-or-not hook of a guarded radix join (engine/advisor.h's
+// AdvisorGuard). The join asks Partition exactly once, with the staged
+// pass-1 build count, before it finalizes either the partitions or a
+// chaining hash table over the staged tuples.
+class PartitionGuard {
+ public:
+  virtual ~PartitionGuard() = default;
+  // True when the question waits from the build sink's Finish to the probe
+  // sink's Prepare, so joins in the probe subtree report actuals first.
+  virtual bool deferred() const = 0;
+  // False runs the join not partitioned.
+  virtual bool Partition(ExecContext& exec, uint64_t staged_build) = 0;
+  // Observed probe input and join output counts (cardinality feedback).
+  virtual void ProbeCounted(ExecContext& exec, uint64_t rows) = 0;
+  virtual void OutputCounted(ExecContext& exec, uint64_t rows) = 0;
+};
 
 class RadixJoin {
  public:
@@ -91,11 +116,30 @@ class RadixJoin {
   BlockedBloomFilter& bloom() { return bloom_; }
   AdaptiveFilterController& adaptive_controller() { return adaptive_; }
 
-  // Terminates the build partitioning: when the governor denies a fully
-  // resident build side, pass-1 pre-partitions are evicted to spill files
+  // Guarded joins only (set before the build pipeline runs).
+  void set_guard(std::unique_ptr<PartitionGuard> guard) {
+    guard_ = std::move(guard);
+  }
+  PartitionGuard* guard() { return guard_.get(); }
+  bool build_deferred() const {
+    return guard_ != nullptr && guard_->deferred();
+  }
+
+  // Terminates the build side. A guarded join asks its guard first; told not
+  // to partition, it re-routes the staged tuples into the chaining hash
+  // table instead. Otherwise, when the governor denies a fully resident
+  // build side, pass-1 pre-partitions are evicted to spill files
   // (largest-resident-first) before Finalize sizes the resident remainder.
-  // Called by RadixBuildSink::Finish / the kAuto runtime.
+  // Called by the build sink's Finish, or the probe sink's Prepare when
+  // build_deferred().
   void FinishBuild(ExecContext& exec);
+
+  // False once a guarded join resolved not to partition; hash() is then the
+  // engine that runs it, and hash_output(t) holds worker t's probe output.
+  bool partitioned() const { return hash_ == nullptr; }
+  HashJoin& hash() { return *hash_; }
+  RowBuffer& hash_output(int thread_id) { return hash_out_[thread_id]; }
+  int num_hash_outputs() const { return static_cast<int>(hash_out_.size()); }
 
   // Non-null iff FinishBuild decided to spill. Spilled pre-partitions join
   // as extra PartitionJoinSource morsels.
@@ -155,6 +199,7 @@ class RadixJoin {
   // Peak auxiliary memory (partitions + temporaries), for the memory-budget
   // observations of Section 5.3 (Q8/Q9/Q21 at SF 100).
   uint64_t PartitionBytes() const {
+    if (!partitioned()) return 0;
     return build_part_->OutputBytes() + probe_part_->OutputBytes();
   }
 
@@ -187,10 +232,12 @@ class RadixJoin {
   }
 
   // Observability snapshot (call after the join pipeline finished). Fills
-  // kind/strategy/cardinalities plus partitioner and Bloom internals;
-  // rows_out is the executor's job (it owns the operator registry).
+  // kind/strategy/cardinalities plus partitioner and Bloom internals — or the
+  // hash table's, when the join ran not partitioned; rows_out is the
+  // executor's job (it owns the operator registry).
   JoinMetrics CollectMetrics() const;
   JoinAudit Audit(int join_id) const {
+    if (!partitioned()) return hash_->Audit(join_id);
     JoinAudit audit;
     audit.join_id = join_id;
     audit.kind = kind_;
@@ -208,6 +255,9 @@ class RadixJoin {
   // Exact heavy-hash detection over the staged build side (Misra-Gries
   // candidates + one exact counting pass) and extraction into heavy_.
   void DetectHeavyHitters();
+  // Not-partitioned resolution: builds the chaining hash table over the
+  // staged [hash][row] tuples (no input re-read) and finishes the BHJ build.
+  void RouteStagedToHashTable(ExecContext& exec);
 
   JoinKind kind_;
   int join_id_ = -1;
@@ -232,6 +282,9 @@ class RadixJoin {
   std::atomic<uint64_t> bloom_dropped_{0};
   std::atomic<uint64_t> ht_grows_{0};
   std::atomic<uint64_t> ht_peak_bytes_{0};
+  std::unique_ptr<PartitionGuard> guard_;
+  std::unique_ptr<HashJoin> hash_;     // created only on a not-partitioned run
+  std::vector<RowBuffer> hash_out_;    // per worker: BHJ probe output rows
 };
 
 // Terminates the build pipeline: partitions the build side and (for BRJ)
@@ -257,11 +310,14 @@ class RadixBuildSink : public Operator {
 };
 
 // Terminates the probe pipeline: Bloom-filters (BRJ) and partitions the
-// probe side.
+// probe side — or, when the join runs not partitioned, probes the hash table
+// and buffers the output for the join source to replay.
 class RadixProbeSink : public Operator {
  public:
-  explicit RadixProbeSink(RadixJoin* join) : join_(join) {}
+  explicit RadixProbeSink(RadixJoin* join) : join_(join), hash_out_(join) {}
 
+  void Prepare(ExecContext& exec) override;
+  void Open(ThreadContext& ctx) override;
   void Consume(Batch& batch, ThreadContext& ctx) override;
   void Close(ThreadContext& ctx) override;
   void Finish(ExecContext& exec) override;
@@ -277,11 +333,28 @@ class RadixProbeSink : public Operator {
   }
 
  private:
+  // Copies the BHJ probe's output batches into the join's hash_output.
+  class HashOutputSink : public Operator {
+   public:
+    explicit HashOutputSink(RadixJoin* join) : join_(join) {}
+    void Consume(Batch& batch, ThreadContext& ctx) override;
+    const RowLayout* OutputLayout() const override {
+      return join_->projection().output;
+    }
+
+   private:
+    RadixJoin* join_;
+  };
+
   RadixJoin* join_;
+  std::unique_ptr<HashJoinProbe> hash_probe_;  // set iff not partitioned
+  HashOutputSink hash_out_;
 };
 
 // Starts the join pipeline: partition pairs are morsels; each builds its
 // hash table on the fly and probes it, emitting joined tuples downstream.
+// A join that ran not partitioned instead replays the buffered BHJ probe
+// output, then (build-preserving kinds) the hash-table scan.
 class PartitionJoinSource : public Source {
  public:
   explicit PartitionJoinSource(RadixJoin* join) : join_(join) {}
@@ -290,6 +363,7 @@ class PartitionJoinSource : public Source {
   void Open(ThreadContext& ctx) override;
   bool ProduceMorsel(Operator& consumer, ThreadContext& ctx) override;
   void Close(ThreadContext& ctx) override;
+  void Finish(ExecContext& exec) override;
   const RowLayout* OutputLayout() const override {
     return join_->projection().output;
   }
@@ -318,10 +392,13 @@ class PartitionJoinSource : public Source {
   // Joins one bypassed heavy hash: its dense build array against every
   // worker's bypass buffer.
   void JoinHeavyMorsel(int heavy_idx, WorkerState& ws, ThreadContext& ctx);
+  // Not-partitioned morsels: one buffered probe output, then the ht scan.
+  bool ReplayHashMorsel(Operator& consumer, ThreadContext& ctx);
 
   RadixJoin* join_;
   std::atomic<int> cursor_{0};
   std::vector<WorkerState> workers_;
+  std::unique_ptr<HashJoinBuildScanSource> ht_scan_;
 };
 
 }  // namespace pjoin

@@ -23,7 +23,6 @@
 #include "engine/plan.h"
 #include "exec/thread_pool.h"
 #include "tests/test_util.h"
-#include "util/env.h"
 #include "tpch/gen.h"
 #include "tpch/queries.h"
 #include "util/rng.h"
@@ -247,6 +246,93 @@ TEST(AdvisorDecide, PipelineDepthPenalizesPartitioning) {
   EXPECT_EQ(shallow.choice, JoinStrategy::kRJ);
 }
 
+// ---- Resolve: partition-or-not once the build side is staged -------------
+
+// A partitioned plan-time pick with a 100-row build estimate: the overflow
+// guardrail's limit is 4 x 100 = 400 staged tuples.
+JoinDecision PartitionedPlan() {
+  JoinDecision d;
+  d.choice = JoinStrategy::kRJ;
+  d.est_build_rows = 100;
+  d.est_build_base_rows = 100;
+  d.est_probe_rows = 1000;
+  d.build_width = 8;
+  d.probe_width = 8;
+  return d;
+}
+
+TEST(AdvisorResolve, OverflowGuardrailLimitIsInclusive) {
+  const AdvisorOptions opt = PinnedCaches();
+  const JoinDecision plan = PartitionedPlan();
+  const JoinResolution at =
+      JoinAdvisor::Resolve(JoinKind::kInner, plan, 400, 1000, 0.0, opt);
+  EXPECT_TRUE(at.partition);
+  EXPECT_FALSE(at.overflow_demoted);
+  const JoinResolution over =
+      JoinAdvisor::Resolve(JoinKind::kInner, plan, 401, 1000, 0.0, opt);
+  EXPECT_FALSE(over.partition);
+  EXPECT_TRUE(over.overflow_demoted);
+}
+
+TEST(AdvisorResolve, QErrorAtThresholdTriggers) {
+  const AdvisorOptions opt = PinnedCaches();
+  const JoinDecision plan = PartitionedPlan();
+  // Staged 200 against an estimate of 100: q-error exactly 2.
+  const JoinResolution at =
+      JoinAdvisor::Resolve(JoinKind::kInner, plan, 200, 1000, 2.0, opt);
+  ASSERT_TRUE(at.replan.enabled);
+  EXPECT_DOUBLE_EQ(at.replan.qerror_build, 2.0);
+  EXPECT_TRUE(at.replan.triggered);
+  const JoinResolution below =
+      JoinAdvisor::Resolve(JoinKind::kInner, plan, 199, 1000, 2.0, opt);
+  ASSERT_TRUE(below.replan.enabled);
+  EXPECT_FALSE(below.replan.triggered);
+}
+
+TEST(AdvisorResolve, RecostToBHJSwitchesWithoutGuardrailFlag) {
+  const AdvisorOptions opt = PinnedCaches();
+  JoinDecision plan = PartitionedPlan();
+  plan.est_build_rows = 100000;
+  plan.est_build_base_rows = 100000;
+  // 100 staged tuples fit the pinned L2: the re-cost answers BHJ. That is a
+  // re-plan switch, not the overflow guardrail.
+  const JoinResolution r =
+      JoinAdvisor::Resolve(JoinKind::kInner, plan, 100, 1000, 2.0, opt);
+  EXPECT_FALSE(r.partition);
+  EXPECT_FALSE(r.overflow_demoted);
+  EXPECT_TRUE(r.replan.triggered);
+  EXPECT_TRUE(r.replan.switched);
+  EXPECT_EQ(r.replan.final_choice, JoinStrategy::kBHJ);
+  EXPECT_GT(r.replan.recost_rj, 0.0);
+}
+
+TEST(AdvisorResolve, UntriggeredOverflowStillDemotes) {
+  const AdvisorOptions opt = PinnedCaches();
+  const JoinDecision plan = PartitionedPlan();
+  // q-error 5 stays under the threshold of 100, but 500 > 400 staged.
+  const JoinResolution r =
+      JoinAdvisor::Resolve(JoinKind::kInner, plan, 500, 1000, 100.0, opt);
+  EXPECT_TRUE(r.replan.enabled);
+  EXPECT_FALSE(r.replan.triggered);
+  EXPECT_FALSE(r.partition);
+  EXPECT_TRUE(r.overflow_demoted);
+  EXPECT_EQ(r.replan.final_choice, JoinStrategy::kBHJ);
+}
+
+TEST(AdvisorResolve, ReplanOffNeverEnablesRecord) {
+  const AdvisorOptions opt = PinnedCaches();
+  const JoinDecision plan = PartitionedPlan();
+  for (double threshold : {0.0, -1.0}) {
+    for (uint64_t staged : {1ull, 100ull, 400ull, 401ull, 100000ull}) {
+      const JoinResolution r = JoinAdvisor::Resolve(
+          JoinKind::kInner, plan, staged, 1000, threshold, opt);
+      EXPECT_FALSE(r.replan.enabled) << "staged=" << staged;
+      EXPECT_FALSE(r.replan.triggered) << "staged=" << staged;
+      EXPECT_EQ(r.partition, staged <= 400) << "staged=" << staged;
+    }
+  }
+}
+
 // ---- AdvisePlan: per-join decisions with executor numbering --------------
 
 TEST(AdvisorPlan, WalksPlanWithPostOrderIdsAndWidths) {
@@ -273,10 +359,9 @@ TEST(AdvisorPlan, WalksPlanWithPostOrderIdsAndWidths) {
   EXPECT_EQ(advice.at(0).probe_width, 16u);  // f_0 (outer key) + f_1
   EXPECT_EQ(advice.at(0).probe_depth, 0);
   EXPECT_EQ(advice.at(1).est_build_rows, 100u);
-  // With statistics the outer join's probe estimate is the inner join's
-  // output estimate (200 * 20000 / ~400 distinct f_1 keys = 10000); the
-  // pre-stats heuristic echoes the probe input.
-  EXPECT_EQ(advice.at(1).est_probe_rows, StatsEnabled() ? 10000u : 20000u);
+  // The outer join's probe estimate is the inner join's output estimate
+  // (200 * 20000 / ~400 distinct f_1 keys = 10000).
+  EXPECT_EQ(advice.at(1).est_probe_rows, 10000u);
   EXPECT_EQ(advice.at(1).probe_depth, 1);  // the inner join feeds its probe
   // Everything fits L2 here.
   EXPECT_EQ(advice.at(0).choice, JoinStrategy::kBHJ);
@@ -325,8 +410,8 @@ TEST_P(AdvisorPropertyTest, AutoMatchesEveryManualStrategy) {
     EXPECT_TRUE(run(auto_default).ApproxEquals(reference)) << "kAuto default";
 
     // kAuto with absurdly small modeled caches and no margin: every join is
-    // forced onto the guarded radix path, exercising AutoJoinRuntime across
-    // the whole sweep (estimates are exact here, so no fallback triggers).
+    // forced onto the guarded radix path across the whole sweep (estimates
+    // are exact here, so no fallback triggers).
     ExecOptions auto_forced;
     auto_forced.join_strategy = JoinStrategy::kAuto;
     auto_forced.advisor.l2_bytes = 64;

@@ -10,7 +10,6 @@
 #include "engine/explain.h"
 #include "engine/plan.h"
 #include "exec/morsel.h"
-#include "util/env.h"
 #include "util/rng.h"
 
 namespace pjoin {
@@ -203,24 +202,14 @@ TEST_F(MetricsTest, ExplainAnalyzeShowsActuals) {
   EXPECT_NE(text.find("join #1 [inner, BHJ]"), std::string::npos);
   EXPECT_NE(text.find("(build=100 probe="), std::string::npos);
   EXPECT_NE(text.find("ht: entries=100"), std::string::npos);
-  if (RewriteEnabledEnv()) {
-    // The rewrite pass plants a Bloom filter on the fact scan (dim1's keys
-    // cover only half of f_k1's domain), which the scan line annotates.
-    EXPECT_NE(text.find("rewrite: rules=bloom"), std::string::npos);
-    // No closing paren: with encoding on, the line continues with the
-    // enc_width/decoded/codes suffix (FOR-encoded int columns).
-    EXPECT_NE(
-        text.find(
-            "scan fact [20000 rows, bloom(j1.f_k1)] (scanned=20000 "
-            "passed=20000"),
-        std::string::npos);
-  } else {
-    // PJOIN_REWRITE=0 restores the pre-rewrite rendering byte-for-byte.
-    EXPECT_EQ(text.find("rewrite"), std::string::npos);
-    EXPECT_NE(
-        text.find("scan fact [20000 rows] (scanned=20000 passed=20000"),
-        std::string::npos);
-  }
+  // The rewrite pass plants a Bloom filter on the fact scan (dim1's keys
+  // cover only half of f_k1's domain), which the scan line annotates.
+  EXPECT_NE(text.find("rewrite: rules=bloom"), std::string::npos);
+  // No closing paren: with encoding on, the line continues with the
+  // enc_width/decoded/codes suffix (FOR-encoded int columns).
+  EXPECT_NE(text.find("scan fact [20000 rows, bloom(j1.f_k1)] (scanned=20000 "
+                      "passed=20000"),
+            std::string::npos);
   // Trailing pipeline section with per-operator rows.
   EXPECT_NE(text.find("pipelines:"), std::string::npos);
   EXPECT_NE(text.find("hash_join_probe j1"), std::string::npos);
@@ -287,12 +276,9 @@ TEST_F(MetricsTest, ExplainAnalyzeShowsAdvisorDecisionAndActuals) {
   // sub-line shows the estimates it was based on — both dims fit L2.
   EXPECT_NE(text.find("join #1 [inner, auto:BHJ]"), std::string::npos);
   EXPECT_NE(text.find("(build=100 probe="), std::string::npos);
-  // With statistics the outer join's probe estimate is the inner join's
-  // output estimate (200 * 20000 / ~400 distinct f_k2 values = 10000); the
-  // pre-stats heuristic echoes the probe input.
-  EXPECT_NE(text.find(StatsEnabled()
-                          ? "advisor: est_build=100 est_probe=10000"
-                          : "advisor: est_build=100 est_probe=20000"),
+  // The outer join's probe estimate is the inner join's output estimate
+  // (200 * 20000 / ~400 distinct f_k2 values = 10000).
+  EXPECT_NE(text.find("advisor: est_build=100 est_probe=10000"),
             std::string::npos);
   EXPECT_NE(text.find("advisor: est_build=200 est_probe=20000"),
             std::string::npos);

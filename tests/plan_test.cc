@@ -6,7 +6,6 @@
 #include "engine/plan.h"
 #include "tpch/gen.h"
 #include "tpch/queries.h"
-#include "util/env.h"
 
 namespace pjoin {
 namespace {
@@ -50,14 +49,9 @@ TEST(Plan, EstimateFollowsProbeSide) {
   Table small = SmallTable("s", "s", 10);
   Table big = SmallTable("bg", "bg", 100000);
   auto join = Join(ScanTable(&small), ScanTable(&big), {{"s_key", "bg_key"}});
-  if (StatsEnabled()) {
-    // |B|*|P| / max(d_build, d_probe): 10 build keys against 100000 distinct
-    // probe keys — only the 10 matching probe rows survive.
-    EXPECT_EQ(join->EstimateRows(), 10u);
-  } else {
-    // Pre-stats heuristic: a join is estimated at its probe input.
-    EXPECT_EQ(join->EstimateRows(), 100000u);
-  }
+  // |B|*|P| / max(d_build, d_probe): 10 build keys against 100000 distinct
+  // probe keys — only the 10 matching probe rows survive.
+  EXPECT_EQ(join->EstimateRows(), 10u);
 }
 
 TEST(Plan, MultiPredicateScanEstimatesCombine) {
