@@ -745,7 +745,7 @@ QueryResult Lowerer::Run(ThreadPool& pool, QueryStats* stats) {
                 return a.join_id < b.join_id;
               });
   }
-  return root_agg_->result();
+  return root_agg_->TakeResult();
 }
 
 }  // namespace

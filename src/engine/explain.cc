@@ -505,6 +505,7 @@ std::string ExplainAnalyzePlan(const PlanNode& root, const ExecOptions& options,
     const PipelineMetrics& pm = qm.pipelines()[i];
     out << "  #" << i << " " << pm.label << " [" << JoinPhaseName(pm.phase)
         << "] wall=" << Fixed(pm.wall_seconds * 1e3, 3)
+        << "ms finish=" << Fixed(pm.finish_seconds * 1e3, 3)
         << "ms cpu=" << Fixed(pm.cpu_seconds() * 1e3, 3)
         << "ms morsels=" << pm.total_morsels() << " per_worker=[";
     for (size_t w = 0; w < pm.morsels_per_worker.size(); ++w) {

@@ -1,11 +1,79 @@
 #include "engine/hash_agg.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <numeric>
+#include <string_view>
+#include <utility>
 
+#include "kernels/kernels.h"
 #include "util/check.h"
+#include "util/prefetch.h"
 
 namespace pjoin {
+
+namespace {
+
+// A fresh directory holds this many slots, so the first growth happens
+// when the 1025th group arrives (load factor 1/2).
+constexpr size_t kInitialSlots = 2048;
+
+// Group index of every row of a scalar aggregate's batch.
+constexpr uint32_t kScalarGroups[kBatchCapacity] = {};
+
+int64_t LoadInt(const std::byte* p, uint32_t width) {
+  if (width == 8) {
+    int64_t v;
+    std::memcpy(&v, p, 8);
+    return v;
+  }
+  int32_t v;
+  std::memcpy(&v, p, 4);
+  return v;
+}
+
+double LoadFloat(const std::byte* p) {
+  double v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
+double AsDouble(uint64_t word) { return std::bit_cast<double>(word); }
+uint64_t AsWord(double v) { return std::bit_cast<uint64_t>(v); }
+
+// The min/max accumulator word for one input value: double bits for
+// FLOAT64, the widened integer otherwise.
+uint64_t InputWord(bool is_float, const std::byte* p, uint32_t width) {
+  return is_float ? AsWord(LoadFloat(p))
+                  : static_cast<uint64_t>(LoadInt(p, width));
+}
+
+// True when min/max word `v` replaces the current word `cur`. Integer words
+// compare as integers: the int64 -> double conversion they are reported in
+// is monotone, so it commutes with min and max.
+bool Replaces(AggDef::Op op, bool is_float, uint64_t v, uint64_t cur) {
+  if (op == AggDef::Op::kMax) std::swap(v, cur);  // v > cur <=> cur < v
+  return is_float ? AsDouble(v) < AsDouble(cur)
+                  : static_cast<int64_t>(v) < static_cast<int64_t>(cur);
+}
+
+// The words of group `g` in a group-major array of `words` words per group
+// (data() + offset, so an empty array with zero words per group is fine).
+template <typename Words>
+auto GroupWords(Words& v, uint32_t g, uint32_t words) {
+  return v.data() + static_cast<size_t>(g) * words;
+}
+
+// A CHAR value without its space pad. Its compare() is memcmp over the
+// common length with a length tie-break: the std::string order.
+std::string_view TrimmedChars(const std::byte* bytes, size_t width) {
+  const char* chars = reinterpret_cast<const char*>(bytes);
+  while (width > 0 && chars[width - 1] == ' ') --width;
+  return {chars, width};
+}
+
+}  // namespace
 
 HashAggOp::HashAggOp(const RowLayout* in_layout,
                      std::vector<std::string> group_by,
@@ -13,168 +81,398 @@ HashAggOp::HashAggOp(const RowLayout* in_layout,
     : in_layout_(in_layout),
       group_by_(std::move(group_by)),
       aggs_(std::move(aggs)) {
-  for (const auto& name : group_by_) {
-    group_fields_.push_back(in_layout_->IndexOf(name));
+  key_spec_ = KeySpec::ByName(in_layout_, group_by_);
+  uint32_t key_bytes = 0;
+  for (int f : key_spec_.fields()) {
+    const RowField& field = in_layout_->field(f);
+    key_fields_.push_back({field.type, field.offset, key_bytes, field.width});
+    key_bytes += field.width;
   }
-  for (const auto& agg : aggs_) {
-    if (agg.op == AggDef::Op::kCountStar) {
-      agg_fields_.push_back(-1);
-      agg_is_float_.push_back(false);
-    } else {
-      int f = in_layout_->IndexOf(agg.input);
-      agg_fields_.push_back(f);
-      agg_is_float_.push_back(in_layout_->field(f).type ==
-                              DataType::kFloat64);
+  key_words_ = (key_bytes + 7) / 8;
+
+  for (const AggDef& agg : aggs_) {
+    AggField a;
+    a.op = agg.op;
+    a.word = acc_words_;
+    acc_words_ += agg.op == AggDef::Op::kAvg ? 2 : 1;
+    if (agg.op != AggDef::Op::kCountStar) {
+      const RowField& field = in_layout_->field(in_layout_->IndexOf(agg.input));
+      a.is_float = field.type == DataType::kFloat64;
+      a.offset = field.offset;
+      a.width = field.width;
     }
+    agg_fields_.push_back(a);
   }
 }
 
 void HashAggOp::Prepare(ExecContext& exec) {
-  worker_maps_.assign(exec.num_threads(), GroupMap{});
+  tables_.assign(exec.num_threads(), GroupTable{});
 }
 
-void HashAggOp::Accumulate(Group& group, const std::byte* row) {
-  if (group.accums.empty()) group.accums.resize(aggs_.size());
-  for (size_t a = 0; a < aggs_.size(); ++a) {
-    Accum& acc = group.accums[a];
-    const int f = agg_fields_[a];
-    ++acc.count;
-    if (f < 0) continue;  // count(*)
-    double v;
-    if (agg_is_float_[a]) {
-      v = in_layout_->GetFloat64(row, f);
-    } else {
-      int64_t iv = in_layout_->GetNumeric(row, f);
-      acc.isum += iv;
-      v = static_cast<double>(iv);
+uint32_t HashAggOp::AppendGroup(GroupTable& t, uint64_t hash,
+                                const uint64_t* key) const {
+  PJOIN_CHECK(t.size < kEmptySlot);
+  if (key_words_ > 0) t.keys.insert(t.keys.end(), key, key + key_words_);
+  t.hashes.push_back(hash);
+  t.accums.resize(t.accums.size() + acc_words_, 0);
+  return t.size++;
+}
+
+void HashAggOp::Reserve(GroupTable& t, size_t groups) const {
+  if (groups * 2 <= t.slots.size()) return;
+  size_t capacity = std::max(t.slots.size(), kInitialSlots);
+  while (capacity < groups * 2) capacity *= 2;
+  t.slots.assign(capacity, Slot{});
+  const size_t mask = capacity - 1;
+  for (uint32_t g = 0; g < t.size; ++g) {
+    size_t pos = t.hashes[g] & mask;
+    while (t.slots[pos].group != kEmptySlot) pos = (pos + 1) & mask;
+    t.slots[pos] = Slot{static_cast<uint32_t>(t.hashes[g] >> 32), g};
+  }
+}
+
+uint32_t HashAggOp::FindOrAdd(GroupTable& t, uint64_t hash,
+                              const uint64_t* key, bool* inserted) const {
+  Reserve(t, static_cast<size_t>(t.size) + 1);
+  const uint32_t tag = static_cast<uint32_t>(hash >> 32);
+  const size_t mask = t.slots.size() - 1;
+  for (size_t pos = hash & mask;; pos = (pos + 1) & mask) {
+    Slot& slot = t.slots[pos];
+    if (slot.group == kEmptySlot) {
+      *inserted = true;
+      slot = Slot{tag, AppendGroup(t, hash, key)};
+      return slot.group;
     }
-    acc.sum += v;
-    if (!acc.seen || v < acc.min) acc.min = v;
-    if (!acc.seen || v > acc.max) acc.max = v;
-    acc.seen = true;
+    if (slot.tag == tag &&
+        std::equal(key, key + key_words_,
+                   GroupWords(t.keys, slot.group, key_words_))) {
+      *inserted = false;
+      return slot.group;
+    }
+  }
+}
+
+void HashAggOp::PackKey(const std::byte* row, uint64_t* key) const {
+  key[key_words_ - 1] = 0;  // zero the padding of the last word
+  auto* out = reinterpret_cast<std::byte*>(key);
+  for (const KeyField& k : key_fields_) {
+    // Constant widths compile to single moves instead of memcpy calls.
+    switch (k.width) {
+      case 8:
+        std::memcpy(out + k.key_offset, row + k.row_offset, 8);
+        break;
+      case 4:
+        std::memcpy(out + k.key_offset, row + k.row_offset, 4);
+        break;
+      default:
+        std::memcpy(out + k.key_offset, row + k.row_offset, k.width);
+    }
+  }
+}
+
+void HashAggOp::InitFromRow(GroupTable& t, uint32_t group,
+                            const std::byte* row) const {
+  uint64_t* acc = GroupWords(t.accums, group, acc_words_);
+  for (const AggField& a : agg_fields_) {
+    if (a.op != AggDef::Op::kMin && a.op != AggDef::Op::kMax) continue;
+    acc[a.word] = InputWord(a.is_float, row + a.offset, a.width);
+  }
+}
+
+// Folds every row of `batch` into its group's words, one aggregate at a
+// time.
+void HashAggOp::Fold(GroupTable& t, const Batch& batch,
+                     const uint32_t* groups) const {
+  const uint32_t stride = in_layout_->stride();
+  const uint32_t n = batch.size;
+  for (const AggField& a : agg_fields_) {
+    uint64_t* acc = t.accums.data() + a.word;
+    const std::byte* in = batch.rows + a.offset;
+    auto word = [&](uint32_t i) -> uint64_t& {
+      return acc[static_cast<size_t>(groups[i]) * acc_words_];
+    };
+    auto row = [&](uint32_t i) { return in + static_cast<size_t>(i) * stride; };
+    switch (a.op) {
+      case AggDef::Op::kCount:
+      case AggDef::Op::kCountStar:
+        for (uint32_t i = 0; i < n; ++i) ++word(i);
+        break;
+      case AggDef::Op::kSum:
+        if (a.is_float) {
+          for (uint32_t i = 0; i < n; ++i) {
+            word(i) = AsWord(AsDouble(word(i)) + LoadFloat(row(i)));
+          }
+        } else {
+          for (uint32_t i = 0; i < n; ++i) {
+            word(i) += static_cast<uint64_t>(LoadInt(row(i), a.width));
+          }
+        }
+        break;
+      case AggDef::Op::kMin:
+      case AggDef::Op::kMax:
+        for (uint32_t i = 0; i < n; ++i) {
+          const uint64_t v = InputWord(a.is_float, row(i), a.width);
+          if (Replaces(a.op, a.is_float, v, word(i))) word(i) = v;
+        }
+        break;
+      case AggDef::Op::kAvg:
+        // Word 0 is the double sum (integers summed as doubles), word 1 the
+        // count.
+        for (uint32_t i = 0; i < n; ++i) {
+          const double v = a.is_float
+                                ? LoadFloat(row(i))
+                                : static_cast<double>(LoadInt(row(i), a.width));
+          uint64_t* w = &word(i);
+          w[0] = AsWord(AsDouble(w[0]) + v);
+          ++w[1];
+        }
+        break;
+    }
   }
 }
 
 void HashAggOp::Consume(Batch& batch, ThreadContext& ctx) {
   MetricsIn(batch, ctx);
-  GroupMap& map = worker_maps_[ctx.thread_id];
-  std::string key;
+  if (batch.size == 0) return;
+  GroupTable& t = tables_[ctx.thread_id];
+  if (key_words_ == 0) {
+    if (t.size == 0) InitFromRow(t, AppendGroup(t, 0, nullptr), batch.rows);
+    Fold(t, batch, kScalarGroups);
+    return;
+  }
+  uint64_t hashes[kBatchCapacity];
+  uint32_t groups[kBatchCapacity];
+  HashRowsBatch(key_spec_, batch.rows, in_layout_->stride(), batch.size,
+                hashes);
+  t.probe_key.resize(key_words_);
+  uint64_t* key = t.probe_key.data();
   for (uint32_t i = 0; i < batch.size; ++i) {
-    const std::byte* row = batch.Row(i);
-    key.clear();
-    for (int f : group_fields_) {
-      const RowField& field = in_layout_->field(f);
-      key.append(reinterpret_cast<const char*>(row + field.offset),
-                 field.width);
+    if (i + kPrefetchDistance < batch.size && !t.slots.empty()) {
+      PrefetchForRead(
+          &t.slots[hashes[i + kPrefetchDistance] & (t.slots.size() - 1)]);
     }
-    Accumulate(map[key], row);
+    const std::byte* row = batch.Row(i);
+    PackKey(row, key);
+    bool inserted = false;
+    groups[i] = FindOrAdd(t, hashes[i], key, &inserted);
+    if (inserted) InitFromRow(t, groups[i], row);
+  }
+  Fold(t, batch, groups);
+}
+
+void HashAggOp::MergeTable(GroupTable& into, const GroupTable& from) const {
+  // One directory resize at most per merged table; when the tables share
+  // most groups this over-sizes by at most 2x.
+  if (key_words_ > 0) Reserve(into, static_cast<size_t>(into.size) + from.size);
+  const size_t mask = into.slots.size() - 1;
+  for (uint32_t g = 0; g < from.size; ++g) {
+    if (key_words_ > 0 && g + kPrefetchDistance < from.size) {
+      PrefetchForRead(&into.slots[from.hashes[g + kPrefetchDistance] & mask]);
+    }
+    const uint64_t* key = GroupWords(from.keys, g, key_words_);
+    const uint64_t* src = GroupWords(from.accums, g, acc_words_);
+    bool inserted = into.size == 0;
+    uint32_t target = 0;
+    if (key_words_ == 0) {
+      if (inserted) AppendGroup(into, 0, nullptr);
+    } else {
+      target = FindOrAdd(into, from.hashes[g], key, &inserted);
+    }
+    uint64_t* dst = GroupWords(into.accums, target, acc_words_);
+    if (inserted) {
+      std::copy(src, src + acc_words_, dst);
+      continue;
+    }
+    for (const AggField& a : agg_fields_) {
+      uint64_t& d = dst[a.word];
+      const uint64_t s = src[a.word];
+      switch (a.op) {
+        case AggDef::Op::kCount:
+        case AggDef::Op::kCountStar:
+          d += s;
+          break;
+        case AggDef::Op::kSum:
+          d = a.is_float ? AsWord(AsDouble(d) + AsDouble(s)) : d + s;
+          break;
+        case AggDef::Op::kMin:
+        case AggDef::Op::kMax:
+          if (Replaces(a.op, a.is_float, s, d)) d = s;
+          break;
+        case AggDef::Op::kAvg:
+          d = AsWord(AsDouble(d) + AsDouble(s));
+          dst[a.word + 1] += src[a.word + 1];
+          break;
+      }
+    }
   }
 }
 
-void HashAggOp::MergeAccum(Accum& into, const Accum& from) {
-  into.sum += from.sum;
-  into.isum += from.isum;
-  into.count += from.count;
-  if (from.seen) {
-    if (!into.seen || from.min < into.min) into.min = from.min;
-    if (!into.seen || from.max > into.max) into.max = from.max;
-    into.seen = true;
+int HashAggOp::CompareKeys(const uint64_t* a, const uint64_t* b) const {
+  const auto* pa = reinterpret_cast<const std::byte*>(a);
+  const auto* pb = reinterpret_cast<const std::byte*>(b);
+  for (const KeyField& k : key_fields_) {
+    const std::byte* x = pa + k.key_offset;
+    const std::byte* y = pb + k.key_offset;
+    switch (k.type) {
+      case DataType::kInt64:
+      case DataType::kInt32:
+      case DataType::kDate: {
+        const int64_t u = LoadInt(x, k.width);
+        const int64_t v = LoadInt(y, k.width);
+        if (u != v) return u < v ? -1 : 1;
+        break;
+      }
+      case DataType::kFloat64: {
+        const double u = LoadFloat(x);
+        const double v = LoadFloat(y);
+        if (u < v) return -1;
+        if (v < u) return 1;
+        break;
+      }
+      case DataType::kChar: {
+        const int c =
+            TrimmedChars(x, k.width).compare(TrimmedChars(y, k.width));
+        if (c != 0) return c;
+        break;
+      }
+    }
   }
+  return 0;
+}
+
+// An order-preserving 64-bit image of the first key field: a < b implies
+// prefix(a) <= prefix(b).
+uint64_t HashAggOp::SortPrefix(const uint64_t* key) const {
+  constexpr uint64_t kSign = uint64_t{1} << 63;
+  const KeyField& k = key_fields_[0];
+  const std::byte* bytes = reinterpret_cast<const std::byte*>(key);
+  switch (k.type) {
+    case DataType::kInt64:
+    case DataType::kInt32:
+    case DataType::kDate:
+      return static_cast<uint64_t>(LoadInt(bytes, k.width)) ^ kSign;
+    case DataType::kFloat64: {
+      double v = LoadFloat(bytes);
+      if (v == 0) v = 0;  // +0.0 and -0.0 compare equal under `<`
+      const uint64_t w = AsWord(v);
+      return (w & kSign) != 0 ? ~w : w | kSign;
+    }
+    case DataType::kChar: {
+      // The first 8 trimmed bytes, big-endian; the pad reads as zero.
+      const std::string_view chars = TrimmedChars(bytes, k.width);
+      uint64_t prefix = 0;
+      for (size_t i = 0; i < std::min<size_t>(chars.size(), 8); ++i) {
+        const uint64_t byte = static_cast<unsigned char>(chars[i]);
+        prefix |= byte << (56 - 8 * i);
+      }
+      return prefix;
+    }
+  }
+  return 0;
+}
+
+std::vector<Value> HashAggOp::BoxRow(const GroupTable& t,
+                                     uint32_t group) const {
+  std::vector<Value> row;
+  row.reserve(key_fields_.size() + agg_fields_.size());
+  const auto* key = reinterpret_cast<const std::byte*>(
+      GroupWords(t.keys, group, key_words_));
+  for (const KeyField& k : key_fields_) {
+    const std::byte* bytes = key + k.key_offset;
+    switch (k.type) {
+      case DataType::kInt64:
+      case DataType::kInt32:
+      case DataType::kDate:
+        row.emplace_back(LoadInt(bytes, k.width));
+        break;
+      case DataType::kFloat64:
+        row.emplace_back(LoadFloat(bytes));
+        break;
+      case DataType::kChar:
+        row.emplace_back(std::string(TrimmedChars(bytes, k.width)));
+        break;
+    }
+  }
+  const uint64_t* acc = GroupWords(t.accums, group, acc_words_);
+  for (const AggField& a : agg_fields_) {
+    const uint64_t w = acc[a.word];
+    switch (a.op) {
+      case AggDef::Op::kCount:
+      case AggDef::Op::kCountStar:
+        row.emplace_back(static_cast<int64_t>(w));
+        break;
+      case AggDef::Op::kSum:
+        if (a.is_float) {
+          row.emplace_back(AsDouble(w));
+        } else {
+          row.emplace_back(static_cast<int64_t>(w));
+        }
+        break;
+      case AggDef::Op::kMin:
+      case AggDef::Op::kMax:
+        row.emplace_back(a.is_float
+                             ? AsDouble(w)
+                             : static_cast<double>(static_cast<int64_t>(w)));
+        break;
+      case AggDef::Op::kAvg: {
+        const uint64_t count = acc[a.word + 1];
+        row.emplace_back(count > 0 ? AsDouble(w) / static_cast<double>(count)
+                                   : 0.0);
+        break;
+      }
+    }
+  }
+  return row;
 }
 
 void HashAggOp::Finish(ExecContext& exec) {
   (void)exec;
-  GroupMap merged;
-  for (GroupMap& map : worker_maps_) {
-    for (auto& [key, group] : map) {
-      Group& target = merged[key];
-      if (target.accums.empty()) {
-        target = std::move(group);
-      } else {
-        for (size_t a = 0; a < aggs_.size(); ++a) {
-          MergeAccum(target.accums[a], group.accums[a]);
-        }
-      }
-    }
+  GroupTable merged = std::move(tables_[0]);
+  for (size_t w = 1; w < tables_.size(); ++w) {
+    MergeTable(merged, tables_[w]);
+    tables_[w] = GroupTable{};
   }
-  worker_maps_.clear();
+  tables_.clear();
+  // The directory and hashes only serve lookups; drop them before boxing.
+  merged.slots = {};
+  merged.hashes = {};
+
+  // A scalar aggregate over empty input still yields one row of zero counts.
+  if (merged.size == 0 && key_words_ == 0) AppendGroup(merged, 0, nullptr);
+
+  // Sort (prefix, group) pairs. The prefix orders like the first key field
+  // and settles almost every comparison; ties fall back to the full typed
+  // key, then to the boxed rows.
+  struct SortEntry {
+    uint64_t prefix;
+    uint32_t group;
+  };
+  const uint64_t* keys = merged.keys.data();
+  auto key_of = [&](uint32_t g) {
+    return keys + static_cast<size_t>(g) * key_words_;
+  };
+  std::vector<SortEntry> order(merged.size);
+  for (uint32_t g = 0; g < merged.size; ++g) {
+    order[g] = {key_words_ > 0 ? SortPrefix(key_of(g)) : 0, g};
+  }
+  if (key_words_ > 0) {
+    std::sort(order.begin(), order.end(),
+              [&](const SortEntry& a, const SortEntry& b) {
+                if (a.prefix != b.prefix) return a.prefix < b.prefix;
+                const int c = CompareKeys(key_of(a.group), key_of(b.group));
+                if (c != 0) return c < 0;
+                return BoxRow(merged, a.group) < BoxRow(merged, b.group);
+              });
+  }
 
   result_.column_names.clear();
   for (const auto& g : group_by_) result_.column_names.push_back(g);
   for (const auto& a : aggs_) result_.column_names.push_back(a.name);
-
-  // A scalar aggregate over empty input still yields one row of zero counts.
-  if (merged.empty() && group_by_.empty()) {
-    merged.emplace("", Group{std::vector<Accum>(aggs_.size())});
-  }
-
   result_.rows.clear();
-  result_.rows.reserve(merged.size());
-  for (const auto& [key, group] : merged) {
-    std::vector<Value> row;
-    row.reserve(group_by_.size() + aggs_.size());
-    // Decode group key bytes field-by-field.
-    size_t pos = 0;
-    for (int f : group_fields_) {
-      const RowField& field = in_layout_->field(f);
-      const char* bytes = key.data() + pos;
-      pos += field.width;
-      switch (field.type) {
-        case DataType::kInt64: {
-          int64_t v;
-          std::memcpy(&v, bytes, 8);
-          row.emplace_back(v);
-          break;
-        }
-        case DataType::kInt32:
-        case DataType::kDate: {
-          int32_t v;
-          std::memcpy(&v, bytes, 4);
-          row.emplace_back(static_cast<int64_t>(v));
-          break;
-        }
-        case DataType::kFloat64: {
-          double v;
-          std::memcpy(&v, bytes, 8);
-          row.emplace_back(v);
-          break;
-        }
-        case DataType::kChar: {
-          size_t len = field.width;
-          while (len > 0 && bytes[len - 1] == ' ') --len;
-          row.emplace_back(std::string(bytes, len));
-          break;
-        }
-      }
-    }
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      const Accum& acc = group.accums[a];
-      switch (aggs_[a].op) {
-        case AggDef::Op::kSum:
-          if (agg_is_float_[a]) {
-            row.emplace_back(acc.sum);
-          } else {
-            row.emplace_back(acc.isum);
-          }
-          break;
-        case AggDef::Op::kCount:
-        case AggDef::Op::kCountStar:
-          row.emplace_back(acc.count);
-          break;
-        case AggDef::Op::kMin:
-          row.emplace_back(acc.min);
-          break;
-        case AggDef::Op::kMax:
-          row.emplace_back(acc.max);
-          break;
-        case AggDef::Op::kAvg:
-          row.emplace_back(acc.count > 0 ? acc.sum / acc.count : 0.0);
-          break;
-      }
-    }
-    result_.rows.push_back(std::move(row));
+  result_.rows.reserve(order.size());
+  for (const SortEntry& e : order) {
+    result_.rows.push_back(BoxRow(merged, e.group));
   }
-  std::sort(result_.rows.begin(), result_.rows.end());
   if (metrics_ != nullptr) {
     metrics_->AddOut(0, result_.rows.size(), result_.rows.empty() ? 0 : 1);
   }

@@ -1,17 +1,36 @@
 // Hash aggregation: the terminal pipeline breaker of every query.
 //
-// Thread-local aggregation tables merged at Finish; group keys may be any
-// fixed-width fields (including CHAR). With an empty group list this is the
-// scalar aggregate (count(*)/sum(...)) used by all microbenchmark queries.
+// Every worker aggregates into its own flat, fixed-width group table; Finish
+// merges the tables, sorts the groups by key and boxes the result once.
+//
+//   * Keys. The group fields (CHAR included) are packed back to back into
+//     `key_words_` 64-bit words, zero padded. A batch is hashed at once
+//     through HashRowsBatch, so a single 4- or 8-byte key (l_orderkey) takes
+//     the SIMD hash kernel. An open-addressing directory of (hash tag, group
+//     index) slots finds a group: tag first, then the packed words.
+//   * Accumulators. The word layout is fixed in the constructor. Each
+//     aggregate owns 8-byte words of one group-major array: count, count(*),
+//     sum, min and max one word, avg two (double sum, count). min and max
+//     start from the group's first row, so they need no "seen" flag and a
+//     NaN compares exactly as `v < min` / `v > max` make it. No group owns
+//     a heap allocation.
+//   * Scalar aggregates (no group keys: count(*)/sum(...) over every
+//     microbenchmark join) have a single group and skip hashing entirely.
+//   * Finish merges the worker tables in worker order, freeing each, sorts
+//     the group indices with a typed key comparison (integers as integers,
+//     floats with `<`, CHAR as std::string orders its trimmed bytes), and
+//     boxes the rows already in order. Key ties — distinct bytes that
+//     compare equal, like +0.0 and -0.0 — fall back to the boxed rows, so
+//     the order is the canonical std::sort order of vector<Value>.
 #ifndef PJOIN_ENGINE_HASH_AGG_H_
 #define PJOIN_ENGINE_HASH_AGG_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/value.h"
 #include "exec/pipeline.h"
+#include "join/key_spec.h"
 
 namespace pjoin {
 
@@ -59,32 +78,66 @@ class HashAggOp : public Operator {
 
   // Valid after Finish; rows canonically sorted.
   const QueryResult& result() const { return result_; }
+  // Moves the result out (after Finish); result() is empty afterwards.
+  QueryResult TakeResult() { return std::move(result_); }
 
  private:
-  struct Accum {
-    double sum = 0;
-    int64_t isum = 0;
-    int64_t count = 0;
-    double min = 0;
-    double max = 0;
-    bool seen = false;
+  // One aggregate resolved against the input layout and the word layout.
+  struct AggField {
+    AggDef::Op op = AggDef::Op::kCountStar;
+    bool is_float = false;  // input is FLOAT64 (else widened integer)
+    uint32_t offset = 0;    // input field offset in the row
+    uint32_t width = 0;     // input field width (0 for count(*))
+    uint32_t word = 0;      // first accumulator word of the aggregate
   };
-  struct Group {
-    std::vector<Accum> accums;
+  // One group field: where it sits in the row and in the packed key.
+  struct KeyField {
+    DataType type = DataType::kInt64;
+    uint32_t row_offset = 0;
+    uint32_t key_offset = 0;  // byte offset within the packed key
+    uint32_t width = 0;
   };
-  using GroupMap = std::unordered_map<std::string, Group>;
+  struct Slot {
+    uint32_t tag = 0;  // high half of the group's hash
+    uint32_t group = kEmptySlot;
+  };
+  static constexpr uint32_t kEmptySlot = ~uint32_t{0};
 
-  void Accumulate(Group& group, const std::byte* row);
-  static void MergeAccum(Accum& into, const Accum& from);
+  // One worker's groups, all group-major and fixed width.
+  struct GroupTable {
+    std::vector<uint64_t> keys;    // key_words_ per group
+    std::vector<uint64_t> hashes;  // one per group (re-inserted on growth)
+    std::vector<uint64_t> accums;  // acc_words_ per group
+    std::vector<Slot> slots;       // power-of-two directory, load <= 1/2
+    std::vector<uint64_t> probe_key;  // packing scratch, key_words_ words
+    uint32_t size = 0;
+  };
+
+  uint32_t AppendGroup(GroupTable& t, uint64_t hash,
+                       const uint64_t* key) const;
+  // Returns the group holding `key`, appending a zeroed one if it is new.
+  uint32_t FindOrAdd(GroupTable& t, uint64_t hash, const uint64_t* key,
+                     bool* inserted) const;
+  // Sizes the directory for `groups` groups at load <= 1/2.
+  void Reserve(GroupTable& t, size_t groups) const;
+  void PackKey(const std::byte* row, uint64_t* key) const;
+  void InitFromRow(GroupTable& t, uint32_t group, const std::byte* row) const;
+  void Fold(GroupTable& t, const Batch& batch, const uint32_t* groups) const;
+  void MergeTable(GroupTable& into, const GroupTable& from) const;
+  int CompareKeys(const uint64_t* a, const uint64_t* b) const;
+  uint64_t SortPrefix(const uint64_t* key) const;
+  std::vector<Value> BoxRow(const GroupTable& t, uint32_t group) const;
 
   const RowLayout* in_layout_;
   std::vector<std::string> group_by_;
   std::vector<AggDef> aggs_;
-  std::vector<int> group_fields_;
-  std::vector<int> agg_fields_;       // -1 for kCountStar
-  std::vector<bool> agg_is_float_;
+  KeySpec key_spec_;
+  std::vector<KeyField> key_fields_;
+  std::vector<AggField> agg_fields_;
+  uint32_t key_words_ = 0;
+  uint32_t acc_words_ = 0;
 
-  std::vector<GroupMap> worker_maps_;
+  std::vector<GroupTable> tables_;  // one per worker
   QueryResult result_;
 };
 

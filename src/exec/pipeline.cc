@@ -81,8 +81,10 @@ void Pipeline::Run(ExecContext& exec) {
   pm->wall_seconds = elapsed;
   exec.timer().Add(timing_phase, elapsed);
 
+  Stopwatch finish_watch;
   source_->Finish(exec);
   for (Operator* op : ops_) op->Finish(exec);
+  pm->finish_seconds = finish_watch.ElapsedSeconds();
 }
 
 }  // namespace pjoin

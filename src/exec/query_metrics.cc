@@ -155,6 +155,8 @@ std::string QueryMetrics::ToJson(bool include_timings) const {
     if (include_timings) {
       out << ",\"wall_seconds\":";
       AppendDouble(out, p.wall_seconds);
+      out << ",\"finish_seconds\":";
+      AppendDouble(out, p.finish_seconds);
       out << ",\"cpu_seconds\":";
       AppendDouble(out, p.cpu_seconds());
     }

@@ -100,7 +100,8 @@ class OperatorMetrics {
 struct PipelineMetrics {
   std::string label;
   JoinPhase phase = JoinPhase::kProbePipeline;
-  double wall_seconds = 0;
+  double wall_seconds = 0;    // the parallel region
+  double finish_seconds = 0;  // source + operator Finish, after the region
   std::vector<uint64_t> morsels_per_worker;
   std::vector<double> worker_seconds;  // per-worker busy time
 

@@ -46,8 +46,11 @@ EqualHeightHistogram EqualHeightHistogram::Build(const Column& col,
   for (uint64_t row = 0; row < n; row += stride) {
     double v;
     NumericValue(col, row, &v);
-    sample.push_back(v);
+    // NaN has no place in an order: it would break the sort and never end
+    // the equal-run walk below.
+    if (!std::isnan(v)) sample.push_back(v);
   }
+  if (sample.empty()) return h;
   std::sort(sample.begin(), sample.end());
 
   const double scale = static_cast<double>(n) / sample.size();

@@ -77,8 +77,7 @@ class StepRunner {
 // Materializes a query result into a temporary base table.
 Table MaterializeResult(const QueryResult& result, const std::string& name,
                         std::vector<ColumnDef> columns) {
-  PJOIN_CHECK(columns.size() == result.column_names.size() ||
-              columns.size() <= result.column_names.size());
+  PJOIN_CHECK(columns.size() <= result.column_names.size());
   Table table(name, Schema(columns));
   for (const auto& row : result.rows) {
     for (size_t c = 0; c < columns.size(); ++c) {

@@ -1,6 +1,13 @@
 // Tests for hash aggregation: all aggregate functions, group-key types,
-// merging across workers, and empty-input semantics.
+// merging across workers, empty-input semantics, and a differential sweep
+// against a row-at-a-time std::map oracle.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <map>
 
 #include "engine/executor.h"
 #include "engine/plan.h"
@@ -73,6 +80,12 @@ TEST(HashAgg, CompositeGroupKeys) {
       Aggregate(ScanTable(&t), {"g", "s"}, {AggDef::CountStar("n")});
   QueryResult r = ExecuteQuery(*plan, ExecOptions{});
   EXPECT_EQ(r.num_rows(), 3u);  // (1,aa), (2,bb), (2,cc)
+
+  // No aggregates at all: a DISTINCT over the keys.
+  auto distinct = Aggregate(ScanTable(&t), {"g", "s"}, {});
+  QueryResult d = ExecuteQuery(*distinct, ExecOptions{});
+  ASSERT_EQ(d.num_rows(), 3u);
+  EXPECT_EQ(std::get<std::string>(d.rows[2][1]), "cc");
 }
 
 TEST(HashAgg, ScalarAggregateOnEmptyInput) {
@@ -117,6 +130,296 @@ TEST(HashAgg, ParallelMergeMatchesSingleThread) {
   QueryResult r4 = ExecuteQuery(*make_plan(), four);
   EXPECT_EQ(r1.num_rows(), 100u);
   EXPECT_TRUE(r1.ApproxEquals(r4, 0.0));  // exact: integer aggregates
+}
+
+TEST(HashAgg, SignedZeroKeysStayDistinctAndSortByRow) {
+  // +0.0 and -0.0 are distinct group keys (distinct bytes) that compare
+  // equal, so their order falls back to the rest of the boxed row — the
+  // order std::sort over vector<Value> gives.
+  Table t("z", Schema({{"f", DataType::kFloat64, 0},
+                       {"v", DataType::kInt64, 0}}));
+  auto add = [&](double f, int64_t v) {
+    t.column(0).AppendFloat64(f);
+    t.column(1).AppendInt64(v);
+    t.FinishRow();
+  };
+  add(0.0, 5);
+  add(-0.0, 3);
+  add(-1.0, 9);
+  auto plan = Aggregate(ScanTable(&t), {"f"}, {AggDef::Sum("v", "sv")});
+  QueryResult r = ExecuteQuery(*plan, ExecOptions{});
+  ASSERT_EQ(r.num_rows(), 3u);
+  EXPECT_EQ(std::get<double>(r.rows[0][0]), -1.0);
+  EXPECT_EQ(std::get<int64_t>(r.rows[1][1]), 3);
+  EXPECT_TRUE(std::signbit(std::get<double>(r.rows[1][0])));
+  EXPECT_EQ(std::get<int64_t>(r.rows[2][1]), 5);
+  EXPECT_FALSE(std::signbit(std::get<double>(r.rows[2][0])));
+}
+
+TEST(HashAgg, MinMaxStartFromFirstRowSoNaNKeepsItsOrderSemantics) {
+  // min/max start from the group's first value and then take `v < min` /
+  // `v > max`: a leading NaN sticks, a later NaN is skipped.
+  Table t("n", Schema({{"g", DataType::kInt64, 0},
+                       {"f", DataType::kFloat64, 0}}));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<int64_t, double> rows[] = {
+      {1, nan}, {1, 1.0}, {2, 1.0}, {2, nan}, {2, 0.5}, {2, 2.0}};
+  for (const auto& [g, f] : rows) {
+    t.column(0).AppendInt64(g);
+    t.column(1).AppendFloat64(f);
+    t.FinishRow();
+  }
+  auto plan = Aggregate(ScanTable(&t), {"g"},
+                        {AggDef::Min("f", "mn"), AggDef::Max("f", "mx")});
+  ExecOptions one;
+  one.num_threads = 1;
+  QueryResult r = ExecuteQuery(*plan, one);
+  ASSERT_EQ(r.num_rows(), 2u);
+  EXPECT_TRUE(std::isnan(std::get<double>(r.rows[0][1])));
+  EXPECT_TRUE(std::isnan(std::get<double>(r.rows[0][2])));
+  EXPECT_EQ(std::get<double>(r.rows[1][1]), 0.5);
+  EXPECT_EQ(std::get<double>(r.rows[1][2]), 2.0);
+}
+
+// ---------------------------------------------------------------------------
+// Differential sweep: every key type, composite keys up to 40 bytes, every
+// aggregate op, group counts around the table-growth points, 1 and 4
+// workers, against a row-at-a-time std::map oracle.
+// ---------------------------------------------------------------------------
+
+struct AggRow {
+  int64_t k64;
+  int32_t k32;
+  int32_t kd;
+  double kf;
+  std::string ks;  // CHAR(5), appended with trailing spaces for odd groups
+  std::string kc;  // CHAR(24), shared by three consecutive groups
+  int64_t vi;      // mixed sign
+  int32_t vn;      // all negative
+  double vf;       // mixed sign, multiples of 0.25: sums stay exact
+  double vg;       // all negative, multiples of 0.25
+};
+
+constexpr int64_t kViRange = 1000000;
+
+// Bijective base-10 over an alphabet that holds bytes below and above the
+// space pad, so padded-byte order and std::string order disagree.
+std::string GroupString(uint64_t g) {
+  static const char kAlphabet[] = "\x01!09AZaz~\xe9";
+  std::string s;
+  uint64_t n = g + 1;
+  while (n > 0) {
+    --n;
+    s.insert(s.begin(), kAlphabet[n % 10]);
+    n /= 10;
+  }
+  return s;
+}
+
+AggRow MakeAggRow(uint64_t g, uint64_t groups, Rng& rng) {
+  const int64_t centered = static_cast<int64_t>(g) -
+                           static_cast<int64_t>(groups / 2);
+  AggRow r;
+  r.k64 = centered * 1000003 - 7;
+  r.k32 = static_cast<int32_t>(static_cast<int64_t>(g) * 37 - 500000);
+  r.kd = MakeDate(1992, 1, 1) + static_cast<int32_t>(g) - 50000;
+  r.kf = static_cast<double>(centered) * 0.5;
+  r.ks = GroupString(g);
+  if (g % 2 == 1 && r.ks.size() < 5) r.ks += ' ';
+  r.kc = "grp-" + std::to_string(g / 3);
+  r.vi = rng.Range(-kViRange, kViRange);
+  r.vn = static_cast<int32_t>(rng.Range(-kViRange, -1));
+  r.vf = static_cast<double>(rng.Range(-4 * kViRange, 4 * kViRange)) * 0.25;
+  r.vg = static_cast<double>(rng.Range(-4 * kViRange, -1)) * 0.25;
+  return r;
+}
+
+// Column accessors by name, resolved once per query rather than per row.
+std::function<Value(const AggRow&)> OracleKey(const std::string& col) {
+  auto trim = [](std::string s) {
+    while (!s.empty() && s.back() == ' ') s.pop_back();
+    return s;
+  };
+  if (col == "k64") return [](const AggRow& r) { return Value(r.k64); };
+  if (col == "k32") {
+    return [](const AggRow& r) { return Value(int64_t{r.k32}); };
+  }
+  if (col == "kd") return [](const AggRow& r) { return Value(int64_t{r.kd}); };
+  if (col == "kf") return [](const AggRow& r) { return Value(r.kf); };
+  if (col == "ks") return [=](const AggRow& r) { return Value(trim(r.ks)); };
+  PJOIN_CHECK(col == "kc");
+  return [=](const AggRow& r) { return Value(trim(r.kc)); };
+}
+
+std::function<double(const AggRow&)> OracleInput(const std::string& col) {
+  if (col == "vi") return [](const AggRow& r) { return double(r.vi); };
+  if (col == "vn") return [](const AggRow& r) { return double(r.vn); };
+  if (col == "vf") return [](const AggRow& r) { return r.vf; };
+  PJOIN_CHECK(col == "vg");
+  return [](const AggRow& r) { return r.vg; };
+}
+
+std::vector<AggDef> DifferentialAggs() {
+  return {AggDef::Sum("vi", "sum_i"),   AggDef::Sum("vf", "sum_f"),
+          AggDef::Count("vi", "cnt"),   AggDef::CountStar("star"),
+          AggDef::Min("vi", "min_i"),   AggDef::Max("vi", "max_i"),
+          AggDef::Min("vn", "min_n"),   AggDef::Max("vn", "max_n"),
+          AggDef::Min("vf", "min_f"),   AggDef::Max("vf", "max_f"),
+          AggDef::Min("vg", "min_g"),   AggDef::Max("vg", "max_g"),
+          AggDef::Avg("vi", "avg_i"),   AggDef::Avg("vf", "avg_f")};
+}
+
+// Row-at-a-time reference: one std::map entry per key, straightforward
+// accumulators, then the boxed rows sorted with std::sort.
+QueryResult OracleAggregate(const std::vector<AggRow>& rows, int64_t min_vi,
+                            const std::vector<std::string>& group_by,
+                            const std::vector<AggDef>& aggs) {
+  struct Acc {
+    int64_t count = 0;
+    int64_t isum = 0;
+    double fsum = 0;
+    double min = 0;
+    double max = 0;
+  };
+  std::vector<std::function<Value(const AggRow&)>> keys;
+  for (const auto& col : group_by) keys.push_back(OracleKey(col));
+  std::vector<std::function<double(const AggRow&)>> inputs;
+  for (const auto& agg : aggs) {
+    inputs.push_back(agg.op == AggDef::Op::kCountStar ? nullptr
+                                                      : OracleInput(agg.input));
+  }
+  std::map<std::vector<Value>, std::vector<Acc>> groups;
+  for (const AggRow& r : rows) {
+    if (r.vi <= min_vi) continue;
+    std::vector<Value> key;
+    for (const auto& k : keys) key.push_back(k(r));
+    auto [it, inserted] = groups.try_emplace(std::move(key));
+    if (inserted) it->second.resize(aggs.size());
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      Acc& acc = it->second[a];
+      ++acc.count;
+      if (inputs[a] == nullptr) continue;
+      const double v = inputs[a](r);
+      acc.isum += r.vi;  // reported only for sum(vi)
+      acc.fsum += v;
+      acc.min = acc.count == 1 ? v : std::min(acc.min, v);
+      acc.max = acc.count == 1 ? v : std::max(acc.max, v);
+    }
+  }
+  if (groups.empty() && group_by.empty()) {
+    groups.emplace(std::vector<Value>{}, std::vector<Acc>(aggs.size()));
+  }
+  QueryResult out;
+  out.column_names = group_by;
+  for (const auto& agg : aggs) out.column_names.push_back(agg.name);
+  for (const auto& [key, accs] : groups) {
+    std::vector<Value> row = key;
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      const Acc& acc = accs[a];
+      switch (aggs[a].op) {
+        case AggDef::Op::kSum:
+          if (aggs[a].input == "vi") {
+            row.emplace_back(acc.isum);
+          } else {
+            row.emplace_back(acc.fsum);
+          }
+          break;
+        case AggDef::Op::kCount:
+        case AggDef::Op::kCountStar:
+          row.emplace_back(acc.count);
+          break;
+        case AggDef::Op::kMin:
+          row.emplace_back(acc.min);
+          break;
+        case AggDef::Op::kMax:
+          row.emplace_back(acc.max);
+          break;
+        case AggDef::Op::kAvg:
+          row.emplace_back(acc.count > 0 ? acc.fsum / acc.count : 0.0);
+          break;
+      }
+    }
+    out.rows.push_back(std::move(row));
+  }
+  std::sort(out.rows.begin(), out.rows.end());
+  return out;
+}
+
+TEST(HashAggDifferential, MatchesRowAtATimeOracle) {
+  const std::vector<std::vector<std::string>> key_sets = {
+      {"k64"}, {"k32"}, {"kd"}, {"kf"}, {"ks"},
+      {"k32", "kd", "kf"},  // 16 bytes: two words, mixed types
+      {"kc", "k64", "kf"},  // 40 bytes: five words
+      {}};                  // scalar
+  const std::vector<AggDef> aggs = DifferentialAggs();
+  for (uint64_t groups : {0u, 1u, 1023u, 1025u, 100000u}) {
+    Rng rng(groups + 11);
+    const uint64_t n = groups == 0 ? 500 : 2 * groups + 100;
+    std::vector<AggRow> rows;
+    rows.reserve(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      // The first `groups` rows visit every group once, in order.
+      const uint64_t g = groups == 0 ? i % 7
+                         : i < groups ? i
+                                      : rng.Below(groups);
+      rows.push_back(MakeAggRow(g, std::max<uint64_t>(groups, 1), rng));
+    }
+    Table t("agg", Schema({{"k64", DataType::kInt64, 0},
+                           {"k32", DataType::kInt32, 0},
+                           {"kd", DataType::kDate, 0},
+                           {"kf", DataType::kFloat64, 0},
+                           {"ks", DataType::kChar, 5},
+                           {"kc", DataType::kChar, 24},
+                           {"vi", DataType::kInt64, 0},
+                           {"vn", DataType::kInt32, 0},
+                           {"vf", DataType::kFloat64, 0},
+                           {"vg", DataType::kFloat64, 0}}));
+    for (const AggRow& r : rows) {
+      t.column(0).AppendInt64(r.k64);
+      t.column(1).AppendInt32(r.k32);
+      t.column(2).AppendInt32(r.kd);
+      t.column(3).AppendFloat64(r.kf);
+      t.column(4).AppendString(r.ks);
+      t.column(5).AppendString(r.kc);
+      t.column(6).AppendInt64(r.vi);
+      t.column(7).AppendInt32(r.vn);
+      t.column(8).AppendFloat64(r.vf);
+      t.column(9).AppendFloat64(r.vg);
+      t.FinishRow();
+    }
+    // With zero groups the filter drops every row.
+    const int64_t min_vi = groups == 0 ? kViRange : -kViRange - 1;
+    for (const auto& key : key_sets) {
+      // At 100k groups one single-word, one CHAR and the widest composite
+      // key suffice; the smaller counts run every key type.
+      if (groups == 100000u && key.size() == 1 && key[0] != "k64" &&
+          key[0] != "ks") {
+        continue;
+      }
+      const QueryResult expected = OracleAggregate(rows, min_vi, key, aggs);
+      if (!key.empty()) {
+        ASSERT_EQ(expected.num_rows(), groups);
+      }
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE("groups=" + std::to_string(groups) +
+                     " keys=" + std::to_string(key.size()) + ":" +
+                     (key.empty() ? "" : key[0]) +
+                     " threads=" + std::to_string(threads));
+        auto plan = Aggregate(ScanTable(&t, {ScanPredicate::GtI("vi", min_vi)}),
+                              key, aggs);
+        ExecOptions options;
+        options.num_threads = threads;
+        QueryResult got = ExecuteQuery(*plan, options);
+        EXPECT_EQ(got.column_names, expected.column_names);
+        // Exact: every float input is a multiple of 0.25, so sums and
+        // averages do not depend on the order rows are added in. Row-wise
+        // comparison also pins the canonical order.
+        EXPECT_TRUE(got.ApproxEquals(expected, 0.0))
+            << "got:\n" << got.ToString(8) << "want:\n"
+            << expected.ToString(8);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -212,6 +212,9 @@ TEST_F(MetricsTest, ExplainAnalyzeShowsActuals) {
             std::string::npos);
   // Trailing pipeline section with per-operator rows.
   EXPECT_NE(text.find("pipelines:"), std::string::npos);
+  // Each pipeline line splits the parallel region from the Finish work.
+  EXPECT_NE(text.find("ms finish="), std::string::npos);
+  EXPECT_GT(stats.metrics.pipelines().back().finish_seconds, 0.0);
   EXPECT_NE(text.find("hash_join_probe j1"), std::string::npos);
   EXPECT_NE(text.find("morsels="), std::string::npos);
 
@@ -352,11 +355,13 @@ TEST_F(MetricsTest, ToJsonStableAcrossRuns) {
   EXPECT_NE(ja.find("\"pass_rate\":"), std::string::npos);
   EXPECT_EQ(ja.find("\"seconds\""), std::string::npos);
   EXPECT_EQ(ja.find("\"wall_seconds\""), std::string::npos);
+  EXPECT_EQ(ja.find("\"finish_seconds\""), std::string::npos);
 
   // The timed form adds the wall-clock fields.
   const std::string timed = a.metrics.ToJson();
   EXPECT_NE(timed.find("\"seconds\":"), std::string::npos);
   EXPECT_NE(timed.find("\"wall_seconds\":"), std::string::npos);
+  EXPECT_NE(timed.find("\"finish_seconds\":"), std::string::npos);
 }
 
 }  // namespace

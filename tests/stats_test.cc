@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -184,6 +185,18 @@ TEST(StatsHistogram, TpchColumnsWithinQError2) {
 }
 
 // ---- Distinct sketch -----------------------------------------------------
+
+TEST(StatsHistogram, NaNValuesAreLeftOut) {
+  Table t("sh_nan", Schema({{"f", DataType::kFloat64, 0}}));
+  for (double f : {std::nan(""), 1.0, 2.0, std::nan(""), 3.0}) {
+    t.column(0).AppendFloat64(f);
+    t.FinishRow();
+  }
+  EqualHeightHistogram h = EqualHeightHistogram::Build(t.column(0), 64);
+  ASSERT_TRUE(h.valid());
+  EXPECT_EQ(h.min(), 1.0);
+  EXPECT_EQ(h.max(), 3.0);
+}
 
 TEST(StatsSketch, ExactBelowCap) {
   std::vector<int64_t> values;
