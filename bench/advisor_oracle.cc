@@ -81,7 +81,7 @@ int main() {
       std::sort(deltas.begin(), deltas.end());
       const double delta = deltas[deltas.size() / 2];
       const bool oracle_partition = delta > threshold && deltas.front() > 0;
-      const JoinStrategy ran = auto_stats.join_audits[j].strategy;
+      const JoinStrategy ran = auto_stats.metrics.joins()[j].strategy;
       const bool auto_partition = ran != JoinStrategy::kBHJ;
       const bool match = auto_partition == oracle_partition;
       ++total;

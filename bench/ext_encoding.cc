@@ -149,14 +149,13 @@ int main() {
           return s.seconds;
         },
         reps);
+    const EncodingMetrics enc = stats_on.metrics.encoding();
     micro.AddRow(
         {JoinStrategyName(strategy), Ms(p.off_seconds), Ms(p.on_seconds),
          SpeedupCell(p.speedup),
-         BytesPerTuple(stats_on.metrics.encoding_plain_read_bytes(),
-                       stats_on.source_tuples),
-         BytesPerTuple(stats_on.metrics.encoding_scan_read_bytes(),
-                       stats_on.source_tuples),
-         std::to_string(stats_on.metrics.encoding_coded_join_pairs())});
+         BytesPerTuple(enc.plain_read_bytes, stats_on.source_tuples),
+         BytesPerTuple(enc.scan_read_bytes, stats_on.source_tuples),
+         std::to_string(enc.coded_join_pairs)});
     bench::DumpMetrics(std::string("ext_encoding star ") +
                            JoinStrategyName(strategy),
                        stats_on);
@@ -188,14 +187,13 @@ int main() {
           return s.seconds;
         },
         reps);
+    const EncodingMetrics enc = stats_on.metrics.encoding();
     tpch.AddRow(
         {"Q" + std::to_string(query.id), Ms(p.off_seconds), Ms(p.on_seconds),
          SpeedupCell(p.speedup),
-         BytesPerTuple(stats_on.metrics.encoding_plain_read_bytes(),
-                       stats_on.source_tuples),
-         BytesPerTuple(stats_on.metrics.encoding_scan_read_bytes(),
-                       stats_on.source_tuples),
-         std::to_string(stats_on.metrics.encoding_coded_join_pairs())});
+         BytesPerTuple(enc.plain_read_bytes, stats_on.source_tuples),
+         BytesPerTuple(enc.scan_read_bytes, stats_on.source_tuples),
+         std::to_string(enc.coded_join_pairs)});
     bench::DumpMetrics("ext_encoding Q" + std::to_string(query.id), stats_on);
   }
   tpch.Print();

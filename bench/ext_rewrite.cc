@@ -59,8 +59,7 @@ std::string SpeedupCell(double ratio) {
 }
 
 std::string RulesCell(const QueryStats& stats) {
-  if (!stats.metrics.rewrite_present()) return "-";
-  std::string rules = stats.metrics.rewrite_rules();
+  const std::string& rules = stats.metrics.rewrite.rules;
   return rules.empty() ? "-" : rules;
 }
 
@@ -109,7 +108,7 @@ int main() {
     tpch.AddRow({"Q" + std::to_string(query.id), Ms(p.off_seconds),
                  Ms(p.on_seconds), SpeedupCell(p.speedup),
                  RulesCell(stats_on),
-                 std::to_string(stats_on.metrics.rewrite_bloom_dropped())});
+                 std::to_string(stats_on.metrics.rewrite.bloom_dropped)});
   }
   tpch.Print();
 
@@ -184,7 +183,7 @@ int main() {
     std::snprintf(cov, sizeof(cov), "%.0f%%", frac * 100);
     chain.AddRow({cov, Ms(p.off_seconds), Ms(p.on_seconds),
                   SpeedupCell(p.speedup), RulesCell(stats_on),
-                  std::to_string(stats_on.metrics.rewrite_bloom_dropped())});
+                  std::to_string(stats_on.metrics.rewrite.bloom_dropped)});
     StatsCatalog::Global().Invalidate();  // tables die with this iteration
   }
   chain.Print();

@@ -51,7 +51,7 @@ int main() {
             return stats.seconds;
           },
           reps);
-      const JoinAudit& audit = base.join_audits[j];
+      const JoinMetrics& audit = base.metrics.joins()[j];
       if (delta > 0.10) ++brj_wins;
       ++total_joins;
       table.AddRow({"Q" + std::to_string(query.id) + "-J" +

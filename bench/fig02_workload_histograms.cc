@@ -20,11 +20,11 @@ int main() {
   ThreadPool pool(DefaultThreads());
   ExecOptions options = bench::Options(JoinStrategy::kBHJ, pool.num_threads());
 
-  std::vector<JoinAudit> audits;
+  std::vector<JoinMetrics> audits;
   for (const TpchQuery& query : TpchQueries()) {
     QueryStats stats;
     query.run(*db, options, &stats, &pool);
-    for (const auto& audit : stats.join_audits) audits.push_back(audit);
+    for (const auto& audit : stats.metrics.joins()) audits.push_back(audit);
   }
   std::printf("collected %zu joins across %zu queries (paper: 59 joins)\n\n",
               audits.size(), TpchQueries().size());

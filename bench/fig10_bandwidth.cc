@@ -71,19 +71,16 @@ int main() {
   std::printf(
       "paper shape: the probe-side partitioning passes dominate the\n"
       "execution time and both passes plus the join are bandwidth-bound.\n");
-  if (enc_stats.metrics.encoding_present()) {
+  const EncodingMetrics enc = enc_stats.metrics.encoding();
+  if (enc.scans_encoded > 0) {
     std::printf(
         "encoded scans read %llu B where plain reads %llu B (%.1fx "
         "bytes/tuple reduction at the source).\n",
-        static_cast<unsigned long long>(
-            enc_stats.metrics.encoding_scan_read_bytes()),
-        static_cast<unsigned long long>(
-            enc_stats.metrics.encoding_plain_read_bytes()),
-        enc_stats.metrics.encoding_scan_read_bytes() > 0
-            ? static_cast<double>(
-                  enc_stats.metrics.encoding_plain_read_bytes()) /
-                  static_cast<double>(
-                      enc_stats.metrics.encoding_scan_read_bytes())
+        static_cast<unsigned long long>(enc.scan_read_bytes),
+        static_cast<unsigned long long>(enc.plain_read_bytes),
+        enc.scan_read_bytes > 0
+            ? static_cast<double>(enc.plain_read_bytes) /
+                  static_cast<double>(enc.scan_read_bytes)
             : 0.0);
   }
   return 0;

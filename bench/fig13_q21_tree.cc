@@ -21,7 +21,7 @@ int main() {
 
   TablePrinter table({"join", "kind", "build tuples", "build size",
                       "probe tuples", "probe size", "partners"});
-  for (const auto& audit : stats.join_audits) {
+  for (const auto& audit : stats.metrics.joins()) {
     table.AddRow(
         {std::to_string(audit.join_id + 1), JoinKindName(audit.kind),
          std::to_string(audit.build_tuples),

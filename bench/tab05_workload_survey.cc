@@ -15,12 +15,12 @@ int main() {
   ThreadPool pool(DefaultThreads());
   ExecOptions options = bench::Options(JoinStrategy::kBHJ, pool.num_threads());
 
-  std::vector<JoinAudit> audits;
+  std::vector<JoinMetrics> audits;
   int max_pipeline_joins = 0;
   for (const TpchQuery& query : TpchQueries()) {
     QueryStats stats;
     query.run(*db, options, &stats, &pool);
-    for (const auto& audit : stats.join_audits) audits.push_back(audit);
+    for (const auto& audit : stats.metrics.joins()) audits.push_back(audit);
     max_pipeline_joins = std::max(max_pipeline_joins, query.num_joins);
   }
 

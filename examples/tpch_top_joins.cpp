@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     timing.Print();
 
     TablePrinter joins({"join", "kind", "build", "probe", "partners"});
-    for (const auto& audit : bhj_stats.join_audits) {
+    for (const auto& audit : bhj_stats.metrics.joins()) {
       joins.AddRow(
           {"J" + std::to_string(audit.join_id + 1), JoinKindName(audit.kind),
            TablePrinter::Bytes(static_cast<double>(audit.build_bytes())),

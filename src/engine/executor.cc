@@ -1,6 +1,5 @@
 #include "engine/executor.h"
 
-#include <algorithm>
 #include <deque>
 
 #include "engine/coded_keys.h"
@@ -202,7 +201,6 @@ class Lowerer {
   std::map<int, std::unique_ptr<BlockedBloomFilter>> rewrite_blooms_;
   std::vector<BloomProbeOp*> bloom_probe_ops_;
   const RewriteInfo* rewrite_info_ = nullptr;
-  std::vector<std::function<JoinAudit()>> audit_fns_;
   // Per-join observability collectors, invoked after the run (they read the
   // operator registry, so rows_out is only final once the pipelines stop).
   std::vector<std::function<JoinMetrics()>> metrics_fns_;
@@ -400,7 +398,6 @@ Lowerer::Stream Lowerer::LowerJoin(const PlanNode& node,
         *projection));
     HashJoin* join = hash_joins_.back().get();
     join->set_join_id(join_id);
-    audit_fns_.push_back([join, join_id] { return join->Audit(join_id); });
     operators_.push_back(std::make_unique<HashJoinBuildSink>(join));
     build.pipeline->AddOperator(operators_.back().get());
     build.pipeline->timing_phase = JoinPhase::kBuildPipeline;
@@ -464,7 +461,6 @@ Lowerer::Stream Lowerer::LowerJoin(const PlanNode& node,
     guard = owned.get();
     join->set_guard(std::move(owned));
   }
-  audit_fns_.push_back([join, join_id] { return join->Audit(join_id); });
 
   operators_.push_back(std::make_unique<RadixBuildSink>(join));
   build.pipeline->AddOperator(operators_.back().get());
@@ -657,71 +653,43 @@ QueryResult Lowerer::Run(ThreadPool& pool, QueryStats* stats) {
     sm.codes_emitted = scan->codes_emitted();
     qm.AddScan(std::move(sm));
   }
+  std::vector<JoinMetrics> joins;
   for (const auto& fn : metrics_fns_) {
     JoinMetrics m = fn();
     for (const CodedKeyPlan& plan : coded_keys_) {
       if (plan.join_index == m.join_id) ++m.coded_key_pairs;
     }
-    qm.AddJoin(std::move(m));
+    joins.push_back(std::move(m));
   }
+  qm.SetJoins(std::move(joins));
   qm.SetSummary(seconds, exec.source_tuples(), root_agg_->result().num_rows(),
                 exec.timer(), exec.MergedBytes());
-  {
-    const MemoryGovernor& gov = MemoryGovernor::Global();
-    qm.SetGovernor(gov.budget(), gov.high_water(), gov.denials());
+  const MemoryGovernor& gov = MemoryGovernor::Global();
+  if (gov.budget() > 0) {
+    qm.governor = {gov.budget(), gov.high_water(), gov.denials()};
   }
-  qm.SetSimdTier(SimdTierName(ActiveSimdTier()));
+  qm.simd_tier = SimdTierName(ActiveSimdTier());
   if (rewrite_info_ != nullptr && rewrite_info_->changed) {
-    uint64_t planted_dropped = 0;
+    RewriteMetrics& r = qm.rewrite;
+    r.rules = rewrite_info_->RulesLine();
+    r.order = rewrite_info_->order;
+    r.filters_pulled = rewrite_info_->filters_pulled;
+    r.filters_pushed = rewrite_info_->filters_pushed;
+    r.joins_reordered = rewrite_info_->joins_reordered;
+    r.blooms_planted = rewrite_info_->blooms_planted;
     for (const BloomProbeOp* op : bloom_probe_ops_) {
-      planted_dropped += op->dropped();
+      r.bloom_dropped += op->dropped();
     }
-    qm.SetRewrite(rewrite_info_->RulesLine(), rewrite_info_->order,
-                  rewrite_info_->filters_pulled,
-                  rewrite_info_->filters_pushed,
-                  rewrite_info_->joins_reordered,
-                  rewrite_info_->blooms_planted, planted_dropped);
   }
   if (StatsEnabled()) {
-    uint64_t stat_tables = 0;
-    uint64_t stat_columns = 0;
+    qm.stats.buckets = StatsBuckets();
     for (const Table* table : scanned_tables_) {
       const TableStats* ts = StatsCatalog::Global().Get(*table);
       if (ts == nullptr) continue;
-      ++stat_tables;
+      ++qm.stats.tables;
       for (const ColumnStats& cs : ts->columns) {
-        if (cs.distinct > 0 || cs.histogram.valid()) ++stat_columns;
+        if (cs.distinct > 0 || cs.histogram.valid()) ++qm.stats.columns;
       }
-    }
-    qm.SetStats(stat_tables, stat_columns, StatsBuckets());
-  }
-  {
-    // Encoded-execution rollup, emitted only when encoding engaged somewhere
-    // (an encoded scan, a coded join key, or a compressed spill), so plain
-    // runs keep byte-identical JSON.
-    uint64_t scans_encoded = 0, values_decoded = 0, codes_emitted = 0;
-    uint64_t scan_read_bytes = 0, plain_read_bytes = 0;
-    for (TableScanSource* scan : scans_) {
-      if (!scan->encoded()) continue;
-      ++scans_encoded;
-      values_decoded += scan->values_decoded();
-      codes_emitted += scan->codes_emitted();
-      scan_read_bytes += scan->rows_scanned() * scan->enc_read_width();
-      plain_read_bytes += scan->rows_scanned() * scan->plain_read_width();
-    }
-    uint64_t spill_logical = 0, spill_physical = 0;
-    bool spill_compressed = false;
-    for (const JoinMetrics& j : qm.joins()) {
-      if (j.spill.spilled && j.spill.compressed) {
-        spill_compressed = true;
-        spill_logical += j.spill.bytes_written;
-        spill_physical += j.spill.physical_bytes_written;
-      }
-    }
-    if (scans_encoded > 0 || !coded_keys_.empty() || spill_compressed) {
-      qm.SetEncoding(scans_encoded, coded_keys_.size(), values_decoded,
-                     codes_emitted, scan_read_bytes, plain_read_bytes,
-                     spill_logical, spill_physical);
     }
   }
 
@@ -734,16 +702,11 @@ QueryResult Lowerer::Run(ThreadPool& pool, QueryStats* stats) {
     stats->bytes = exec.MergedBytes();
     stats->bloom_dropped = 0;
     stats->partition_bytes = 0;
-    for (const auto& join : radix_joins_) {
-      stats->bloom_dropped += join->bloom_dropped();
-      stats->partition_bytes += join->PartitionBytes();
+    for (const JoinMetrics& j : qm.joins()) {
+      stats->bloom_dropped += j.bloom.negatives;
+      stats->partition_bytes +=
+          j.build_side.output_bytes + j.probe_side.output_bytes;
     }
-    stats->join_audits.clear();
-    for (const auto& fn : audit_fns_) stats->join_audits.push_back(fn());
-    std::sort(stats->join_audits.begin(), stats->join_audits.end(),
-              [](const JoinAudit& a, const JoinAudit& b) {
-                return a.join_id < b.join_id;
-              });
   }
   return root_agg_->TakeResult();
 }
@@ -781,15 +744,13 @@ std::set<std::string> ComputeLateColumns(const PlanNode& root) {
 
 QueryResult ExecuteQuery(const PlanNode& root, const ExecOptions& options,
                          QueryStats* stats, ThreadPool* pool) {
-  int threads = options.num_threads > 0 ? options.num_threads
-                                        : DefaultThreads();
   std::unique_ptr<ThreadPool> owned;
   if (pool == nullptr) {
-    owned = std::make_unique<ThreadPool>(threads);
+    owned = std::make_unique<ThreadPool>(
+        options.num_threads > 0 ? options.num_threads : DefaultThreads());
     pool = owned.get();
-  } else {
-    threads = pool->num_threads();
   }
+  const int threads = pool->num_threads();
   // The rewrite pass runs between plan construction and lowering. When it
   // declines every rule (or is disabled) the original tree lowers as
   // written, keeping pre-rewrite behavior byte-identical.

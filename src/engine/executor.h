@@ -56,10 +56,10 @@ struct QueryStats {
   ByteCounter bytes;
   uint64_t bloom_dropped = 0;      // probe tuples pruned by BRJ filters
   uint64_t partition_bytes = 0;    // final partition storage of all RJs
-  std::vector<JoinAudit> join_audits;  // per join, post-order
 
   // Full observability snapshot: per-pipeline/operator/join actuals, the
-  // input to ExplainAnalyzePlan and QueryMetrics::ToJson.
+  // input to ExplainAnalyzePlan and QueryMetrics::ToJson. metrics.joins()
+  // holds one record per join, in post-order.
   QueryMetrics metrics;
 
   // The paper's TPC-H metric: processed tuples per second, tuples = sum of

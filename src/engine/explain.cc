@@ -121,383 +121,290 @@ void RenderAdvisorLine(const JoinDecision& d, int depth, bool fell_back,
   }
 }
 
-void Render(const PlanNode& node, const ExecOptions& options,
-            const std::map<const PlanNode*, int>& ids,
-            const std::map<int, JoinDecision>& advice, int depth,
-            std::ostringstream* out) {
-  auto indent = [&] {
-    for (int i = 0; i < depth; ++i) *out << "  ";
-  };
-  switch (node.kind) {
-    case PlanNode::Kind::kAgg:
-      indent();
-      *out << "aggregate [groups:" << node.group_by.size()
-           << " aggs:" << node.aggs.size() << "]\n";
-      Render(*node.child, options, ids, advice, depth + 1, out);
-      break;
-    case PlanNode::Kind::kJoin: {
-      const int id = ids.at(&node);
-      JoinStrategy strategy = options.join_strategy;
-      auto it = options.join_overrides.find(id);
-      if (it != options.join_overrides.end()) strategy = it->second;
-      const JoinDecision* adv = nullptr;
-      if (strategy == JoinStrategy::kAuto) {
-        auto ad = advice.find(id);
-        if (ad != advice.end()) adv = &ad->second;
-      }
-      indent();
-      *out << "join #" << id << " [" << JoinKindName(node.join_kind) << ", "
-           << (adv != nullptr ? AutoLabel(*adv)
-                              : std::string(JoinStrategyName(strategy)))
-           << "] on ";
-      for (size_t k = 0; k < node.keys.size(); ++k) {
-        if (k > 0) *out << ", ";
-        *out << node.keys[k].first << " = " << node.keys[k].second;
-      }
-      *out << "\n";
-      if (adv != nullptr) {
-        RenderAdvisorLine(*adv, depth, /*fell_back=*/false, /*jm=*/nullptr,
-                          out);
-      }
-      Render(*node.build, options, ids, advice, depth + 1, out);
-      Render(*node.probe, options, ids, advice, depth + 1, out);
-      break;
-    }
-    case PlanNode::Kind::kFilter:
-      indent();
-      *out << "filter ["
-           << (node.filter.label.empty() ? "lambda" : node.filter.label)
-           << "]\n";
-      Render(*node.child, options, ids, advice, depth + 1, out);
-      break;
-    case PlanNode::Kind::kMap: {
-      indent();
-      *out << "map [";
-      for (size_t m = 0; m < node.maps.size(); ++m) {
-        if (m > 0) *out << ", ";
-        *out << node.maps[m].name;
-      }
-      *out << "]\n";
-      Render(*node.child, options, ids, advice, depth + 1, out);
-      break;
-    }
-    case PlanNode::Kind::kScan: {
-      indent();
-      *out << "scan " << node.table->name() << " [" << node.table->num_rows()
-           << " rows";
-      for (const auto& pred : node.predicates) {
-        *out << ", " << pred.column << " " << PredicateOpName(pred.op);
-      }
-      for (const auto& plant : node.bloom_probes) {
-        *out << ", bloom(j" << plant.source_join << "."
-             << plant.probe_column << ")";
-      }
-      *out << "]\n";
-      break;
-    }
-  }
-}
+// One tree walk serves EXPLAIN and EXPLAIN ANALYZE: with `metrics` null it
+// renders the plan alone, otherwise every node also carries the actuals the
+// run recorded. Scans are matched positionally: the executor records
+// ScanMetrics in lowering order (build side before probe side), which is
+// exactly the traversal order below; joins are matched by post-order id.
+struct RenderState {
+  RenderState(const ExecOptions& o, const QueryMetrics* m)
+      : options(o), metrics(m) {}
 
-// EXPLAIN ANALYZE rendering. Scans are matched positionally: the executor
-// records ScanMetrics in lowering order (build side before probe side),
-// which is exactly the traversal order below; joins are matched robustly by
-// their post-order id.
-struct AnalyzeState {
-  const QueryMetrics* metrics = nullptr;
+  const ExecOptions& options;
+  const QueryMetrics* metrics;
+  std::map<const PlanNode*, int> ids;
+  std::map<int, JoinDecision> advice;
   size_t scan_cursor = 0;
   // Occurrence cursor per (operator name, detail), for filter/map matching.
   std::map<std::pair<std::string, std::string>, size_t> op_cursor;
+  std::ostringstream out;
 };
 
-// Nth registered operator with the given identity, or null.
-const OperatorMetrics* FindOperator(const QueryMetrics& metrics,
-                                    const std::string& name,
-                                    const std::string& detail, size_t nth) {
+// Appends " (rows_in=.. rows_out=..)" of the next not-yet-matched operator
+// registered as (name, detail), if there is one.
+void AppendOperatorActuals(const std::string& name, const std::string& detail,
+                           RenderState* st) {
+  const size_t nth = st->op_cursor[{name, detail}]++;
   size_t seen = 0;
-  for (const OperatorMetrics& op : metrics.operators()) {
-    if (op.name() == name && op.detail() == detail) {
-      if (seen == nth) return &op;
-      ++seen;
-    }
+  for (const OperatorMetrics& op : st->metrics->operators()) {
+    if (op.name() != name || op.detail() != detail) continue;
+    if (seen++ < nth) continue;
+    OperatorTotals t = op.Totals();
+    st->out << " (rows_in=" << t.rows_in << " rows_out=" << t.rows_out << ")";
+    return;
   }
-  return nullptr;
 }
 
-void RenderAnalyze(const PlanNode& node, const ExecOptions& options,
-                   const std::map<const PlanNode*, int>& ids,
-                   const std::map<int, JoinDecision>& advice,
-                   AnalyzeState* state, int depth, std::ostringstream* out) {
-  const QueryMetrics& qm = *state->metrics;
-  auto indent = [&](int extra = 0) {
-    for (int i = 0; i < depth + extra; ++i) *out << "  ";
+// The per-join actuals lines under a join; each appears only when the join
+// has something to report there.
+void RenderJoinActuals(const JoinMetrics& jm, int depth,
+                       std::ostringstream& out) {
+  auto indent = [&] {
+    for (int i = 0; i < depth + 1; ++i) out << "  ";
   };
-  switch (node.kind) {
-    case PlanNode::Kind::kAgg: {
-      indent();
-      *out << "aggregate [groups:" << node.group_by.size()
-           << " aggs:" << node.aggs.size() << "]";
-      OperatorTotals t = qm.TotalsFor("hash_agg");
-      *out << " (rows_in=" << t.rows_in << " rows_out=" << qm.result_rows()
-           << ")\n";
-      RenderAnalyze(*node.child, options, ids, advice, state, depth + 1, out);
-      break;
+  if (jm.replan.enabled) {
+    const ReplanMetrics& r = jm.replan;
+    indent();
+    // Deliberately avoids the phrase "fell back": a replan switch is a
+    // re-costed decision, not the overflow guardrail tripping.
+    out << "replan: plan=" << JoinStrategyName(jm.advisor.choice)
+        << " final=" << JoinStrategyName(r.final_choice)
+        << " qerr_build=" << Fixed(r.qerror_build, 3)
+        << " qerr_probe=" << Fixed(r.qerror_probe, 3)
+        << " staged=" << r.staged_build_tuples
+        << " probe_corrected=" << r.corrected_probe_tuples;
+    if (r.triggered) {
+      out << " (triggered" << (r.switched ? ", switched)" : ", confirmed)");
+    } else {
+      out << " (not triggered)";
     }
+    out << "\n";
+  }
+  if (jm.has_hash_table) {
+    const HashTableMetrics& ht = jm.hash_table;
+    indent();
+    out << "ht: entries=" << ht.build_tuples
+        << " dir_slots=" << ht.directory_slots
+        << " chained=" << ht.chained_entries << " max_chain=" << ht.max_chain
+        << " resizes=" << ht.resizes
+        << " mem=" << HumanBytes(ht.directory_bytes + ht.materialized_bytes)
+        << "\n";
+  }
+  if (jm.has_partitions) {
+    const PartitionerMetrics& b = jm.build_side;
+    const PartitionerMetrics& p = jm.probe_side;
+    indent();
+    out << "radix: " << b.num_partitions << " partitions (" << b.bits1 << "+"
+        << b.bits2 << " bits)"
+        << " build_part=" << b.tuples << " probe_part=" << p.tuples
+        << " swwcb_flushes=" << (b.swwcb_flushes + p.swwcb_flushes)
+        << " streamed=" << HumanBytes(b.streamed_bytes + p.streamed_bytes)
+        << " mem=" << HumanBytes(b.output_bytes + p.output_bytes)
+        << " ht_grows=" << jm.partition_ht_grows
+        << " ht_peak=" << HumanBytes(jm.partition_ht_peak_bytes) << "\n";
+  }
+  if (jm.bloom.probes > 0) {
+    const BloomMetrics& bl = jm.bloom;
+    indent();
+    out << "bloom: size=" << HumanBytes(bl.size_bytes)
+        << " probes=" << bl.probes << " negatives=" << bl.negatives
+        << " pass_rate=" << Fixed(bl.pass_rate(), 3);
+    if (bl.adaptive) {
+      out << " adaptive=" << (bl.enabled_at_end ? "kept" : "disabled")
+          << " samples=" << bl.adaptive_samples;
+    }
+    out << "\n";
+  }
+  if (jm.skew.enabled) {
+    const SkewDefenseMetrics& sk = jm.skew;
+    indent();
+    out << "skew_defense: heavy=" << sk.heavy_hitters
+        << " bypass_build=" << sk.bypass_build_tuples
+        << " bypass_probe=" << sk.bypass_probe_tuples
+        << " resplit=" << sk.partitions_resplit
+        << " dense=" << sk.dense_fallbacks << "\n";
+  }
+  if (jm.spill.partitions_spilled > 0) {
+    const SpillMetrics& sp = jm.spill;
+    indent();
+    out << "spill: partitions=" << sp.partitions_spilled << "/"
+        << sp.partitions_total
+        << " build_tuples=" << sp.build_tuples_spilled
+        << " probe_tuples=" << sp.probe_tuples_spilled
+        << " written=" << HumanBytes(sp.bytes_written)
+        << " read=" << HumanBytes(sp.bytes_read)
+        << " depth=" << sp.max_recursion_depth;
+    if (sp.compressed) {
+      out << " physical_written=" << HumanBytes(sp.physical_bytes_written)
+          << " physical_read=" << HumanBytes(sp.physical_bytes_read);
+    }
+    out << "\n";
+  }
+}
+
+void Render(const PlanNode& node, int depth, RenderState* st) {
+  std::ostringstream& out = st->out;
+  const QueryMetrics* qm = st->metrics;
+  for (int i = 0; i < depth; ++i) out << "  ";
+  switch (node.kind) {
+    case PlanNode::Kind::kAgg:
+      out << "aggregate [groups:" << node.group_by.size()
+          << " aggs:" << node.aggs.size() << "]";
+      if (qm != nullptr) {
+        out << " (rows_in=" << qm->TotalsFor("hash_agg").rows_in
+            << " rows_out=" << qm->result_rows() << ")";
+      }
+      out << "\n";
+      Render(*node.child, depth + 1, st);
+      break;
     case PlanNode::Kind::kJoin: {
-      const int id = ids.at(&node);
-      JoinStrategy strategy = options.join_strategy;
-      auto it = options.join_overrides.find(id);
-      if (it != options.join_overrides.end()) strategy = it->second;
+      const int id = st->ids.at(&node);
+      JoinStrategy strategy = st->options.join_strategy;
+      auto it = st->options.join_overrides.find(id);
+      if (it != st->options.join_overrides.end()) strategy = it->second;
       const JoinDecision* adv = nullptr;
       if (strategy == JoinStrategy::kAuto) {
-        auto ad = advice.find(id);
-        if (ad != advice.end()) adv = &ad->second;
+        auto ad = st->advice.find(id);
+        if (ad != st->advice.end()) adv = &ad->second;
       }
-      indent();
-      *out << "join #" << id << " [" << JoinKindName(node.join_kind) << ", "
-           << (adv != nullptr ? AutoLabel(*adv)
-                              : std::string(JoinStrategyName(strategy)))
-           << "] on ";
+      out << "join #" << id << " [" << JoinKindName(node.join_kind) << ", "
+          << (adv != nullptr ? AutoLabel(*adv)
+                             : std::string(JoinStrategyName(strategy)))
+          << "] on ";
       for (size_t k = 0; k < node.keys.size(); ++k) {
-        if (k > 0) *out << ", ";
-        *out << node.keys[k].first << " = " << node.keys[k].second;
+        if (k > 0) out << ", ";
+        out << node.keys[k].first << " = " << node.keys[k].second;
       }
-      const JoinMetrics* jm = qm.FindJoin(id);
+      const JoinMetrics* jm = qm != nullptr ? qm->FindJoin(id) : nullptr;
       if (jm != nullptr) {
-        *out << " (build=" << jm->build_tuples
-             << " probe=" << jm->probe_tuples
-             << " matched=" << jm->probe_matched
-             << " rows_out=" << jm->rows_out;
+        out << " (build=" << jm->build_tuples << " probe=" << jm->probe_tuples
+            << " matched=" << jm->probe_matched << " rows_out=" << jm->rows_out;
         if (jm->coded_key_pairs > 0) {
-          *out << " coded_keys=" << jm->coded_key_pairs;
+          out << " coded_keys=" << jm->coded_key_pairs;
         }
-        *out << ")";
+        out << ")";
       }
-      *out << "\n";
+      out << "\n";
       if (adv != nullptr) {
         // Estimated vs actual rows sit on adjacent lines so mispredictions
         // are visible; a triggered guardrail is flagged inline.
         const bool fell_back =
             jm != nullptr && jm->advisor.present && jm->advisor.fell_back;
-        RenderAdvisorLine(*adv, depth, fell_back, jm, out);
+        RenderAdvisorLine(*adv, depth, fell_back, jm, &out);
       }
-      if (jm != nullptr && jm->replan.enabled) {
-        const ReplanMetrics& r = jm->replan;
-        indent(1);
-        // Deliberately avoids the phrase "fell back": a replan switch is a
-        // re-costed decision, not the overflow guardrail tripping.
-        *out << "replan: plan=" << JoinStrategyName(jm->advisor.choice)
-             << " final=" << JoinStrategyName(r.final_choice)
-             << " qerr_build=" << Fixed(r.qerror_build, 3)
-             << " qerr_probe=" << Fixed(r.qerror_probe, 3)
-             << " staged=" << r.staged_build_tuples
-             << " probe_corrected=" << r.corrected_probe_tuples;
-        if (r.triggered) {
-          *out << " (triggered"
-               << (r.switched ? ", switched)" : ", confirmed)");
-        } else {
-          *out << " (not triggered)";
-        }
-        *out << "\n";
-      }
-      if (jm != nullptr && jm->has_hash_table) {
-        const HashTableMetrics& ht = jm->hash_table;
-        indent(1);
-        *out << "ht: entries=" << ht.build_tuples
-             << " dir_slots=" << ht.directory_slots
-             << " chained=" << ht.chained_entries
-             << " max_chain=" << ht.max_chain << " resizes=" << ht.resizes
-             << " mem=" << HumanBytes(ht.directory_bytes +
-                                      ht.materialized_bytes)
-             << "\n";
-      }
-      if (jm != nullptr && jm->has_partitions) {
-        const PartitionerMetrics& b = jm->build_side;
-        const PartitionerMetrics& p = jm->probe_side;
-        indent(1);
-        *out << "radix: " << b.num_partitions << " partitions (" << b.bits1
-             << "+" << b.bits2 << " bits)"
-             << " build_part=" << b.tuples << " probe_part=" << p.tuples
-             << " swwcb_flushes=" << (b.swwcb_flushes + p.swwcb_flushes)
-             << " streamed=" << HumanBytes(b.streamed_bytes + p.streamed_bytes)
-             << " mem=" << HumanBytes(b.output_bytes + p.output_bytes)
-             << " ht_grows=" << jm->partition_ht_grows
-             << " ht_peak=" << HumanBytes(jm->partition_ht_peak_bytes)
-             << "\n";
-      }
-      if (jm != nullptr && jm->bloom.probes > 0) {
-        const BloomMetrics& bl = jm->bloom;
-        indent(1);
-        *out << "bloom: size=" << HumanBytes(bl.size_bytes)
-             << " probes=" << bl.probes << " negatives=" << bl.negatives
-             << " pass_rate=" << Fixed(bl.pass_rate(), 3);
-        if (bl.adaptive) {
-          *out << " adaptive=" << (bl.enabled_at_end ? "kept" : "disabled")
-               << " samples=" << bl.adaptive_samples;
-        }
-        *out << "\n";
-      }
-      if (jm != nullptr && jm->skew.enabled) {
-        const SkewDefenseMetrics& sk = jm->skew;
-        indent(1);
-        *out << "skew_defense: heavy=" << sk.heavy_hitters
-             << " bypass_build=" << sk.bypass_build_tuples
-             << " bypass_probe=" << sk.bypass_probe_tuples
-             << " resplit=" << sk.partitions_resplit
-             << " dense=" << sk.dense_fallbacks << "\n";
-      }
-      if (jm != nullptr && jm->spill.spilled) {
-        const SpillMetrics& sp = jm->spill;
-        indent(1);
-        *out << "spill: partitions=" << sp.partitions_spilled << "/"
-             << sp.partitions_total
-             << " build_tuples=" << sp.build_tuples_spilled
-             << " probe_tuples=" << sp.probe_tuples_spilled
-             << " written=" << HumanBytes(sp.bytes_written)
-             << " read=" << HumanBytes(sp.bytes_read)
-             << " depth=" << sp.max_recursion_depth;
-        if (sp.compressed) {
-          *out << " physical_written=" << HumanBytes(sp.physical_bytes_written)
-               << " physical_read=" << HumanBytes(sp.physical_bytes_read);
-        }
-        *out << "\n";
-      }
-      RenderAnalyze(*node.build, options, ids, advice, state, depth + 1, out);
-      RenderAnalyze(*node.probe, options, ids, advice, state, depth + 1, out);
+      if (jm != nullptr) RenderJoinActuals(*jm, depth, out);
+      Render(*node.build, depth + 1, st);
+      Render(*node.probe, depth + 1, st);
       break;
     }
-    case PlanNode::Kind::kFilter: {
-      indent();
-      const std::string label =
-          node.filter.label.empty() ? "lambda" : node.filter.label;
-      *out << "filter [" << label << "]";
-      auto key = std::make_pair(std::string("filter"), node.filter.label);
-      const OperatorMetrics* op =
-          FindOperator(qm, key.first, key.second, state->op_cursor[key]++);
-      if (op != nullptr) {
-        OperatorTotals t = op->Totals();
-        *out << " (rows_in=" << t.rows_in << " rows_out=" << t.rows_out << ")";
-      }
-      *out << "\n";
-      RenderAnalyze(*node.child, options, ids, advice, state, depth + 1, out);
+    case PlanNode::Kind::kFilter:
+      out << "filter ["
+          << (node.filter.label.empty() ? "lambda" : node.filter.label)
+          << "]";
+      if (qm != nullptr) AppendOperatorActuals("filter", node.filter.label, st);
+      out << "\n";
+      Render(*node.child, depth + 1, st);
       break;
-    }
-    case PlanNode::Kind::kMap: {
-      indent();
-      *out << "map [";
+    case PlanNode::Kind::kMap:
+      out << "map [";
       for (size_t m = 0; m < node.maps.size(); ++m) {
-        if (m > 0) *out << ", ";
-        *out << node.maps[m].name;
+        if (m > 0) out << ", ";
+        out << node.maps[m].name;
       }
-      *out << "]";
-      const std::string detail =
-          node.maps.empty() ? std::string() : node.maps.front().name;
-      auto key = std::make_pair(std::string("map"), detail);
-      const OperatorMetrics* op =
-          FindOperator(qm, key.first, key.second, state->op_cursor[key]++);
-      if (op != nullptr) {
-        OperatorTotals t = op->Totals();
-        *out << " (rows_in=" << t.rows_in << " rows_out=" << t.rows_out << ")";
+      out << "]";
+      if (qm != nullptr) {
+        AppendOperatorActuals(
+            "map", node.maps.empty() ? std::string() : node.maps.front().name,
+            st);
       }
-      *out << "\n";
-      RenderAnalyze(*node.child, options, ids, advice, state, depth + 1, out);
+      out << "\n";
+      Render(*node.child, depth + 1, st);
       break;
-    }
     case PlanNode::Kind::kScan: {
-      indent();
-      *out << "scan " << node.table->name() << " [" << node.table->num_rows()
-           << " rows";
+      out << "scan " << node.table->name() << " [" << node.table->num_rows()
+          << " rows";
       for (const auto& pred : node.predicates) {
-        *out << ", " << pred.column << " " << PredicateOpName(pred.op);
+        out << ", " << pred.column << " " << PredicateOpName(pred.op);
       }
       for (const auto& plant : node.bloom_probes) {
-        *out << ", bloom(j" << plant.source_join << "."
-             << plant.probe_column << ")";
+        out << ", bloom(j" << plant.source_join << "." << plant.probe_column
+            << ")";
       }
-      *out << "]";
-      if (state->scan_cursor < qm.scans().size() &&
-          qm.scans()[state->scan_cursor].table == node.table->name()) {
-        const ScanMetrics& sm = qm.scans()[state->scan_cursor];
-        *out << " (scanned=" << sm.rows_scanned
-             << " passed=" << sm.rows_passed;
-        if (sm.encoded) {
-          *out << " enc_width=" << sm.enc_read_width << "B/"
-               << sm.plain_read_width << "B decoded=" << sm.values_decoded
-               << " codes=" << sm.codes_emitted;
+      out << "]";
+      if (qm != nullptr) {
+        if (st->scan_cursor < qm->scans().size() &&
+            qm->scans()[st->scan_cursor].table == node.table->name()) {
+          const ScanMetrics& sm = qm->scans()[st->scan_cursor];
+          out << " (scanned=" << sm.rows_scanned
+              << " passed=" << sm.rows_passed;
+          if (sm.encoded) {
+            out << " enc_width=" << sm.enc_read_width << "B/"
+                << sm.plain_read_width << "B decoded=" << sm.values_decoded
+                << " codes=" << sm.codes_emitted;
+          }
+          out << ")";
         }
-        *out << ")";
+        ++st->scan_cursor;
       }
-      ++state->scan_cursor;
-      *out << "\n";
+      out << "\n";
       break;
     }
   }
+}
+
+// The part EXPLAIN and EXPLAIN ANALYZE share: applies the same deterministic
+// rewrite the executor applies (so the rendered tree, join ids, and advisor
+// advice match the executed plan), then renders the rewrite line and the
+// tree, annotated with `metrics` when non-null.
+std::string RenderPlan(const PlanNode& root, const ExecOptions& options,
+                       const QueryMetrics* metrics) {
+  RewriteResult rewrite = RewritePlan(root, options.rewrite);
+  const PlanNode& plan = rewrite.plan != nullptr ? *rewrite.plan : root;
+  RenderState st{options, metrics};
+  int next = 0;
+  NumberJoins(plan, &st.ids, &next);
+  if (UsesAuto(options)) {
+    st.advice = JoinAdvisor::AdvisePlan(plan, options.advisor);
+  }
+  if (rewrite.info.changed) {
+    st.out << "rewrite: rules=" << rewrite.info.RulesLine();
+    if (!rewrite.info.order.empty()) st.out << " order=" << rewrite.info.order;
+    if (metrics != nullptr) {
+      st.out << " bloom_dropped=" << metrics->rewrite.bloom_dropped;
+    }
+    st.out << "\n";
+  }
+  Render(plan, 0, &st);
+  return st.out.str();
 }
 
 }  // namespace
 
 std::string ExplainPlan(const PlanNode& root, const ExecOptions& options) {
-  // EXPLAIN applies the same deterministic rewrite the executor applies, so
-  // the rendered tree, join ids, and advisor advice match the executed plan.
-  RewriteResult rewrite = RewritePlan(root, options.rewrite);
-  const PlanNode& plan = rewrite.plan != nullptr ? *rewrite.plan : root;
-  std::map<const PlanNode*, int> ids;
-  int next = 0;
-  NumberJoins(plan, &ids, &next);
-  std::map<int, JoinDecision> advice;
-  if (UsesAuto(options)) {
-    advice = JoinAdvisor::AdvisePlan(plan, options.advisor);
-  }
-  std::ostringstream out;
-  if (rewrite.info.changed) {
-    out << "rewrite: rules=" << rewrite.info.RulesLine();
-    if (!rewrite.info.order.empty()) out << " order=" << rewrite.info.order;
-    out << "\n";
-  }
-  Render(plan, options, ids, advice, 0, &out);
-  return out.str();
+  return RenderPlan(root, options, nullptr);
 }
 
 std::string ExplainAnalyzePlan(const PlanNode& root, const ExecOptions& options,
                                const QueryStats& stats) {
-  RewriteResult rewrite = RewritePlan(root, options.rewrite);
-  const PlanNode& plan = rewrite.plan != nullptr ? *rewrite.plan : root;
-  std::map<const PlanNode*, int> ids;
-  int next = 0;
-  NumberJoins(plan, &ids, &next);
-  std::map<int, JoinDecision> advice;
-  if (UsesAuto(options)) {
-    advice = JoinAdvisor::AdvisePlan(plan, options.advisor);
-  }
-  std::ostringstream out;
-  if (rewrite.info.changed) {
-    out << "rewrite: rules=" << rewrite.info.RulesLine();
-    if (!rewrite.info.order.empty()) out << " order=" << rewrite.info.order;
-    if (stats.metrics.rewrite_present()) {
-      out << " bloom_dropped=" << stats.metrics.rewrite_bloom_dropped();
-    }
-    out << "\n";
-  }
-  AnalyzeState state;
-  state.metrics = &stats.metrics;
-  RenderAnalyze(plan, options, ids, advice, &state, 0, &out);
-
   const QueryMetrics& qm = stats.metrics;
+  std::ostringstream out;
+  out << RenderPlan(root, options, &qm);
   out << "\ntotal: " << Fixed(qm.seconds() * 1e3, 3) << "ms"
       << " source_tuples=" << qm.source_tuples()
       << " result_rows=" << qm.result_rows()
       << " threads=" << qm.num_threads();
-  if (!qm.simd_tier().empty()) out << " simd=" << qm.simd_tier();
+  if (!qm.simd_tier.empty()) out << " simd=" << qm.simd_tier;
   out << "\n";
 
   // Server-mode section (only for runs submitted through QueryServer):
   // admission identity, queue wait, and the arbitration outcome.
-  if (qm.server_present()) {
-    out << "server: query=" << qm.server_query_id()
-        << " session=" << qm.server_session_id()
-        << " state=" << qm.server_state()
-        << " queued=" << Fixed(qm.server_queue_seconds() * 1e3, 3) << "ms"
-        << " granted_bytes=" << qm.server_granted_bytes()
-        << " spill_pressure=" << qm.server_spill_pressure() << "\n";
+  if (qm.server.has_value()) {
+    const ServerMetrics& s = *qm.server;
+    out << "server: query=" << s.query_id << " session=" << s.session_id
+        << " state=" << s.state
+        << " queued=" << Fixed(s.queue_seconds * 1e3, 3) << "ms"
+        << " granted_bytes=" << s.granted_bytes
+        << " spill_pressure=" << s.spill_pressure << "\n";
   }
 
   out << "pipelines:\n";

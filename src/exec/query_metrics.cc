@@ -1,5 +1,6 @@
 #include "exec/query_metrics.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -42,16 +43,18 @@ void AppendString(std::ostringstream& out, const std::string& s) {
   out << '"';
 }
 
+const char* Bool(bool v) { return v ? "true" : "false"; }
+
 void AppendBloom(std::ostringstream& out, const BloomMetrics& bloom) {
-  out << "{\"applicable\":" << (bloom.applicable ? "true" : "false")
+  out << "{\"applicable\":" << Bool(bloom.applicable)
       << ",\"size_bytes\":" << bloom.size_bytes
       << ",\"num_blocks\":" << bloom.num_blocks
       << ",\"build_keys\":" << bloom.build_keys
       << ",\"probes\":" << bloom.probes
       << ",\"negatives\":" << bloom.negatives << ",\"pass_rate\":";
   AppendDouble(out, bloom.pass_rate());
-  out << ",\"adaptive\":" << (bloom.adaptive ? "true" : "false")
-      << ",\"enabled_at_end\":" << (bloom.enabled_at_end ? "true" : "false")
+  out << ",\"adaptive\":" << Bool(bloom.adaptive)
+      << ",\"enabled_at_end\":" << Bool(bloom.enabled_at_end)
       << ",\"adaptive_samples\":" << bloom.adaptive_samples << "}";
 }
 
@@ -97,11 +100,39 @@ void QueryMetrics::SetSummary(double seconds, uint64_t source_tuples,
   bytes_ = bytes;
 }
 
+void QueryMetrics::SetJoins(std::vector<JoinMetrics> joins) {
+  joins_ = std::move(joins);
+  std::stable_sort(joins_.begin(), joins_.end(),
+                   [](const JoinMetrics& a, const JoinMetrics& b) {
+                     return a.join_id < b.join_id;
+                   });
+}
+
 const JoinMetrics* QueryMetrics::FindJoin(int join_id) const {
   for (const JoinMetrics& j : joins_) {
     if (j.join_id == join_id) return &j;
   }
   return nullptr;
+}
+
+EncodingMetrics QueryMetrics::encoding() const {
+  EncodingMetrics e;
+  for (const ScanMetrics& s : scans_) {
+    if (!s.encoded) continue;
+    ++e.scans_encoded;
+    e.values_decoded += s.values_decoded;
+    e.codes_emitted += s.codes_emitted;
+    e.scan_read_bytes += s.rows_scanned * s.enc_read_width;
+    e.plain_read_bytes += s.rows_scanned * s.plain_read_width;
+  }
+  for (const JoinMetrics& j : joins_) {
+    e.coded_join_pairs += j.coded_key_pairs;
+    if (j.spill.compressed) {
+      e.spill_bytes_logical += j.spill.bytes_written;
+      e.spill_bytes_physical += j.spill.physical_bytes_written;
+    }
+  }
+  return e;
 }
 
 OperatorTotals QueryMetrics::TotalsFor(const std::string& name) const {
@@ -119,10 +150,8 @@ OperatorTotals QueryMetrics::TotalsFor(const std::string& name) const {
 
 std::string QueryMetrics::ToJson(bool include_timings) const {
   std::ostringstream out;
-  out << "{\"num_threads\":" << num_threads_;
-  if (!simd_tier_.empty()) {
-    out << ",\"simd\":\"" << simd_tier_ << "\"";
-  }
+  out << "{\"num_threads\":" << num_threads_ << ",\"simd\":";
+  AppendString(out, simd_tier);
   if (include_timings) {
     out << ",\"seconds\":";
     AppendDouble(out, seconds_);
@@ -192,14 +221,12 @@ std::string QueryMetrics::ToJson(bool include_timings) const {
     out << "{\"table\":";
     AppendString(out, s.table);
     out << ",\"rows_scanned\":" << s.rows_scanned
-        << ",\"rows_passed\":" << s.rows_passed;
-    if (s.encoded) {
-      out << ",\"encoded\":true,\"read_width\":" << s.enc_read_width
-          << ",\"plain_width\":" << s.plain_read_width
-          << ",\"values_decoded\":" << s.values_decoded
-          << ",\"codes_emitted\":" << s.codes_emitted;
-    }
-    out << "}";
+        << ",\"rows_passed\":" << s.rows_passed
+        << ",\"encoded\":" << Bool(s.encoded)
+        << ",\"read_width\":" << s.enc_read_width
+        << ",\"plain_width\":" << s.plain_read_width
+        << ",\"values_decoded\":" << s.values_decoded
+        << ",\"codes_emitted\":" << s.codes_emitted << "}";
   }
   out << "]";
 
@@ -213,154 +240,126 @@ std::string QueryMetrics::ToJson(bool include_timings) const {
         << "\",\"build_tuples\":" << j.build_tuples
         << ",\"probe_tuples\":" << j.probe_tuples
         << ",\"probe_matched\":" << j.probe_matched
-        << ",\"rows_out\":" << j.rows_out;
-    if (j.coded_key_pairs > 0) {
-      out << ",\"coded_key_pairs\":" << j.coded_key_pairs;
-    }
-    if (j.has_hash_table) {
-      const HashTableMetrics& h = j.hash_table;
-      out << ",\"hash_table\":{\"build_tuples\":" << h.build_tuples
-          << ",\"directory_slots\":" << h.directory_slots
-          << ",\"directory_bytes\":" << h.directory_bytes
-          << ",\"materialized_bytes\":" << h.materialized_bytes
-          << ",\"chained_entries\":" << h.chained_entries
-          << ",\"max_chain\":" << h.max_chain << ",\"resizes\":" << h.resizes
-          << "}";
-    }
-    if (j.has_partitions) {
-      out << ",\"build_partitions\":";
-      AppendPartitioner(out, j.build_side);
-      out << ",\"probe_partitions\":";
-      AppendPartitioner(out, j.probe_side);
-      out << ",\"partition_ht_grows\":" << j.partition_ht_grows
-          << ",\"partition_ht_peak_bytes\":" << j.partition_ht_peak_bytes;
-    }
+        << ",\"rows_out\":" << j.rows_out
+        << ",\"coded_key_pairs\":" << j.coded_key_pairs
+        << ",\"build_width\":" << j.build_width
+        << ",\"probe_width\":" << j.probe_width;
+    const HashTableMetrics& h = j.hash_table;
+    out << ",\"hash_table\":{\"build_tuples\":" << h.build_tuples
+        << ",\"directory_slots\":" << h.directory_slots
+        << ",\"directory_bytes\":" << h.directory_bytes
+        << ",\"materialized_bytes\":" << h.materialized_bytes
+        << ",\"chained_entries\":" << h.chained_entries
+        << ",\"max_chain\":" << h.max_chain << ",\"resizes\":" << h.resizes
+        << "}";
+    out << ",\"build_partitions\":";
+    AppendPartitioner(out, j.build_side);
+    out << ",\"probe_partitions\":";
+    AppendPartitioner(out, j.probe_side);
+    out << ",\"partition_ht_grows\":" << j.partition_ht_grows
+        << ",\"partition_ht_peak_bytes\":" << j.partition_ht_peak_bytes;
     out << ",\"bloom\":";
     AppendBloom(out, j.bloom);
-    if (j.spill.spilled) {
-      const SpillMetrics& s = j.spill;
-      out << ",\"spill\":{\"partitions_spilled\":" << s.partitions_spilled
-          << ",\"partitions_total\":" << s.partitions_total
-          << ",\"build_tuples_spilled\":" << s.build_tuples_spilled
-          << ",\"probe_tuples_spilled\":" << s.probe_tuples_spilled
-          << ",\"bytes_written\":" << s.bytes_written
-          << ",\"bytes_read\":" << s.bytes_read
-          << ",\"max_recursion_depth\":" << s.max_recursion_depth << "}";
-    }
-    if (j.skew.enabled) {
-      const SkewDefenseMetrics& sk = j.skew;
-      out << ",\"skew\":{\"heavy_hitters\":" << sk.heavy_hitters
-          << ",\"bypass_build_tuples\":" << sk.bypass_build_tuples
-          << ",\"bypass_probe_tuples\":" << sk.bypass_probe_tuples
-          << ",\"partitions_resplit\":" << sk.partitions_resplit
-          << ",\"dense_fallbacks\":" << sk.dense_fallbacks << "}";
-    }
+    const SpillMetrics& sp = j.spill;
+    out << ",\"spill\":{\"partitions_spilled\":" << sp.partitions_spilled
+        << ",\"partitions_total\":" << sp.partitions_total
+        << ",\"build_tuples_spilled\":" << sp.build_tuples_spilled
+        << ",\"probe_tuples_spilled\":" << sp.probe_tuples_spilled
+        << ",\"bytes_written\":" << sp.bytes_written
+        << ",\"bytes_read\":" << sp.bytes_read
+        << ",\"max_recursion_depth\":" << sp.max_recursion_depth << "}";
+    const SkewDefenseMetrics& sk = j.skew;
+    out << ",\"skew\":{\"heavy_hitters\":" << sk.heavy_hitters
+        << ",\"bypass_build_tuples\":" << sk.bypass_build_tuples
+        << ",\"bypass_probe_tuples\":" << sk.bypass_probe_tuples
+        << ",\"partitions_resplit\":" << sk.partitions_resplit
+        << ",\"dense_fallbacks\":" << sk.dense_fallbacks
+        << ",\"enabled\":" << Bool(sk.enabled) << "}";
     if (j.advisor.present) {
-      out << ",\"advisor\":{\"choice\":\""
-          << JoinStrategyName(j.advisor.choice)
-          << "\",\"est_build_tuples\":" << j.advisor.est_build_tuples
-          << ",\"est_probe_tuples\":" << j.advisor.est_probe_tuples
+      const AdvisorMetrics& a = j.advisor;
+      out << ",\"advisor\":{\"choice\":\"" << JoinStrategyName(a.choice)
+          << "\",\"est_build_tuples\":" << a.est_build_tuples
+          << ",\"est_probe_tuples\":" << a.est_probe_tuples
           << ",\"cost_bhj\":";
-      AppendDouble(out, j.advisor.cost_bhj);
+      AppendDouble(out, a.cost_bhj);
       out << ",\"cost_rj\":";
-      AppendDouble(out, j.advisor.cost_rj);
+      AppendDouble(out, a.cost_rj);
       out << ",\"cost_brj\":";
-      AppendDouble(out, j.advisor.cost_brj);
-      out << ",\"fell_back\":" << (j.advisor.fell_back ? "true" : "false")
-          << ",\"reason\":";
-      AppendString(out, j.advisor.reason);
-      if (j.advisor.skew_sampled) {
-        out << ",\"est_top_share\":";
-        AppendDouble(out, j.advisor.est_top_share);
-        out << ",\"est_max_partition_share\":";
-        AppendDouble(out, j.advisor.est_max_partition_share);
-        out << ",\"est_key_payload_corr\":";
-        AppendDouble(out, j.advisor.est_key_payload_corr);
-        out << ",\"skew_defense\":"
-            << (j.advisor.skew_defense ? "true" : "false");
-      }
+      AppendDouble(out, a.cost_brj);
+      out << ",\"fell_back\":" << Bool(a.fell_back) << ",\"reason\":";
+      AppendString(out, a.reason);
+      out << ",\"skew_sampled\":" << Bool(a.skew_sampled)
+          << ",\"est_top_share\":";
+      AppendDouble(out, a.est_top_share);
+      out << ",\"est_max_partition_share\":";
+      AppendDouble(out, a.est_max_partition_share);
+      out << ",\"est_key_payload_corr\":";
+      AppendDouble(out, a.est_key_payload_corr);
+      out << ",\"skew_defense\":" << Bool(a.skew_defense);
       // Estimate quality: symmetric q-errors of the cardinality estimates
       // against the observed counts.
-      const double qb =
-          EstimateQError(j.advisor.est_build_tuples, j.build_tuples);
-      const double qp =
-          EstimateQError(j.advisor.est_probe_tuples, j.probe_tuples);
+      const double qb = EstimateQError(a.est_build_tuples, j.build_tuples);
+      const double qp = EstimateQError(a.est_probe_tuples, j.probe_tuples);
       out << ",\"qerror_build\":";
       AppendDouble(out, qb);
       out << ",\"qerror_probe\":";
       AppendDouble(out, qp);
       out << ",\"mispredict\":"
-          << (qb >= kMispredictQError || qp >= kMispredictQError ? "true"
-                                                                 : "false")
-          << "}";
+          << Bool(qb >= kMispredictQError || qp >= kMispredictQError) << "}";
     }
-    if (j.replan.enabled) {
-      const ReplanMetrics& r = j.replan;
-      out << ",\"replan\":{\"triggered\":" << (r.triggered ? "true" : "false")
-          << ",\"switched\":" << (r.switched ? "true" : "false")
-          << ",\"qerror_build\":";
-      AppendDouble(out, r.qerror_build);
-      out << ",\"qerror_probe\":";
-      AppendDouble(out, r.qerror_probe);
-      out << ",\"staged_build_tuples\":" << r.staged_build_tuples
-          << ",\"corrected_probe_tuples\":" << r.corrected_probe_tuples
-          << ",\"final\":\"" << JoinStrategyName(r.final_choice) << "\"";
-      if (r.triggered) {
-        out << ",\"recost_bhj\":";
-        AppendDouble(out, r.recost_bhj);
-        out << ",\"recost_rj\":";
-        AppendDouble(out, r.recost_rj);
-        out << ",\"recost_brj\":";
-        AppendDouble(out, r.recost_brj);
-      }
-      out << "}";
-    }
-    out << "}";
+    const ReplanMetrics& r = j.replan;
+    out << ",\"replan\":{\"enabled\":" << Bool(r.enabled)
+        << ",\"triggered\":" << Bool(r.triggered)
+        << ",\"switched\":" << Bool(r.switched) << ",\"qerror_build\":";
+    AppendDouble(out, r.qerror_build);
+    out << ",\"qerror_probe\":";
+    AppendDouble(out, r.qerror_probe);
+    out << ",\"staged_build_tuples\":" << r.staged_build_tuples
+        << ",\"corrected_probe_tuples\":" << r.corrected_probe_tuples
+        << ",\"final\":\"" << JoinStrategyName(r.final_choice)
+        << "\",\"recost_bhj\":";
+    AppendDouble(out, r.recost_bhj);
+    out << ",\"recost_rj\":";
+    AppendDouble(out, r.recost_rj);
+    out << ",\"recost_brj\":";
+    AppendDouble(out, r.recost_brj);
+    out << "}}";
   }
   out << "]";
-  if (rewrite_present_) {
-    out << ",\"rewrite\":{\"rules\":";
-    AppendString(out, rewrite_rules_);
-    out << ",\"order\":";
-    AppendString(out, rewrite_order_);
-    out << ",\"filters_pulled\":" << rewrite_filters_pulled_
-        << ",\"filters_pushed\":" << rewrite_filters_pushed_
-        << ",\"joins_reordered\":" << rewrite_joins_reordered_
-        << ",\"blooms_planted\":" << rewrite_blooms_planted_
-        << ",\"bloom_dropped\":" << rewrite_bloom_dropped_ << "}";
-  }
-  if (stats_present_) {
-    out << ",\"stats\":{\"tables\":" << stats_tables_
-        << ",\"columns\":" << stats_columns_
-        << ",\"buckets\":" << stats_buckets_ << "}";
-  }
-  if (encoding_present_) {
-    out << ",\"encoding\":{\"scans_encoded\":" << encoding_scans_encoded_
-        << ",\"coded_join_pairs\":" << encoding_coded_join_pairs_
-        << ",\"values_decoded\":" << encoding_values_decoded_
-        << ",\"codes_emitted\":" << encoding_codes_emitted_
-        << ",\"scan_read_bytes\":" << encoding_scan_read_bytes_
-        << ",\"plain_read_bytes\":" << encoding_plain_read_bytes_;
-    if (encoding_spill_bytes_logical_ > 0) {
-      out << ",\"spill_bytes_logical\":" << encoding_spill_bytes_logical_
-          << ",\"spill_bytes_physical\":" << encoding_spill_bytes_physical_;
-    }
-    out << "}";
-  }
-  if (governor_budget_ > 0) {
-    out << ",\"governor\":{\"budget\":" << governor_budget_
-        << ",\"high_water\":" << governor_high_water_
-        << ",\"denials\":" << governor_denials_ << "}";
-  }
-  if (server_present_) {
-    out << ",\"server\":{\"query_id\":" << server_query_id_
-        << ",\"session\":" << server_session_id_ << ",\"state\":";
-    AppendString(out, server_state_);
-    out << ",\"granted_bytes\":" << server_granted_bytes_
-        << ",\"spill_pressure\":" << server_spill_pressure_;
+
+  out << ",\"rewrite\":{\"rules\":";
+  AppendString(out, rewrite.rules);
+  out << ",\"order\":";
+  AppendString(out, rewrite.order);
+  out << ",\"filters_pulled\":" << rewrite.filters_pulled
+      << ",\"filters_pushed\":" << rewrite.filters_pushed
+      << ",\"joins_reordered\":" << rewrite.joins_reordered
+      << ",\"blooms_planted\":" << rewrite.blooms_planted
+      << ",\"bloom_dropped\":" << rewrite.bloom_dropped << "}";
+  out << ",\"stats\":{\"tables\":" << stats.tables
+      << ",\"columns\":" << stats.columns << ",\"buckets\":" << stats.buckets
+      << "}";
+  const EncodingMetrics e = encoding();
+  out << ",\"encoding\":{\"scans_encoded\":" << e.scans_encoded
+      << ",\"coded_join_pairs\":" << e.coded_join_pairs
+      << ",\"values_decoded\":" << e.values_decoded
+      << ",\"codes_emitted\":" << e.codes_emitted
+      << ",\"scan_read_bytes\":" << e.scan_read_bytes
+      << ",\"plain_read_bytes\":" << e.plain_read_bytes
+      << ",\"spill_bytes_logical\":" << e.spill_bytes_logical
+      << ",\"spill_bytes_physical\":" << e.spill_bytes_physical << "}";
+  out << ",\"governor\":{\"budget\":" << governor.budget
+      << ",\"high_water\":" << governor.high_water
+      << ",\"denials\":" << governor.denials << "}";
+  if (server.has_value()) {
+    out << ",\"server\":{\"query_id\":" << server->query_id
+        << ",\"session\":" << server->session_id << ",\"state\":";
+    AppendString(out, server->state);
+    out << ",\"granted_bytes\":" << server->granted_bytes
+        << ",\"spill_pressure\":" << server->spill_pressure;
     if (include_timings) {
       out << ",\"queue_seconds\":";
-      AppendDouble(out, server_queue_seconds_);
+      AppendDouble(out, server->queue_seconds);
     }
     out << "}";
   }

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -123,10 +124,9 @@ struct ScanMetrics {
   std::string table;
   uint64_t rows_scanned = 0;
   uint64_t rows_passed = 0;
-  // Encoded-segment actuals (storage/encoded_segment.h). `encoded` stays
-  // false when the scan ran on plain columns — the default for small tables
-  // and every PJOIN_ENCODING=0 run — and the JSON/EXPLAIN layers omit the
-  // fields, keeping pre-encoding output byte-identical.
+  // Encoded-segment actuals (storage/encoded_segment.h). `encoded` is false
+  // when the scan ran on plain columns — the default for small tables and
+  // every PJOIN_ENCODING=0 run — and the counters below are zero then.
   bool encoded = false;
   uint64_t enc_read_width = 0;    // bytes read per scanned row, with codes
   uint64_t plain_read_width = 0;  // same, had every column stayed plain
@@ -177,11 +177,9 @@ struct BloomMetrics {
   }
 };
 
-// Out-of-core activity of one hybrid join. `spilled` stays false when the
-// join ran fully resident, and the JSON/EXPLAIN layers omit the record, so
-// unbudgeted runs are byte-identical to the pre-spill output.
+// Out-of-core activity of one hybrid join; all zero when the join ran fully
+// resident (partitions_spilled == 0).
 struct SpillMetrics {
-  bool spilled = false;
   uint32_t partitions_spilled = 0;
   uint32_t partitions_total = 0;  // fan-out the residency choice ranged over
   uint64_t build_tuples_spilled = 0;
@@ -197,9 +195,8 @@ struct SpillMetrics {
   uint64_t physical_bytes_read = 0;
 };
 
-// Runtime skew-defense activity of one radix join. `enabled` stays false
-// unless the advisor (or a test) armed the defense, and the JSON/EXPLAIN
-// layers omit the record, so undefended runs are byte-identical.
+// Runtime skew-defense activity of one radix join. `enabled` is false unless
+// the advisor (or a test) armed the defense; the counters are zero then.
 struct SkewDefenseMetrics {
   bool enabled = false;
   uint32_t heavy_hitters = 0;          // keys routed around partitioning
@@ -210,8 +207,8 @@ struct SkewDefenseMetrics {
 };
 
 // Decision record of the cost-based join advisor (JoinStrategy::kAuto).
-// `present` stays false for manually chosen strategies so pre-advisor JSON
-// and EXPLAIN output are unchanged.
+// `present` records that the join was advised at all: manually chosen
+// strategies have no decision, and the JSON omits the record for them.
 struct AdvisorMetrics {
   bool present = false;
   JoinStrategy choice = JoinStrategy::kBHJ;  // what the advisor picked
@@ -222,8 +219,8 @@ struct AdvisorMetrics {
   double cost_brj = 0;
   bool fell_back = false;  // runtime guardrail demoted a radix pick to BHJ
   const char* reason = "";  // static string from the advisor
-  // Skew estimate from the build-side sample (omitted from JSON when the
-  // sampling pass was disabled, keeping pre-sampler output stable).
+  // Skew estimate from the build-side sample (zero when the sampling pass
+  // was disabled).
   bool skew_sampled = false;
   double est_top_share = 0;
   double est_max_partition_share = 0;
@@ -232,8 +229,8 @@ struct AdvisorMetrics {
 };
 
 // Mid-query re-planning record of one advisor-chosen join
-// (PJOIN_REPLAN_QERROR > 0). `enabled` stays false when the re-planner is
-// off — the default — and the JSON/EXPLAIN layers omit the record.
+// (PJOIN_REPLAN_QERROR > 0). `enabled` is false when the re-planner is off —
+// the default — and the rest of the record keeps its initial values.
 struct ReplanMetrics {
   bool enabled = false;    // decision was deferred to the probe phase
   bool triggered = false;  // observed q-error crossed the threshold
@@ -263,15 +260,21 @@ inline double EstimateQError(uint64_t est, uint64_t actual) {
 constexpr double kMispredictQError = 2.0;
 
 // Everything one join reports, keyed by the executor's post-order join id
-// (the numbering of Figure 12 and ExecOptions::join_overrides).
+// (the numbering of Figure 12 and ExecOptions::join_overrides). This is the
+// per-join measurement record behind the paper's per-join analyses: Figure 1
+// (build/probe bytes per TPC-H join), Figure 2 (tuple-size and join-partner
+// histograms), Figure 13 (annotated join tree), and Table 5 (workload
+// survey).
 struct JoinMetrics {
   int join_id = 0;
   JoinKind kind = JoinKind::kInner;
-  JoinStrategy strategy = JoinStrategy::kBHJ;
+  JoinStrategy strategy = JoinStrategy::kBHJ;  // the engine that ran
   uint64_t build_tuples = 0;
   uint64_t probe_tuples = 0;   // tuples entering the probe side (pre-filter)
   uint64_t probe_matched = 0;  // probe tuples with at least one partner
   uint64_t rows_out = 0;       // tuples the join emitted downstream
+  uint32_t build_width = 0;    // materialized build row bytes
+  uint32_t probe_width = 0;    // probe row bytes
   bool has_hash_table = false;
   HashTableMetrics hash_table;
   bool has_partitions = false;
@@ -280,13 +283,74 @@ struct JoinMetrics {
   BloomMetrics bloom;
   uint64_t partition_ht_grows = 0;      // robin-hood segment regrowths
   uint64_t partition_ht_peak_bytes = 0; // largest per-partition table
-  SpillMetrics spill;                   // only meaningful when spilled
-  SkewDefenseMetrics skew;              // only meaningful when defense armed
-  AdvisorMetrics advisor;               // only meaningful under kAuto
-  ReplanMetrics replan;                 // only meaningful when re-planning on
+  SpillMetrics spill;
+  SkewDefenseMetrics skew;
+  AdvisorMetrics advisor;
+  ReplanMetrics replan;
   // Key pairs this join compared as dictionary codes (engine/coded_keys.h).
-  // Zero for plain joins; the JSON/EXPLAIN fields are omitted then.
   uint32_t coded_key_pairs = 0;
+
+  uint64_t build_bytes() const { return build_tuples * build_width; }
+  uint64_t probe_bytes() const { return probe_tuples * probe_width; }
+  double match_fraction() const {
+    return probe_tuples > 0
+               ? static_cast<double>(probe_matched) / probe_tuples
+               : 0.0;
+  }
+};
+
+// Memory-governor snapshot; zero when no budget was set.
+struct GovernorMetrics {
+  uint64_t budget = 0;
+  uint64_t high_water = 0;
+  uint64_t denials = 0;
+};
+
+// Server-mode record (src/server/): admission identity, the fair-share
+// memory grant, spill-pressure denials and queue wait.
+struct ServerMetrics {
+  uint64_t query_id = 0;
+  uint64_t session_id = 0;
+  std::string state;
+  uint64_t granted_bytes = 0;
+  uint64_t spill_pressure = 0;
+  double queue_seconds = 0;
+};
+
+// Statistics-catalog snapshot for the query's base tables; zero when
+// PJOIN_STATS is off.
+struct StatsMetrics {
+  uint64_t tables = 0;
+  uint64_t columns = 0;
+  int buckets = 0;
+};
+
+// Rewrite-pass record: the fired rules, the chosen join order, and what the
+// planted Bloom filters dropped. Empty when the pass left the plan as
+// written (no rule fired, or PJOIN_REWRITE=0).
+struct RewriteMetrics {
+  std::string rules;
+  std::string order;
+  int filters_pulled = 0;
+  int filters_pushed = 0;
+  int joins_reordered = 0;
+  int blooms_planted = 0;
+  uint64_t bloom_dropped = 0;
+};
+
+// Encoded-execution rollup: how many scans ran on codes, how many join key
+// pairs compared codes, the decode work done, the scan read traffic with
+// codes vs the plain-width counterfactual, and the logical vs physical
+// traffic of compressed spills. Derived from the scan and join records.
+struct EncodingMetrics {
+  uint64_t scans_encoded = 0;
+  uint64_t coded_join_pairs = 0;
+  uint64_t values_decoded = 0;
+  uint64_t codes_emitted = 0;
+  uint64_t scan_read_bytes = 0;
+  uint64_t plain_read_bytes = 0;
+  uint64_t spill_bytes_logical = 0;
+  uint64_t spill_bytes_physical = 0;
 };
 
 // The query-wide registry. One instance lives in ExecContext; the executor
@@ -308,134 +372,26 @@ class QueryMetrics {
   OperatorMetrics* RegisterOperator(const std::string& name,
                                     const std::string& detail);
 
+  // --- after the run -------------------------------------------------------
+
   void AddScan(ScanMetrics scan) { scans_.push_back(std::move(scan)); }
-  void AddJoin(JoinMetrics join) { joins_.push_back(std::move(join)); }
+  // Replaces the join records; they are kept sorted by join_id.
+  void SetJoins(std::vector<JoinMetrics> joins);
 
   // Query-level summary filled by the executor after the run.
   void SetSummary(double seconds, uint64_t source_tuples, uint64_t result_rows,
                   const PhaseTimer& timer, const ByteCounter& bytes);
 
-  // Memory-governor snapshot (executor, after the run). The JSON section is
-  // emitted only when a budget was set, keeping unbudgeted output stable.
-  void SetGovernor(uint64_t budget, uint64_t high_water, uint64_t denials) {
-    governor_budget_ = budget;
-    governor_high_water_ = high_water;
-    governor_denials_ = denials;
-  }
-  uint64_t governor_budget() const { return governor_budget_; }
-  uint64_t governor_high_water() const { return governor_high_water_; }
-  uint64_t governor_denials() const { return governor_denials_; }
-
-  // Server-mode per-query record (src/server/): admission identity, the
-  // fair-share memory grant, spill-pressure denials and queue wait. Set by
-  // QueryServer after the run; the JSON section and the EXPLAIN ANALYZE
-  // line are emitted only when present, so standalone-run output is
-  // byte-identical to the pre-server engine.
-  void SetServer(uint64_t query_id, uint64_t session_id, std::string state,
-                 uint64_t granted_bytes, uint64_t spill_pressure,
-                 double queue_seconds) {
-    server_present_ = true;
-    server_query_id_ = query_id;
-    server_session_id_ = session_id;
-    server_state_ = std::move(state);
-    server_granted_bytes_ = granted_bytes;
-    server_spill_pressure_ = spill_pressure;
-    server_queue_seconds_ = queue_seconds;
-  }
-  bool server_present() const { return server_present_; }
-  uint64_t server_query_id() const { return server_query_id_; }
-  uint64_t server_session_id() const { return server_session_id_; }
-  const std::string& server_state() const { return server_state_; }
-  uint64_t server_granted_bytes() const { return server_granted_bytes_; }
-  uint64_t server_spill_pressure() const { return server_spill_pressure_; }
-  double server_queue_seconds() const { return server_queue_seconds_; }
-
-  // Dispatched SIMD kernel tier ("scalar"|"avx2"|"avx512"), set by the
-  // executor so benches can attribute kernel-level wins. Deterministic on a
-  // given host+environment, so it is safe in the stable JSON.
-  void SetSimdTier(std::string tier) { simd_tier_ = std::move(tier); }
-  const std::string& simd_tier() const { return simd_tier_; }
-
-  // Statistics-catalog snapshot for this query's base tables (executor,
-  // after the run). The JSON section is emitted only when set — i.e. when
-  // PJOIN_STATS is enabled — keeping stats-off output byte-identical.
-  void SetStats(uint64_t tables, uint64_t columns, int buckets) {
-    stats_present_ = true;
-    stats_tables_ = tables;
-    stats_columns_ = columns;
-    stats_buckets_ = buckets;
-  }
-  bool stats_present() const { return stats_present_; }
-  uint64_t stats_tables() const { return stats_tables_; }
-  uint64_t stats_columns() const { return stats_columns_; }
-  int stats_buckets() const { return stats_buckets_; }
-
-  // Encoded-execution rollup (executor, after the run): how many scans ran
-  // on codes, how many join key pairs compared codes, the decode work done,
-  // the scan read traffic with codes vs the plain-width counterfactual, and
-  // the logical vs physical spill traffic. Set only when encoding actually
-  // engaged somewhere in the query, so plain runs — and every
-  // PJOIN_ENCODING=0 run — emit byte-identical JSON.
-  void SetEncoding(uint64_t scans_encoded, uint64_t coded_join_pairs,
-                   uint64_t values_decoded, uint64_t codes_emitted,
-                   uint64_t scan_read_bytes, uint64_t plain_read_bytes,
-                   uint64_t spill_bytes_logical,
-                   uint64_t spill_bytes_physical) {
-    encoding_present_ = true;
-    encoding_scans_encoded_ = scans_encoded;
-    encoding_coded_join_pairs_ = coded_join_pairs;
-    encoding_values_decoded_ = values_decoded;
-    encoding_codes_emitted_ = codes_emitted;
-    encoding_scan_read_bytes_ = scan_read_bytes;
-    encoding_plain_read_bytes_ = plain_read_bytes;
-    encoding_spill_bytes_logical_ = spill_bytes_logical;
-    encoding_spill_bytes_physical_ = spill_bytes_physical;
-  }
-  bool encoding_present() const { return encoding_present_; }
-  uint64_t encoding_scans_encoded() const { return encoding_scans_encoded_; }
-  uint64_t encoding_coded_join_pairs() const {
-    return encoding_coded_join_pairs_;
-  }
-  uint64_t encoding_values_decoded() const { return encoding_values_decoded_; }
-  uint64_t encoding_codes_emitted() const { return encoding_codes_emitted_; }
-  uint64_t encoding_scan_read_bytes() const {
-    return encoding_scan_read_bytes_;
-  }
-  uint64_t encoding_plain_read_bytes() const {
-    return encoding_plain_read_bytes_;
-  }
-  uint64_t encoding_spill_bytes_logical() const {
-    return encoding_spill_bytes_logical_;
-  }
-  uint64_t encoding_spill_bytes_physical() const {
-    return encoding_spill_bytes_physical_;
-  }
-
-  // Rewrite-pass record (executor, after the run): the fired rules, the
-  // chosen join order, and what the planted Bloom filters dropped. The JSON
-  // section and the EXPLAIN `rewrite:` line are emitted only when the pass
-  // actually changed the plan, so untouched plans — and every PJOIN_REWRITE=0
-  // run — stay byte-identical to the pre-rewrite engine.
-  void SetRewrite(std::string rules, std::string order, int filters_pulled,
-                  int filters_pushed, int joins_reordered, int blooms_planted,
-                  uint64_t bloom_dropped) {
-    rewrite_present_ = true;
-    rewrite_rules_ = std::move(rules);
-    rewrite_order_ = std::move(order);
-    rewrite_filters_pulled_ = filters_pulled;
-    rewrite_filters_pushed_ = filters_pushed;
-    rewrite_joins_reordered_ = joins_reordered;
-    rewrite_blooms_planted_ = blooms_planted;
-    rewrite_bloom_dropped_ = bloom_dropped;
-  }
-  bool rewrite_present() const { return rewrite_present_; }
-  const std::string& rewrite_rules() const { return rewrite_rules_; }
-  const std::string& rewrite_order() const { return rewrite_order_; }
-  int rewrite_filters_pulled() const { return rewrite_filters_pulled_; }
-  int rewrite_filters_pushed() const { return rewrite_filters_pushed_; }
-  int rewrite_joins_reordered() const { return rewrite_joins_reordered_; }
-  int rewrite_blooms_planted() const { return rewrite_blooms_planted_; }
-  uint64_t rewrite_bloom_dropped() const { return rewrite_bloom_dropped_; }
+  // Query-level sections, filled in place after the run: the executor sets
+  // governor, stats, rewrite and simd_tier; QueryServer sets server.
+  GovernorMetrics governor;
+  StatsMetrics stats;
+  RewriteMetrics rewrite;
+  // Dispatched SIMD kernel tier ("scalar"|"avx2"|"avx512"), so benches can
+  // attribute kernel-level wins. Deterministic on a given host+environment.
+  std::string simd_tier;
+  // Set only for runs submitted through QueryServer.
+  std::optional<ServerMetrics> server;
 
   // --- accessors -----------------------------------------------------------
 
@@ -443,6 +399,7 @@ class QueryMetrics {
   const std::deque<OperatorMetrics>& operators() const { return operators_; }
   const std::vector<ScanMetrics>& scans() const { return scans_; }
   const std::vector<JoinMetrics>& joins() const { return joins_; }
+  EncodingMetrics encoding() const;
 
   // Join record by executor join id; null when the id was never collected.
   const JoinMetrics* FindJoin(int join_id) const;
@@ -458,11 +415,14 @@ class QueryMetrics {
 
   // --- export --------------------------------------------------------------
 
-  // Stable JSON document: object keys in fixed order, doubles printed with
-  // %.6f. With include_timings=false all wall/cpu-time fields are omitted;
-  // the remaining counters depend only on plan, data, and morsel scheduling
-  // (morsels_per_worker is a race between workers), so single-threaded
-  // output is byte-deterministic — that form is what tests snapshot.
+  // Stable JSON document with one fixed schema: object keys in fixed order,
+  // every section present (zero-valued when inactive) except a join's
+  // "advisor" (only advised joins have one) and "server" (only server runs),
+  // doubles printed with %.6f. With include_timings=false all wall/cpu-time
+  // fields are omitted; the remaining counters depend only on plan, data,
+  // and morsel scheduling (morsels_per_worker is a race between workers), so
+  // single-threaded output is byte-deterministic — that form is what tests
+  // snapshot.
   std::string ToJson(bool include_timings = true) const;
 
  private:
@@ -475,38 +435,6 @@ class QueryMetrics {
   double seconds_ = 0;
   uint64_t source_tuples_ = 0;
   uint64_t result_rows_ = 0;
-  uint64_t governor_budget_ = 0;
-  uint64_t governor_high_water_ = 0;
-  uint64_t governor_denials_ = 0;
-  bool server_present_ = false;
-  uint64_t server_query_id_ = 0;
-  uint64_t server_session_id_ = 0;
-  std::string server_state_;
-  uint64_t server_granted_bytes_ = 0;
-  uint64_t server_spill_pressure_ = 0;
-  double server_queue_seconds_ = 0;
-  std::string simd_tier_;
-  bool stats_present_ = false;
-  uint64_t stats_tables_ = 0;
-  uint64_t stats_columns_ = 0;
-  int stats_buckets_ = 0;
-  bool encoding_present_ = false;
-  uint64_t encoding_scans_encoded_ = 0;
-  uint64_t encoding_coded_join_pairs_ = 0;
-  uint64_t encoding_values_decoded_ = 0;
-  uint64_t encoding_codes_emitted_ = 0;
-  uint64_t encoding_scan_read_bytes_ = 0;
-  uint64_t encoding_plain_read_bytes_ = 0;
-  uint64_t encoding_spill_bytes_logical_ = 0;
-  uint64_t encoding_spill_bytes_physical_ = 0;
-  bool rewrite_present_ = false;
-  std::string rewrite_rules_;
-  std::string rewrite_order_;
-  int rewrite_filters_pulled_ = 0;
-  int rewrite_filters_pushed_ = 0;
-  int rewrite_joins_reordered_ = 0;
-  int rewrite_blooms_planted_ = 0;
-  uint64_t rewrite_bloom_dropped_ = 0;
   PhaseTimer timer_;
   ByteCounter bytes_;
 };

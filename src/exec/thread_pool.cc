@@ -1,13 +1,13 @@
 #include "exec/thread_pool.h"
 
-#include "util/check.h"
+#include <algorithm>
 
 namespace pjoin {
 
-ThreadPool::ThreadPool(int num_threads) : num_threads_(num_threads) {
-  PJOIN_CHECK(num_threads >= 1);
-  workers_.reserve(num_threads - 1);
-  for (int i = 1; i < num_threads; ++i) {
+ThreadPool::ThreadPool(int num_threads)
+    : num_threads_(std::clamp(num_threads, 1, kMaxWorkers)) {
+  workers_.reserve(num_threads_ - 1);
+  for (int i = 1; i < num_threads_; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }

@@ -15,11 +15,16 @@
 
 namespace pjoin {
 
+// Upper bound on the workers of any pool. Worker-indexed structures that are
+// sized before a pool is known (hash-table build buffers, per-worker output
+// buffers) hold this many slots.
+constexpr int kMaxWorkers = 256;
+
 class ThreadPool {
  public:
-  // Creates a pool with `num_threads` workers (>= 1). Worker 0 is the calling
-  // thread: ParallelRun executes fn(0) inline, which keeps single-threaded
-  // runs free of synchronization noise.
+  // Creates a pool with `num_threads` workers, clamped to [1, kMaxWorkers].
+  // Worker 0 is the calling thread: ParallelRun executes fn(0) inline, which
+  // keeps single-threaded runs free of synchronization noise.
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
 

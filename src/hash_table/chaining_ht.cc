@@ -9,13 +9,6 @@
 
 namespace pjoin {
 
-namespace {
-// Worker-local buffers are created lazily per thread id; we size for the
-// maximum sensible thread count instead of threading a pool through the
-// constructor.
-constexpr int kMaxThreads = 256;
-}  // namespace
-
 ChainingHashTable::ChainingHashTable(uint32_t row_stride, bool track_matches)
     : row_stride_(row_stride),
       track_matches_(track_matches),
@@ -24,8 +17,10 @@ ChainingHashTable::ChainingHashTable(uint32_t row_stride, bool track_matches)
       // naturally aligned in every packed entry; MarkMatched's atomic_ref
       // requires it, and pages are cache-line aligned.
       entry_stride_((header_size_ + row_stride + 7u) & ~7u) {
-  build_buffers_.reserve(kMaxThreads);
-  for (int i = 0; i < kMaxThreads; ++i) {
+  // One buffer per possible worker id, so no pool has to be threaded
+  // through the constructor.
+  build_buffers_.reserve(kMaxWorkers);
+  for (int i = 0; i < kMaxWorkers; ++i) {
     build_buffers_.emplace_back(entry_stride_);
   }
 }
@@ -40,6 +35,7 @@ void ChainingHashTable::MaterializeEntry(int thread_id, uint64_t hash,
                                          const std::byte* row,
                                          uint32_t row_bytes) {
   PJOIN_DCHECK(row_bytes <= row_stride_);
+  PJOIN_DCHECK(thread_id < kMaxWorkers);
   std::byte* entry = build_buffers_[thread_id].AppendSlot();
   std::memset(entry, 0, header_size_);
   std::memcpy(entry + 8, &hash, 8);

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <numeric>
 
+#include "exec/thread_pool.h"
 #include "kernels/kernels.h"
 #include "spill/memory_governor.h"
 #include "util/bitutil.h"
@@ -60,8 +61,8 @@ HashJoin::HashJoin(JoinKind kind, const RowLayout* build_layout,
       table_(std::make_unique<ChainingHashTable>(build_layout->stride(),
                                                  TracksBuildMatches(kind))) {
   if (kind == JoinKind::kRightOuter) {
-    pair_buffers_.reserve(256);
-    for (int i = 0; i < 256; ++i) {
+    pair_buffers_.reserve(kMaxWorkers);
+    for (int i = 0; i < kMaxWorkers; ++i) {
       pair_buffers_.emplace_back(projection_.output->stride());
     }
   }
@@ -128,8 +129,8 @@ void HashJoin::FinishBuild(ExecContext& exec) {
   }
   spill_ = std::move(spill);
   if (EmitsBuildRows(kind_)) {
-    spill_build_out_.reserve(256);
-    for (int i = 0; i < 256; ++i) {
+    spill_build_out_.reserve(kMaxWorkers);
+    for (int i = 0; i < kMaxWorkers; ++i) {
       spill_build_out_.emplace_back(build_row_stride);
     }
   }
@@ -143,7 +144,7 @@ void HashJoin::FinishBuild(ExecContext& exec) {
   std::atomic<uint64_t> spilled_tuples{0};
   exec.pool()->ParallelRun([&](int tid) {
     uint64_t local_spilled = 0;
-    for (int b = tid; b < 256; b += exec.pool()->num_threads()) {
+    for (int b = tid; b < kMaxWorkers; b += exec.pool()->num_threads()) {
       old->build_buffer(b).ForEachPage(
           [&](const std::byte* rows, uint32_t count) {
             for (uint32_t i = 0; i < count; ++i) {
@@ -183,6 +184,8 @@ JoinMetrics HashJoin::CollectMetrics() const {
   m.build_tuples = table_->num_entries() + SpilledBuildTuples();
   m.probe_tuples = probe_seen_.load(std::memory_order_relaxed);
   m.probe_matched = probe_matched_.load(std::memory_order_relaxed);
+  m.build_width = build_layout_->stride();
+  m.probe_width = probe_key_.layout()->stride();
   m.has_hash_table = true;
   HashTableMetrics& ht = m.hash_table;
   ht.build_tuples = table_->num_entries();
@@ -394,7 +397,7 @@ void HashJoinProbe::Close(ThreadContext& ctx) {
 
 void HashJoinBuildScanSource::Prepare(ExecContext& exec) {
   (void)exec;
-  num_buffers_ = 256;  // matches ChainingHashTable's worker-buffer bound
+  num_buffers_ = kMaxWorkers;  // ChainingHashTable's worker-buffer bound
   cursor_.store(0, std::memory_order_relaxed);
 }
 

@@ -79,18 +79,6 @@ class HashJoin {
     probe_seen_.fetch_add(seen, std::memory_order_relaxed);
     probe_matched_.fetch_add(matched, std::memory_order_relaxed);
   }
-  JoinAudit Audit(int join_id) const {
-    JoinAudit audit;
-    audit.join_id = join_id;
-    audit.kind = kind_;
-    audit.strategy = JoinStrategy::kBHJ;
-    audit.build_tuples = table_->num_entries() + SpilledBuildTuples();
-    audit.probe_tuples = probe_seen_.load(std::memory_order_relaxed);
-    audit.probe_matched = probe_matched_.load(std::memory_order_relaxed);
-    audit.build_width = build_layout_->stride();
-    audit.probe_width = probe_key_.layout()->stride();
-    return audit;
-  }
   const KeySpec& build_key() const { return build_key_; }
   const KeySpec& probe_key() const { return probe_key_; }
   const JoinProjection& projection() const { return projection_; }

@@ -49,29 +49,6 @@ enum class JoinStrategy {
 
 const char* JoinStrategyName(JoinStrategy strategy);
 
-// Per-join measurement record collected during execution. This powers the
-// paper's per-join analyses: Figure 1 (build/probe bytes per TPC-H join),
-// Figure 2 (tuple-size and join-partner histograms), Figure 13 (annotated
-// join tree), and Table 5 (workload survey).
-struct JoinAudit {
-  int join_id = 0;  // post-order within the query (Figure 12 numbering)
-  JoinKind kind = JoinKind::kInner;
-  JoinStrategy strategy = JoinStrategy::kBHJ;
-  uint64_t build_tuples = 0;
-  uint64_t probe_tuples = 0;   // tuples entering the probe side (pre-filter)
-  uint64_t probe_matched = 0;  // probe tuples with at least one partner
-  uint32_t build_width = 0;    // materialized build row bytes
-  uint32_t probe_width = 0;    // probe row bytes
-
-  uint64_t build_bytes() const { return build_tuples * build_width; }
-  uint64_t probe_bytes() const { return probe_tuples * probe_width; }
-  double match_fraction() const {
-    return probe_tuples > 0
-               ? static_cast<double>(probe_matched) / probe_tuples
-               : 0.0;
-  }
-};
-
 }  // namespace pjoin
 
 #endif  // PJOIN_JOIN_JOIN_TYPES_H_

@@ -190,6 +190,8 @@ JoinMetrics RadixJoin::CollectMetrics() const {
       build_part_->total_tuples() + SpilledBuildTuples() + HeavyBuildTuples();
   m.probe_tuples = probe_seen_.load(std::memory_order_relaxed);
   m.probe_matched = probe_matched_.load(std::memory_order_relaxed);
+  m.build_width = build_layout_->stride();
+  m.probe_width = probe_layout_->stride();
   m.has_partitions = true;
   m.build_side = build_part_->Metrics();
   m.probe_side = probe_part_->Metrics();
@@ -419,9 +421,6 @@ void RadixJoin::FinishBuild(ExecContext& exec) {
     if (spill_->num_spilled() == 0) {
       spill_.reset();
     } else {
-      spill_->stats.partitions_total = static_cast<uint32_t>(fanout1);
-      spill_->stats.partitions_spilled =
-          static_cast<uint32_t>(spill_->num_spilled());
       for (int i = 0; i < spill_->num_spilled(); ++i) {
         const int p = spill_->spilled_at(i);
         SpillPartition& dst = spill_->build(p);

@@ -196,13 +196,6 @@ class RadixJoin {
   const RowLayout* build_layout() const { return build_layout_; }
   const RowLayout* probe_layout() const { return probe_layout_; }
 
-  // Peak auxiliary memory (partitions + temporaries), for the memory-budget
-  // observations of Section 5.3 (Q8/Q9/Q21 at SF 100).
-  uint64_t PartitionBytes() const {
-    if (!partitioned()) return 0;
-    return build_part_->OutputBytes() + probe_part_->OutputBytes();
-  }
-
   // Audit counters.
   void AddProbeSeen(uint64_t n) {
     probe_seen_.fetch_add(n, std::memory_order_relaxed);
@@ -236,20 +229,6 @@ class RadixJoin {
   // hash table's, when the join ran not partitioned; rows_out is the
   // executor's job (it owns the operator registry).
   JoinMetrics CollectMetrics() const;
-  JoinAudit Audit(int join_id) const {
-    if (!partitioned()) return hash_->Audit(join_id);
-    JoinAudit audit;
-    audit.join_id = join_id;
-    audit.kind = kind_;
-    audit.strategy = options_.strategy;
-    audit.build_tuples =
-        build_part_->total_tuples() + SpilledBuildTuples() + HeavyBuildTuples();
-    audit.probe_tuples = probe_seen_.load(std::memory_order_relaxed);
-    audit.probe_matched = probe_matched_.load(std::memory_order_relaxed);
-    audit.build_width = build_layout_->stride();
-    audit.probe_width = probe_layout_->stride();
-    return audit;
-  }
 
  private:
   // Exact heavy-hash detection over the staged build side (Misra-Gries

@@ -60,16 +60,16 @@ QueryServer::QueryServer(ServerOptions options)
     : max_concurrent_(options.max_concurrent > 0 ? options.max_concurrent
                                                  : MaxConcurrentQueries()),
       queue_capacity_(options.admit_queue > 0 ? options.admit_queue
-                                              : AdmitQueueCapacity()),
-      threads_per_query_(options.threads_per_query > 0
-                             ? options.threads_per_query
-                             : ServerThreadsPerQuery()) {
+                                              : AdmitQueueCapacity()) {
   PJOIN_CHECK(max_concurrent_ >= 1);
   PJOIN_CHECK(queue_capacity_ >= 1);
+  const int threads_per_query = options.threads_per_query > 0
+                                    ? options.threads_per_query
+                                    : ServerThreadsPerQuery();
   slot_pools_.reserve(max_concurrent_);
   dispatchers_.reserve(max_concurrent_);
   for (int slot = 0; slot < max_concurrent_; ++slot) {
-    slot_pools_.push_back(std::make_unique<ThreadPool>(threads_per_query_));
+    slot_pools_.push_back(std::make_unique<ThreadPool>(threads_per_query));
   }
   for (int slot = 0; slot < max_concurrent_; ++slot) {
     dispatchers_.emplace_back([this, slot] { DispatcherLoop(slot); });
@@ -187,10 +187,13 @@ void QueryServer::RunQuery(const QueryHandlePtr& handle, ThreadPool* pool) {
   handle->spill_pressure_events_ = pressure;
   handle->state_ = failed ? QueryState::kFailed : QueryState::kDone;
   if (!failed) {
-    stats.metrics.SetServer(handle->query_id_, handle->session_id_,
-                            QueryStateName(handle->state_),
-                            handle->granted_bytes_, pressure,
-                            handle->queue_seconds_);
+    stats.metrics.server = ServerMetrics{
+        .query_id = handle->query_id_,
+        .session_id = handle->session_id_,
+        .state = QueryStateName(handle->state_),
+        .granted_bytes = handle->granted_bytes_,
+        .spill_pressure = pressure,
+        .queue_seconds = handle->queue_seconds_};
     handle->result_ = std::move(result);
     handle->stats_ = std::move(stats);
   }

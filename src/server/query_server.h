@@ -162,7 +162,8 @@ class QueryServer {
 
   int max_concurrent() const { return max_concurrent_; }
   int queue_capacity() const { return queue_capacity_; }
-  int threads_per_query() const { return threads_per_query_; }
+  // Worker count of each slot's pool (clamped to kMaxWorkers).
+  int threads_per_query() const { return slot_pools_.front()->num_threads(); }
 
   uint64_t queries_submitted() const;
   uint64_t queries_rejected() const;
@@ -184,7 +185,6 @@ class QueryServer {
 
   int max_concurrent_;
   int queue_capacity_;
-  int threads_per_query_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_dispatch_;

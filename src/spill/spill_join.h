@@ -208,13 +208,12 @@ class SpillJoinState {
   bool barrier_open_ = false;
 };
 
-// Observability snapshot; a null state yields the default (not-spilled)
+// Observability snapshot; a null state yields the all-zero (not-spilled)
 // record, so join CollectMetrics can call this unconditionally.
 inline SpillMetrics SnapshotSpill(const SpillJoinState* state) {
   SpillMetrics m;
   if (state == nullptr) return m;
   const SpillStats& s = state->stats;
-  m.spilled = true;
   m.partitions_spilled = s.partitions_spilled;
   m.partitions_total = s.partitions_total;
   m.build_tuples_spilled =

@@ -16,7 +16,8 @@ namespace {
 // per-join strategy overrides (post-order across steps, Figure 12).
 // ---------------------------------------------------------------------------
 
-void AccumulateStats(QueryStats* total, const QueryStats& step) {
+void AccumulateStats(QueryStats* total, const QueryStats& step,
+                     int join_offset) {
   if (total == nullptr) return;
   total->seconds += step.seconds;
   total->source_tuples += step.source_tuples;
@@ -30,9 +31,16 @@ void AccumulateStats(QueryStats* total, const QueryStats& step) {
   total->partition_bytes += step.partition_bytes;
   // Scalars accumulate; the full observability snapshot keeps the final
   // (main) step, which carries the query's principal join tree and any
-  // rewrite-pass record. Intermediate subquery steps only contribute their
-  // renumbered audits below.
+  // rewrite-pass record. Its joins() collects every step's joins, renumbered
+  // into the query-global post-order sequence.
+  std::vector<JoinMetrics> joins;
+  if (join_offset > 0) joins = total->metrics.joins();
+  for (JoinMetrics j : step.metrics.joins()) {
+    j.join_id += join_offset;
+    joins.push_back(std::move(j));
+  }
   total->metrics = step.metrics;
+  total->metrics.SetJoins(std::move(joins));
 }
 
 class StepRunner {
@@ -57,13 +65,7 @@ class StepRunner {
     join_offset_ += num_joins;
     QueryStats step;
     QueryResult result = ExecuteQuery(plan, options, &step, pool_);
-    AccumulateStats(stats_, step);
-    if (stats_ != nullptr) {
-      for (JoinAudit audit : step.join_audits) {
-        audit.join_id += offset;  // renumber into the query-global sequence
-        stats_->join_audits.push_back(audit);
-      }
-    }
+    AccumulateStats(stats_, step, offset);
     return result;
   }
 

@@ -1,8 +1,11 @@
 #include "util/env.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <thread>
+
+#include "exec/thread_pool.h"
 
 namespace pjoin {
 
@@ -93,9 +96,10 @@ uint64_t MemoryBudgetBytes() { return GetEnvBytes("PJOIN_MEMORY_BUDGET", 0); }
 int DefaultThreads() {
   int hw = static_cast<int>(std::thread::hardware_concurrency());
   if (hw <= 0) hw = 1;
-  int threads = static_cast<int>(GetEnvInt64("PJOIN_THREADS", hw));
-  // A zero or negative thread count would deadlock the pool; clamp instead.
-  return threads < 1 ? 1 : threads;
+  const int64_t threads = GetEnvInt64("PJOIN_THREADS", hw);
+  // A zero or negative thread count would deadlock the pool, and more than
+  // kMaxWorkers would overrun worker-indexed buffers; clamp instead.
+  return static_cast<int>(std::clamp<int64_t>(threads, 1, kMaxWorkers));
 }
 
 int MaxConcurrentQueries() {

@@ -497,9 +497,9 @@ TEST(AdvisorGuardrail, FallsBackToBHJWhenBuildOverflowsEstimate) {
   EXPECT_TRUE(jm->has_hash_table);     // the BHJ actually ran
   EXPECT_FALSE(jm->has_partitions);    // the radix join never finalized
   EXPECT_EQ(jm->build_tuples, 20000u);
-  // Audits and accounting follow the engine that ran.
-  ASSERT_EQ(stats.join_audits.size(), 1u);
-  EXPECT_EQ(stats.join_audits[0].strategy, JoinStrategy::kBHJ);
+  // The join record and accounting follow the engine that ran.
+  ASSERT_EQ(stats.metrics.joins().size(), 1u);
+  EXPECT_EQ(stats.metrics.joins()[0].strategy, JoinStrategy::kBHJ);
   EXPECT_EQ(stats.partition_bytes, 0u);
 }
 
@@ -590,12 +590,16 @@ TEST(AdvisorOracle, TpchOverwhelminglyNonPartitioned) {
     SCOPED_TRACE(q.name);
     QueryStats stats;
     q.run(*db, options, &stats, &pool);
-    // Multi-step queries renumber audits into one post-order sequence; the
-    // audit's strategy is what actually ran (post-fallback).
-    ASSERT_EQ(static_cast<int>(stats.join_audits.size()), q.num_joins);
-    for (const JoinAudit& audit : stats.join_audits) {
+    // Multi-step queries renumber every step's joins into one post-order
+    // sequence; a join's strategy is what actually ran (post-fallback).
+    const std::vector<JoinMetrics>& joins = stats.metrics.joins();
+    ASSERT_EQ(static_cast<int>(joins.size()), q.num_joins);
+    for (int j = 0; j < q.num_joins; ++j) {
+      EXPECT_EQ(joins[j].join_id, j);
+      EXPECT_GT(joins[j].build_width, 0u);
+      EXPECT_GT(joins[j].probe_width, 0u);
       ++total;
-      if (audit.strategy == JoinStrategy::kBHJ) ++non_partitioned;
+      if (joins[j].strategy == JoinStrategy::kBHJ) ++non_partitioned;
     }
   }
   EXPECT_EQ(total, TotalTpchJoins());

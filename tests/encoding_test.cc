@@ -563,7 +563,7 @@ TEST(EncodingDifferential, ComposesWithMemoryBudget) {
 
   ASSERT_EQ(budgeted_stats.metrics.joins().size(), 1u);
   const SpillMetrics& sp = budgeted_stats.metrics.joins()[0].spill;
-  ASSERT_TRUE(sp.spilled) << "tiny budget must force a spill";
+  ASSERT_GT(sp.partitions_spilled, 0u) << "tiny budget must force a spill";
   EXPECT_TRUE(sp.compressed);
   EXPECT_GT(sp.physical_bytes_written, 0u);
   EXPECT_GT(sp.physical_bytes_read, 0u);
@@ -605,7 +605,8 @@ TEST(EncodingExec, ObservabilitySurfacesEncodedScans) {
     ScopedEnv env_off("PJOIN_ENCODING", "0");
     QueryStats off_stats;
     ExecuteQuery(*plan, opts, &off_stats);
-    EXPECT_EQ(off_stats.metrics.ToJson().find("\"encoding\""),
+    EXPECT_NE(off_stats.metrics.ToJson().find(
+                  "\"encoding\":{\"scans_encoded\":0,\"coded_join_pairs\":0"),
               std::string::npos);
   }
   EncodingCatalog::Global().Invalidate();

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "exec/thread_pool.h"
 #include "util/env.h"
 
 namespace pjoin {
@@ -95,6 +96,13 @@ TEST(EnvThreads, ClampsToAtLeastOne) {
     ScopedEnv env("PJOIN_THREADS", "3");
     EXPECT_EQ(DefaultThreads(), 3);
   }
+}
+
+TEST(EnvThreads, ClampsToMaxWorkers) {
+  // Worker-indexed buffers hold kMaxWorkers slots; a larger request must not
+  // produce a pool whose workers index past them.
+  ScopedEnv env("PJOIN_THREADS", "100000");
+  EXPECT_EQ(DefaultThreads(), kMaxWorkers);
 }
 
 TEST(ParseByteSize, PlainBytes) {

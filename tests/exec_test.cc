@@ -22,6 +22,19 @@ TEST(ThreadPool, RunsAllThreadIds) {
   }
 }
 
+TEST(ThreadPool, ClampsWorkerCount) {
+  EXPECT_EQ(ThreadPool(0).num_threads(), 1);
+  ThreadPool pool(kMaxWorkers + 1);
+  EXPECT_EQ(pool.num_threads(), kMaxWorkers);
+  std::atomic<int> max_tid{0};
+  pool.ParallelRun([&](int tid) {
+    int seen = max_tid.load();
+    while (tid > seen && !max_tid.compare_exchange_weak(seen, tid)) {
+    }
+  });
+  EXPECT_EQ(max_tid.load(), kMaxWorkers - 1);
+}
+
 TEST(ThreadPool, ReusableAcrossRuns) {
   ThreadPool pool(3);
   std::atomic<int> total{0};

@@ -406,7 +406,7 @@ TEST_P(SkewDifferentialTest, DefendedJoinSpillsUnderTinyBudget) {
                      &metrics);
   }
   ASSERT_EQ(actual, expected);
-  EXPECT_TRUE(metrics.spill.spilled);
+  EXPECT_GT(metrics.spill.partitions_spilled, 0u);
   EXPECT_TRUE(metrics.skew.enabled);
   EXPECT_GE(metrics.skew.heavy_hitters, 1u);
   EXPECT_GT(metrics.skew.bypass_build_tuples, 0u);

@@ -3,6 +3,7 @@
 // stable JSON export.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -10,10 +11,57 @@
 #include "engine/explain.h"
 #include "engine/plan.h"
 #include "exec/morsel.h"
+#include "spill/memory_governor.h"
 #include "util/rng.h"
 
 namespace pjoin {
 namespace {
+
+// Skips the JSON string starting at json[*pos] and returns its raw contents.
+std::string ReadJsonString(const std::string& json, size_t* pos) {
+  std::string s;
+  for (++*pos; json[*pos] != '"'; ++*pos) {
+    if (json[*pos] == '\\') s += json[(*pos)++];
+    s += json[*pos];
+  }
+  ++*pos;
+  return s;
+}
+
+// Collects the key paths of the JSON value at json[*pos], e.g.
+// "joins[].spill.bytes_written"; array elements fold into "[]". Covers what
+// QueryMetrics::ToJson emits: objects, arrays, strings, bare scalars.
+void CollectKeyPaths(const std::string& json, size_t* pos,
+                     const std::string& path, std::set<std::string>* out) {
+  const char c = json[*pos];
+  if (c == '{' || c == '[') {
+    const char close = c == '{' ? '}' : ']';
+    for (++*pos; json[*pos] != close;) {
+      if (json[*pos] == ',') ++*pos;
+      std::string child = path + "[]";
+      if (c == '{') {
+        const std::string key = ReadJsonString(json, pos);
+        ++*pos;  // ':'
+        child = path.empty() ? key : path + "." + key;
+        out->insert(child);
+      }
+      CollectKeyPaths(json, pos, child, out);
+    }
+    ++*pos;
+  } else if (c == '"') {
+    ReadJsonString(json, pos);
+  } else {
+    while (json[*pos] != ',' && json[*pos] != '}' && json[*pos] != ']') ++*pos;
+  }
+}
+
+std::set<std::string> JsonKeyPaths(const std::string& json) {
+  std::set<std::string> paths;
+  size_t pos = 0;
+  CollectKeyPaths(json, &pos, "", &paths);
+  EXPECT_EQ(pos, json.size()) << json;
+  return paths;
+}
 
 // Star-schema fixture: fact(f_k1, f_k2, f_v) joins dim1(d1_k) and
 // dim2(d2_k). Half of the fact foreign keys have partners on each
@@ -327,6 +375,75 @@ TEST_F(MetricsTest, ToJsonStableUnderAutoStrategy) {
   QueryStats m;
   ExecuteQuery(*plan, manual, &m);
   EXPECT_EQ(m.metrics.ToJson(false).find("\"advisor\""), std::string::npos);
+}
+
+TEST_F(MetricsTest, ToJsonSchemaIsFixed) {
+  // Every section is emitted whether or not its feature engaged, so a plain
+  // run and a run with encoding, the advisor, a budget and spilling all
+  // active share one set of key paths. Only the advisor record depends on
+  // the run: it exists for advised joins alone.
+  Table d("sd", Schema({{"sd_k", DataType::kInt64, 0}}));
+  Table f("sf", Schema({{"sf_k", DataType::kInt64, 0}}));
+  for (int64_t k = 0; k < 2; ++k) {
+    d.column(0).AppendInt64(k);
+    d.FinishRow();
+  }
+  for (int64_t k = 0; k < 4; ++k) {
+    f.column(0).AppendInt64(k);
+    f.FinishRow();
+  }
+  auto small = Aggregate(Join(ScanTable(&d), ScanTable(&f),
+                              {{"sd_k", "sf_k"}}),
+                         {}, {AggDef::CountStar("n")});
+  ExecOptions manual;
+  manual.join_strategy = JoinStrategy::kBHJ;
+  manual.num_threads = 1;
+  QueryStats plain;
+  ExecuteQuery(*small, manual, &plain);
+  ASSERT_EQ(plain.metrics.joins().size(), 1u);
+  EXPECT_FALSE(plain.metrics.joins()[0].advisor.present);
+  EXPECT_EQ(plain.metrics.joins()[0].spill.partitions_spilled, 0u);
+  EXPECT_EQ(plain.metrics.encoding().scans_encoded, 0u);
+
+  // A 4000-row build side cannot stay resident under 16 KiB.
+  Table big("sbig", Schema({{"sb_k", DataType::kInt64, 0},
+                            {"sb_v", DataType::kInt64, 0}}));
+  for (int64_t k = 0; k < 4000; ++k) {
+    big.column(0).AppendInt64(k);
+    big.column(1).AppendInt64(k % 7);
+    big.FinishRow();
+  }
+  auto large = Aggregate(Join(ScanTable(&big), ScanTable(&fact_),
+                              {{"sb_k", "f_k1"}}),
+                         {}, {AggDef::CountStar("n"), AggDef::Sum("sb_v", "s")});
+  ExecOptions advised = manual;
+  advised.join_strategy = JoinStrategy::kAuto;
+  QueryStats busy;
+  {
+    ScopedMemoryBudget budget(16 * 1024);
+    ExecuteQuery(*large, advised, &busy);
+  }
+  ASSERT_EQ(busy.metrics.joins().size(), 1u);
+  EXPECT_TRUE(busy.metrics.joins()[0].advisor.present);
+  EXPECT_GT(busy.metrics.joins()[0].spill.partitions_spilled, 0u);
+  EXPECT_GT(busy.metrics.encoding().scans_encoded, 0u);
+  EXPECT_GT(busy.metrics.governor.budget, 0u);
+
+  const std::set<std::string> plain_keys =
+      JsonKeyPaths(plain.metrics.ToJson(false));
+  const std::set<std::string> busy_keys =
+      JsonKeyPaths(busy.metrics.ToJson(false));
+  std::set<std::string> only_busy;
+  for (const std::string& key : busy_keys) {
+    if (!plain_keys.count(key)) only_busy.insert(key);
+  }
+  for (const std::string& key : plain_keys) {
+    EXPECT_TRUE(busy_keys.count(key)) << key << " missing from the busy run";
+  }
+  ASSERT_FALSE(only_busy.empty());
+  for (const std::string& key : only_busy) {
+    EXPECT_EQ(key.rfind("joins[].advisor", 0), 0u) << key;
+  }
 }
 
 TEST_F(MetricsTest, ToJsonStableAcrossRuns) {

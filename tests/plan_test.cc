@@ -81,7 +81,7 @@ TEST(Plan, MultiPredicateScanEstimatesCombine) {
   EXPECT_GE(rare->EstimateRows(), 1u);
 }
 
-TEST(Executor, JoinAuditsMeasureSides) {
+TEST(Executor, JoinMetricsMeasureSides) {
   Table dim = SmallTable("d", "d", 100);
   Table fact = SmallTable("f", "f", 50000);
   auto plan = Aggregate(
@@ -91,18 +91,20 @@ TEST(Executor, JoinAuditsMeasureSides) {
   options.join_strategy = JoinStrategy::kBRJ;
   QueryStats stats;
   ExecuteQuery(*plan, options, &stats);
-  ASSERT_EQ(stats.join_audits.size(), 1u);
-  const JoinAudit& audit = stats.join_audits[0];
-  EXPECT_EQ(audit.join_id, 0);
-  EXPECT_EQ(audit.strategy, JoinStrategy::kBRJ);
-  EXPECT_EQ(audit.build_tuples, 100u);
-  EXPECT_EQ(audit.probe_tuples, 50000u);
+  ASSERT_EQ(stats.metrics.joins().size(), 1u);
+  const JoinMetrics& join = stats.metrics.joins()[0];
+  EXPECT_EQ(join.join_id, 0);
+  EXPECT_EQ(join.strategy, JoinStrategy::kBRJ);
+  EXPECT_EQ(join.build_tuples, 100u);
+  EXPECT_EQ(join.probe_tuples, 50000u);
   // fact keys 0..49999 but dim holds only 0..99 — ~0.2% match.
-  EXPECT_NEAR(audit.match_fraction(), 0.002, 0.002);
-  EXPECT_EQ(audit.build_width, 8u);  // only d_key is required
+  EXPECT_NEAR(join.match_fraction(), 0.002, 0.002);
+  EXPECT_EQ(join.build_width, 8u);  // only d_key is required
+  EXPECT_EQ(join.build_bytes(), 100u * 8u);
+  EXPECT_EQ(join.probe_bytes(), 50000u * join.probe_width);
 }
 
-TEST(Executor, AuditsOrderedPostOrderAcrossSteps) {
+TEST(Executor, JoinsOrderedPostOrderAcrossSteps) {
   auto db = GenerateTpch(0.01);
   ThreadPool pool(1);
   const TpchQuery& q2 = GetTpchQuery(2);
@@ -110,9 +112,9 @@ TEST(Executor, AuditsOrderedPostOrderAcrossSteps) {
   options.num_threads = 1;
   QueryStats stats;
   q2.run(*db, options, &stats, &pool);
-  ASSERT_EQ(static_cast<int>(stats.join_audits.size()), q2.num_joins);
+  ASSERT_EQ(static_cast<int>(stats.metrics.joins().size()), q2.num_joins);
   for (int j = 0; j < q2.num_joins; ++j) {
-    EXPECT_EQ(stats.join_audits[j].join_id, j);
+    EXPECT_EQ(stats.metrics.joins()[j].join_id, j);
   }
 }
 

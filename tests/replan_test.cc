@@ -104,7 +104,8 @@ TEST(Replan, DisabledByDefaultKeepsLegacyGuardrail) {
   const JoinMetrics* jm = stats.metrics.FindJoin(0);
   ASSERT_NE(jm, nullptr);
   EXPECT_FALSE(jm->replan.enabled);
-  EXPECT_EQ(stats.metrics.ToJson(false).find("\"replan\""), std::string::npos);
+  EXPECT_NE(stats.metrics.ToJson(false).find("\"replan\":{\"enabled\":false"),
+            std::string::npos);
 }
 
 TEST(Replan, OverestimateSwitchesPartitionedPlanToBHJ) {

@@ -486,7 +486,7 @@ TEST_F(RewriteTest, ExplainRewriteOffHasNoRewriteArtifacts) {
   EXPECT_EQ(text.find("bloom("), std::string::npos) << text;
 }
 
-TEST_F(RewriteTest, MetricsJsonRewriteSectionGatedOnChange) {
+TEST_F(RewriteTest, MetricsJsonRewriteSectionRecordsChange) {
   auto plan = ChainPlan();
   ExecOptions on;
   on.num_threads = 2;
@@ -503,7 +503,7 @@ TEST_F(RewriteTest, MetricsJsonRewriteSectionGatedOnChange) {
   EXPECT_NE(json.find("\"bloom_dropped\":"), std::string::npos) << json;
   // Roughly half of mid's m_k values lie outside dim's key range, so the
   // planted filter must actually drop rows at the scan.
-  EXPECT_GT(stats_on.metrics.rewrite_bloom_dropped(), 0u);
+  EXPECT_GT(stats_on.metrics.rewrite.bloom_dropped, 0u);
 
   const std::string analyze = ExplainAnalyzePlan(*plan, on, stats_on);
   EXPECT_NE(analyze.find("rewrite: rules=bloom"), std::string::npos)
@@ -514,7 +514,8 @@ TEST_F(RewriteTest, MetricsJsonRewriteSectionGatedOnChange) {
   off.rewrite.enabled = 0;
   QueryStats stats_off;
   QueryResult r_off = ExecuteQuery(*plan, off, &stats_off);
-  EXPECT_EQ(stats_off.metrics.ToJson().find("\"rewrite\""),
+  EXPECT_NE(stats_off.metrics.ToJson().find(
+                "\"rewrite\":{\"rules\":\"\",\"order\":\"\""),
             std::string::npos);
   // And the planted filter never changes the answer.
   EXPECT_EQ(ResultRows(r_off), ResultRows(r_on));

@@ -267,7 +267,7 @@ TEST(Server, BudgetContentionTwoHybridJoinsBothComplete) {
     EXPECT_LE(h->granted_bytes(), 64u * 1024u);
     EXPECT_GT(h->granted_bytes(), 0u);
     for (const JoinMetrics& j : h->stats().metrics.joins()) {
-      spilled += j.spill.spilled ? 1 : 0;
+      spilled += j.spill.partitions_spilled > 0 ? 1 : 0;
     }
   }
   EXPECT_GE(spilled, 1u);
@@ -290,10 +290,10 @@ TEST(Server, MetricsJsonAndExplainCarryServerSection) {
   ASSERT_EQ(h->state(), QueryState::kDone);
 
   const QueryMetrics& qm = h->stats().metrics;
-  ASSERT_TRUE(qm.server_present());
-  EXPECT_EQ(qm.server_query_id(), h->query_id());
-  EXPECT_EQ(qm.server_session_id(), session.id());
-  EXPECT_EQ(qm.server_state(), "done");
+  ASSERT_TRUE(qm.server.has_value());
+  EXPECT_EQ(qm.server->query_id, h->query_id());
+  EXPECT_EQ(qm.server->session_id, session.id());
+  EXPECT_EQ(qm.server->state, "done");
 
   std::string json = qm.ToJson(/*include_timings=*/false);
   EXPECT_NE(json.find("\"server\":{\"query_id\":"), std::string::npos);
@@ -310,7 +310,7 @@ TEST(Server, MetricsJsonAndExplainCarryServerSection) {
   // A standalone run stays byte-free of the server section.
   QueryStats standalone;
   ExecuteQuery(*plan, eo, &standalone);
-  EXPECT_FALSE(standalone.metrics.server_present());
+  EXPECT_FALSE(standalone.metrics.server.has_value());
   EXPECT_EQ(standalone.metrics.ToJson(false).find("\"server\""),
             std::string::npos);
 }

@@ -194,7 +194,7 @@ TEST_P(SpillDifferentialTest, BudgetedRunsMatchUnconstrained) {
       RunResult unconstrained = RunJoin(strategy, kind, build, probe,
                                         cfg.build_cols, cfg.probe_cols,
                                         threads);
-      ASSERT_FALSE(unconstrained.spill.spilled)
+      ASSERT_EQ(unconstrained.spill.partitions_spilled, 0u)
           << "unbudgeted run must stay in memory";
       RunResult budgeted;
       {
@@ -202,8 +202,8 @@ TEST_P(SpillDifferentialTest, BudgetedRunsMatchUnconstrained) {
         budgeted = RunJoin(strategy, kind, build, probe, cfg.build_cols,
                            cfg.probe_cols, threads);
       }
-      ASSERT_TRUE(budgeted.spill.spilled) << "tiny budget must force a spill";
-      EXPECT_GT(budgeted.spill.partitions_spilled, 0u);
+      ASSERT_GT(budgeted.spill.partitions_spilled, 0u)
+          << "tiny budget must force a spill";
       EXPECT_GT(budgeted.spill.bytes_written, 0u);
       EXPECT_GT(budgeted.spill.bytes_read, 0u);
       EXPECT_GT(budgeted.spill.build_tuples_spilled, 0u);
@@ -230,7 +230,7 @@ TEST(SpillRecursion, SingleKeyPartitionTerminates) {
       ScopedMemoryBudget scoped(kTinyBudget);
       budgeted = RunJoin(strategy, JoinKind::kInner, build, probe, 2, 2, 2);
     }
-    ASSERT_TRUE(budgeted.spill.spilled);
+    ASSERT_GT(budgeted.spill.partitions_spilled, 0u);
     EXPECT_GE(budgeted.spill.max_recursion_depth, 1u);
     ASSERT_EQ(budgeted.rows, expected);
   }
