@@ -12,7 +12,7 @@
 #include "bench_util/harness.h"
 #include "bench_util/workloads.h"
 #include "engine/executor.h"
-#include "engine/sampler.h"
+#include "stats/stats_catalog.h"
 #include "tpch/gen.h"
 #include "tpch/queries.h"
 #include "util/env.h"
@@ -103,27 +103,28 @@ inline void DumpMetrics(const std::string& label, const QueryStats& stats) {
   }
 }
 
-// Emits the reservoir-sampled skew summary of one table column to the same
-// PJOIN_METRICS_JSON side-channel, so plotting scripts can correlate the
-// measured tail latencies with the estimated key distribution.
+// Emits the skew estimate the join advisor reads for one table column (its
+// statistics histogram's hottest-value share) to the same PJOIN_METRICS_JSON
+// side-channel, so plotting scripts can correlate the measured tail
+// latencies with the estimated key distribution.
 inline void DumpSkewEstimate(const std::string& label, const Table& table,
                              int key_col) {
   const char* path = std::getenv("PJOIN_METRICS_JSON");
   if (path == nullptr || path[0] == '\0') return;
-  const SkewEstimate est = SampleBuildColumn(table, key_col, SkewSampleSize());
-  if (!est.present) return;
+  const TableStats* ts = StatsCatalog::Global().Get(table);
+  if (ts == nullptr) return;
+  const ColumnStats& cs = ts->columns[key_col];
+  if (!cs.histogram.valid()) return;
   std::FILE* out = std::string(path) == "-" ? stdout : std::fopen(path, "a");
   if (out == nullptr) return;
   std::fprintf(out,
                "{\"label\":\"%s\",\"skew_estimate\":{\"table_rows\":%llu"
                ",\"sample_rows\":%llu,\"distinct_keys\":%llu"
-               ",\"top_share\":%.6f,\"topk_share\":%.6f"
-               ",\"key_payload_corr\":%.6f}}\n",
-               label.c_str(),
-               static_cast<unsigned long long>(est.table_rows),
-               static_cast<unsigned long long>(est.sample_rows),
-               static_cast<unsigned long long>(est.distinct_keys),
-               est.top_share, est.topk_share, est.key_payload_corr);
+               ",\"top_share\":%.6f}}\n",
+               label.c_str(), static_cast<unsigned long long>(ts->rows),
+               static_cast<unsigned long long>(cs.histogram.sample_rows()),
+               static_cast<unsigned long long>(cs.distinct),
+               cs.histogram.top_share());
   if (out == stdout) {
     std::fflush(stdout);
   } else {

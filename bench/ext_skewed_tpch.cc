@@ -22,7 +22,7 @@ int main() {
   auto skewed = GenerateTpch(sf, /*seed=*/19, /*fk_skew=*/skew);
   ThreadPool pool(threads);
 
-  // The sampled estimate of the Zipf'd foreign keys goes to the metrics
+  // The advisor's skew estimate of the Zipf'd foreign keys goes to the metrics
   // side-channel, so the JSON records what skew the queries actually faced.
   bench::DumpSkewEstimate("ext_skewed_tpch_o_custkey", skewed->orders,
                           skewed->orders.schema().Find("o_custkey"));

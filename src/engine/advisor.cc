@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
 #include <string>
 
 #include "engine/coded_keys.h"
 #include "spill/memory_governor.h"
+#include "stats/stats_catalog.h"
 #include "util/check.h"
 #include "util/cpu_info.h"
 #include "util/env.h"
@@ -96,12 +98,24 @@ struct WalkContext {
   std::map<std::string, uint32_t> width;  // column name -> byte width
   std::map<int, JoinDecision>* out = nullptr;
   int next_join_id = 0;
-  uint64_t skew_sample_size = 0;  // resolved: 0 disables sampling
-  double est_scale = 1.0;         // resolved fault-injection factor
+  double est_scale = 1.0;  // resolved fault-injection factor
 };
 
-// (The base-column trace the skew sampler uses lives in plan.cc now —
-// ResolveBaseColumn — shared with the statistics-backed join estimate.)
+// The skew estimate of `join`'s first build key: its base column's
+// hottest-value share from the statistics catalog. None for computed keys,
+// non-numeric columns, and with statistics off (PJOIN_STATS=0).
+std::optional<SkewEstimate> BuildKeySkew(const PlanNode& join) {
+  if (join.keys.empty()) return std::nullopt;
+  int col = -1;
+  const Table* table =
+      ResolveBaseColumn(*join.build, join.keys[0].first, &col);
+  if (table == nullptr) return std::nullopt;
+  const TableStats* ts = StatsCatalog::Global().Get(*table);
+  if (ts == nullptr) return std::nullopt;
+  const EqualHeightHistogram& h = ts->columns[col].histogram;
+  if (!h.valid()) return std::nullopt;
+  return SkewEstimate{h.sample_rows(), h.top_share()};
+}
 
 struct SubtreeInfo {
   uint64_t est_rows = 0;   // estimated output cardinality
@@ -220,22 +234,11 @@ SubtreeInfo Walk(const PlanNode& node, const std::set<std::string>& required,
             1, static_cast<uint64_t>(std::llround(
                    static_cast<double>(build.est_rows) * ctx.est_scale)));
       }
-      // Skew estimate: sample the build key's base column (fixed seed, so
-      // EXPLAIN and execute decide identically run after run).
-      SkewEstimate skew;
-      if (ctx.skew_sample_size > 0 && !node.keys.empty()) {
-        int key_col = -1;
-        const Table* table =
-            ResolveBaseColumn(*node.build, node.keys[0].first, &key_col);
-        if (table != nullptr) {
-          skew = SampleBuildColumn(*table, key_col, ctx.skew_sample_size);
-        }
-      }
+      const std::optional<SkewEstimate> skew = BuildKeySkew(node);
       JoinDecision d = JoinAdvisor::Decide(
           node.join_kind, est_build, build.base_rows, probe.est_rows,
           SumWidths(ctx, build_required), SumWidths(ctx, probe_required),
-          probe.joins, *ctx.options, skew.present ? &skew : nullptr);
-      d.skew_sample_rows = skew.present ? skew.sample_rows : 0;
+          probe.joins, *ctx.options, skew ? &*skew : nullptr);
       d.est_build_base_rows = build.base_rows;
       d.est_out_rows = EstimateJoinOutputRows(node, est_build, probe.est_rows);
       (*ctx.out)[join_id] = d;
@@ -257,9 +260,6 @@ std::map<int, JoinDecision> JoinAdvisor::AdvisePlan(
   WalkContext ctx;
   ctx.options = &options;
   ctx.out = &decisions;
-  ctx.skew_sample_size = options.skew_sample_size == UINT64_MAX
-                             ? SkewSampleSize()
-                             : options.skew_sample_size;
   ctx.est_scale = ResolvedEstimateScale(options);
   CollectWidths(root, &ctx.width);
   // Keys that execute as 4-byte dictionary codes (engine/coded_keys.h) are
@@ -403,12 +403,10 @@ JoinDecision JoinAdvisor::Decide(JoinKind kind, uint64_t est_build_rows,
   // construction of the fan-out. Any partitioned strategy that still wins is
   // armed with the runtime defense (heavy-hitter bypass + re-split).
   d.est_max_partition_share = EvenPartitionShare(est_build_rows, build_width, l2);
-  if (skew != nullptr && skew->present) {
+  if (skew != nullptr) {
     d.skew_sampled = true;
     d.skew_sample_rows = skew->sample_rows;
     d.est_top_share = skew->top_share;
-    d.est_topk_share = skew->topk_share;
-    d.est_key_payload_corr = skew->key_payload_corr;
     d.est_max_partition_share =
         std::max(d.est_max_partition_share, skew->top_share);
   }
@@ -497,19 +495,14 @@ JoinResolution JoinAdvisor::Resolve(JoinKind kind, const JoinDecision& plan,
     rp.qerror_probe = EstimateQError(plan.est_probe_rows, corrected_probe);
     if (std::max(rp.qerror_build, rp.qerror_probe) >= replan_qerror) {
       // Estimate wrong: re-cost with the observed build side and the
-      // corrected probe side. The skew sample survives from plan time (it
-      // sampled the base column, which did not change).
+      // corrected probe side. The skew estimate survives from plan time (it
+      // describes the base column, which did not change).
       rp.triggered = true;
-      SkewEstimate skew;
-      skew.present = plan.skew_sampled;
-      skew.sample_rows = plan.skew_sample_rows;
-      skew.top_share = plan.est_top_share;
-      skew.topk_share = plan.est_topk_share;
-      skew.key_payload_corr = plan.est_key_payload_corr;
+      const SkewEstimate skew{plan.skew_sample_rows, plan.est_top_share};
       const JoinDecision re = Decide(
           kind, staged_build, std::max(plan.est_build_base_rows, staged_build),
           corrected_probe, plan.build_width, plan.probe_width,
-          plan.probe_depth, options, skew.present ? &skew : nullptr);
+          plan.probe_depth, options, plan.skew_sampled ? &skew : nullptr);
       rp.recost_bhj = re.cost_bhj;
       rp.recost_rj = re.cost_rj;
       rp.recost_brj = re.cost_brj;

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "engine/plan.h"
-#include "engine/sampler.h"
 #include "exec/pipeline.h"
 #include "join/radix_join.h"
 
@@ -57,12 +56,6 @@ struct AdvisorOptions {
   // decision toward partitioning (the NOCAP observation).
   uint64_t memory_budget = 0;
 
-  // Build-side reservoir sample size for the skew estimate. The default
-  // sentinel reads PJOIN_SKEW_SAMPLE (1024 unless overridden); 0 disables
-  // the sampling pass and every skew cost term. Sampling uses a fixed seed,
-  // so repeated plans of the same query decide identically.
-  uint64_t skew_sample_size = UINT64_MAX;
-
   // Mid-query re-planning trigger. When the resolved value is > 0, every
   // advised join runs guarded and resolves at the probe sink's Prepare,
   // re-costing the strategy when the observed build/probe q-error meets the
@@ -76,6 +69,13 @@ struct AdvisorOptions {
   // advisor walk, compounding up the join chain. The default sentinel
   // (<= 0) reads PJOIN_EST_SCALE, which defaults to 1 (no corruption).
   double est_scale = 0.0;
+};
+
+// Skew estimate of a join's build key: the share of its base column's most
+// frequent value, read from that column's statistics histogram.
+struct SkewEstimate {
+  uint64_t sample_rows = 0;  // rows the histogram was built from
+  double top_share = 0.0;    // share of the hottest key in those rows
 };
 
 // One join's scored decision. Costs are modeled bytes of memory traffic.
@@ -94,12 +94,11 @@ struct JoinDecision {
   double cost_rj = 0;
   double cost_brj = 0;
   bool spill_expected = false;  // budgeted run: some strategy must spill
-  // Skew estimate (populated when a build-side sample informed the costs).
+  // Skew estimate (populated when the build key's histogram informed the
+  // costs).
   bool skew_sampled = false;
   uint64_t skew_sample_rows = 0;
-  double est_top_share = 0;        // sampled share of the hottest key
-  double est_topk_share = 0;       // sampled share of the top-16 keys
-  double est_key_payload_corr = 0; // |Pearson r| of (key, payload) sample
+  double est_top_share = 0;        // histogram share of the hottest key
   double est_max_partition_share = 0;  // max(hottest key, even 1/P spread)
   bool skew_overflow = false;  // share overflows one margin-scaled partition
   bool skew_defense = false;   // partitioned pick runs the runtime defense
@@ -125,9 +124,9 @@ class JoinAdvisor {
   // The cost model proper, exposed for decision-surface tests.
   // `build_base_rows` is the unfiltered cardinality of the build subtree's
   // base table; est_build / base bounds the Bloom filter's pass rate under
-  // the FK-containment assumption. `skew`, when present, is a build-side
-  // sample summary that penalizes the partitioned strategies for the share
-  // their hottest partition would absorb.
+  // the FK-containment assumption. `skew`, when non-null, is the build key's
+  // hottest-value share; it penalizes the partitioned strategies for the
+  // share their hottest partition would absorb.
   static JoinDecision Decide(JoinKind kind, uint64_t est_build_rows,
                              uint64_t build_base_rows,
                              uint64_t est_probe_rows, uint32_t build_width,

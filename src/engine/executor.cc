@@ -128,7 +128,6 @@ void AttachAdvisorMetrics(JoinMetrics& m, const JoinDecision& d,
   m.advisor.skew_sampled = d.skew_sampled;
   m.advisor.est_top_share = d.est_top_share;
   m.advisor.est_max_partition_share = d.est_max_partition_share;
-  m.advisor.est_key_payload_corr = d.est_key_payload_corr;
   m.advisor.skew_defense = d.skew_defense;
   m.advisor.fell_back = r.overflow_demoted;
   m.replan = r.replan;
@@ -445,7 +444,7 @@ Lowerer::Stream Lowerer::LowerJoin(const PlanNode& node,
   radix_options.bits2 = options_.radix_bits2;
   radix_options.use_swwcb = options_.use_swwcb;
   radix_options.use_streaming = options_.use_streaming;
-  // A sampled-skew overflow arms the runtime defense on the partitioned
+  // An estimated skew overflow arms the runtime defense on the partitioned
   // pick: heavy-hitter bypass plus per-partition re-split.
   radix_options.skew_defense = adv.skew_defense;
 
@@ -744,6 +743,9 @@ std::set<std::string> ComputeLateColumns(const PlanNode& root) {
 
 QueryResult ExecuteQuery(const PlanNode& root, const ExecOptions& options,
                          QueryStats* stats, ThreadPool* pool) {
+  // Every catalog lookup of this query, from the rewrite to the scans'
+  // set-up, validates against one fingerprint per table.
+  FingerprintScope fingerprints;
   std::unique_ptr<ThreadPool> owned;
   if (pool == nullptr) {
     owned = std::make_unique<ThreadPool>(

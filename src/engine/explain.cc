@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "engine/advisor.h"
+#include "storage/table.h"
 
 namespace pjoin {
 
@@ -114,9 +115,7 @@ void RenderAdvisorLine(const JoinDecision& d, int depth, bool fell_back,
     for (int i = 0; i < depth + 1; ++i) *out << "  ";
     *out << "skew: sample=" << d.skew_sample_rows
          << " top_share=" << Fixed(d.est_top_share, 3)
-         << " topk_share=" << Fixed(d.est_topk_share, 3)
          << " max_part_share=" << Fixed(d.est_max_partition_share, 3)
-         << " corr=" << Fixed(d.est_key_payload_corr, 3)
          << " defense=" << (d.skew_defense ? "on" : "off") << "\n";
   }
 }
@@ -358,6 +357,7 @@ void Render(const PlanNode& node, int depth, RenderState* st) {
 // tree, annotated with `metrics` when non-null.
 std::string RenderPlan(const PlanNode& root, const ExecOptions& options,
                        const QueryMetrics* metrics) {
+  FingerprintScope fingerprints;
   RewriteResult rewrite = RewritePlan(root, options.rewrite);
   const PlanNode& plan = rewrite.plan != nullptr ? *rewrite.plan : root;
   RenderState st{options, metrics};

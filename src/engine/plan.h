@@ -101,7 +101,7 @@ struct PlanNode {
 // Traces output column `name` of the subtree at `node` back to the base
 // table column it was scanned from; sets *col and returns the table, or
 // returns null for computed columns and names that never reach a scan.
-// Shared by the advisor's skew sampler and the statistics-backed join
+// Shared by the advisor's skew estimate and the statistics-backed join
 // cardinality estimate.
 const Table* ResolveBaseColumn(const PlanNode& node, const std::string& name,
                                int* col);

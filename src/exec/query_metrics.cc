@@ -293,8 +293,6 @@ std::string QueryMetrics::ToJson(bool include_timings) const {
       AppendDouble(out, a.est_top_share);
       out << ",\"est_max_partition_share\":";
       AppendDouble(out, a.est_max_partition_share);
-      out << ",\"est_key_payload_corr\":";
-      AppendDouble(out, a.est_key_payload_corr);
       out << ",\"skew_defense\":" << Bool(a.skew_defense);
       // Estimate quality: symmetric q-errors of the cardinality estimates
       // against the observed counts.

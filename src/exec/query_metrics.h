@@ -219,12 +219,10 @@ struct AdvisorMetrics {
   double cost_brj = 0;
   bool fell_back = false;  // runtime guardrail demoted a radix pick to BHJ
   const char* reason = "";  // static string from the advisor
-  // Skew estimate from the build-side sample (zero when the sampling pass
-  // was disabled).
+  // Skew estimate from the build key's histogram (zero without statistics).
   bool skew_sampled = false;
   double est_top_share = 0;
   double est_max_partition_share = 0;
-  double est_key_payload_corr = 0;
   bool skew_defense = false;  // partitioned pick armed the runtime defense
 };
 

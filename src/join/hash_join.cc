@@ -61,9 +61,14 @@ HashJoin::HashJoin(JoinKind kind, const RowLayout* build_layout,
       table_(std::make_unique<ChainingHashTable>(build_layout->stride(),
                                                  TracksBuildMatches(kind))) {
   if (kind == JoinKind::kRightOuter) {
+    // A projection with no column (a bare count(*) above the join) still
+    // needs the pair count; the buffers then only count rows (RowBuffer
+    // requires stride >= 1), and PushRows replays them at stride 0.
+    const uint32_t out_stride =
+        std::max<uint32_t>(1, projection_.output->stride());
     pair_buffers_.reserve(kMaxWorkers);
     for (int i = 0; i < kMaxWorkers; ++i) {
-      pair_buffers_.emplace_back(projection_.output->stride());
+      pair_buffers_.emplace_back(out_stride);
     }
   }
 }

@@ -65,7 +65,7 @@ class RadixJoin {
     int bits2 = -1;
     bool use_swwcb = true;
     bool use_streaming = true;
-    // --- Skew defense (armed by the advisor on a sampled-skew overflow, or
+    // --- Skew defense (armed by the advisor on an estimated skew overflow, or
     // explicitly by tests/benches; off by default so manual RJ/BRJ runs keep
     // their exact pre-defense behavior).
     bool skew_defense = false;

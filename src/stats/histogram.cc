@@ -61,11 +61,13 @@ EqualHeightHistogram EqualHeightHistogram::Build(const Column& col,
   // one bucket and a heavy value becomes a singleton bucket.
   Bucket cur;
   uint64_t cur_rows = 0;
+  uint64_t top_run = 0;
   size_t i = 0;
   while (i < sample.size()) {
     size_t j = i;
     while (j < sample.size() && sample[j] == sample[i]) ++j;
     const uint64_t run = j - i;
+    top_run = std::max(top_run, run);
     if (cur_rows == 0) cur.lo = sample[i];
     cur.hi = sample[i];
     cur.distinct += 1;
@@ -83,6 +85,8 @@ EqualHeightHistogram EqualHeightHistogram::Build(const Column& col,
     h.buckets_.push_back(cur);
   }
 
+  h.sample_rows_ = sample.size();
+  h.top_share_ = static_cast<double>(top_run) / sample.size();
   h.min_ = h.buckets_.front().lo;
   h.max_ = h.buckets_.back().hi;
   for (const Bucket& b : h.buckets_) h.total_rows_ += b.rows;

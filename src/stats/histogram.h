@@ -7,7 +7,9 @@
 // get singleton buckets automatically (the Hyrise chunk-statistics histograms
 // snap boundaries the same way), which is what makes equality estimates on
 // Zipf-distributed keys accurate: the hot key's bucket stores its exact
-// sampled count instead of averaging it with cold neighbours.
+// sampled count instead of averaging it with cold neighbours. The same walk
+// keeps the longest run, the hottest value's share of the sample, which is
+// the join advisor's skew estimate.
 #ifndef PJOIN_STATS_HISTOGRAM_H_
 #define PJOIN_STATS_HISTOGRAM_H_
 
@@ -39,6 +41,14 @@ class EqualHeightHistogram {
   bool integral() const { return integral_; }
   const std::vector<Bucket>& buckets() const { return buckets_; }
 
+  // Rows the histogram was built from: the full column up to 65,536 rows,
+  // a fixed-stride sample of about that many beyond it (NaNs left out).
+  uint64_t sample_rows() const { return sample_rows_; }
+
+  // Share of the sample held by its most frequent value, in (0, 1]: exact
+  // up to the sampling cap, a strided estimate beyond it.
+  double top_share() const { return top_share_; }
+
   // Estimated fraction of rows with value == v, in [0, 1]. Within a bucket
   // the rows are assumed evenly spread over its distinct values; a singleton
   // bucket answers exactly (up to sampling).
@@ -60,6 +70,8 @@ class EqualHeightHistogram {
   double min_ = 0;
   double max_ = 0;
   double total_rows_ = 0;
+  uint64_t sample_rows_ = 0;
+  double top_share_ = 0;
   bool integral_ = true;
 };
 

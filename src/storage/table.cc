@@ -35,7 +35,13 @@ uint64_t Table::TotalBytes() const {
   return total;
 }
 
-uint64_t TableFingerprint(const Table& table) {
+namespace {
+
+// The memo of the outermost FingerprintScope open on this thread, if any.
+thread_local std::vector<std::pair<const Table*, uint64_t>>* tls_memo =
+    nullptr;
+
+uint64_t HashTableContent(const Table& table) {
   uint64_t fp = HashInt64(table.num_rows() * 31 +
                           static_cast<uint64_t>(table.schema().num_columns()));
   for (int c = 0; c < table.schema().num_columns(); ++c) {
@@ -48,6 +54,26 @@ uint64_t TableFingerprint(const Table& table) {
     }
   }
   return fp;
+}
+
+}  // namespace
+
+uint64_t TableFingerprint(const Table& table) {
+  if (tls_memo == nullptr) return HashTableContent(table);
+  for (const auto& [t, fp] : *tls_memo) {
+    if (t == &table) return fp;
+  }
+  const uint64_t fp = HashTableContent(table);
+  tls_memo->emplace_back(&table, fp);
+  return fp;
+}
+
+FingerprintScope::FingerprintScope() : owner_(tls_memo == nullptr) {
+  if (owner_) tls_memo = &memo_;
+}
+
+FingerprintScope::~FingerprintScope() {
+  if (owner_) tls_memo = nullptr;
 }
 
 }  // namespace pjoin

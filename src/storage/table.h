@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "storage/column.h"
@@ -46,8 +47,27 @@ class Table {
 // Cheap content fingerprint (row count, schema width, a prefix/suffix slice
 // of every column). Catalogs keyed by Table address use it to detect both
 // address reuse (tests stack-allocate tables) and in-place appends, forcing
-// re-collection when the content changes mid-session.
+// re-collection when the content changes between queries. Inside a
+// FingerprintScope on the calling thread each table is hashed once.
 uint64_t TableFingerprint(const Table& table);
+
+// While alive, memoizes TableFingerprint per Table* on the constructing
+// thread. A query opens one at its entry point: no table changes while a
+// query runs, so its many catalog lookups (rewrite, estimates, advisor,
+// coded keys, scans) validate against one hash per table. Between queries
+// the memo is gone, so the next query catches appends and reused addresses.
+// Nested scopes share the outermost memo; other threads are unaffected.
+class FingerprintScope {
+ public:
+  FingerprintScope();
+  ~FingerprintScope();
+  FingerprintScope(const FingerprintScope&) = delete;
+  FingerprintScope& operator=(const FingerprintScope&) = delete;
+
+ private:
+  std::vector<std::pair<const Table*, uint64_t>> memo_;
+  bool owner_;
+};
 
 }  // namespace pjoin
 

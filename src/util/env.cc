@@ -129,11 +129,6 @@ int BenchRepetitions() {
   return static_cast<int>(GetEnvInt64("PJOIN_REPS", 3));
 }
 
-uint64_t SkewSampleSize() {
-  int64_t v = GetEnvInt64("PJOIN_SKEW_SAMPLE", 1024);
-  return v < 0 ? 0 : static_cast<uint64_t>(v);
-}
-
 bool StatsEnabled() { return GetEnvInt64("PJOIN_STATS", 1) != 0; }
 
 int StatsBuckets() {

@@ -64,11 +64,6 @@ double BenchScaleFactor();
 // Median-of-N repetitions for throughput measurements (PJOIN_REPS, default 3).
 int BenchRepetitions();
 
-// Build-side reservoir sample size for the advisor's skew estimate
-// (PJOIN_SKEW_SAMPLE, default 1024). 0 disables the sampling pass and every
-// skew-aware cost term.
-uint64_t SkewSampleSize();
-
 // Requested SIMD dispatch tier (PJOIN_SIMD=scalar|avx2|avx512), or `def` when
 // the variable is unset or not a valid tier name — strict, like
 // PJOIN_MEMORY_BUDGET, so a typo never silently changes the dispatch.

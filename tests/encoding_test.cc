@@ -25,34 +25,6 @@
 namespace pjoin {
 namespace {
 
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = getenv(name);
-    if (old != nullptr) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      setenv(name, value, 1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  bool had_old_ = false;
-  std::string old_;
-};
-
 std::string MakeKey(int64_t id) {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "k%05lld", static_cast<long long>(id));

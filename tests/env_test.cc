@@ -7,39 +7,11 @@
 #include <string>
 
 #include "exec/thread_pool.h"
+#include "tests/test_util.h"
 #include "util/env.h"
 
 namespace pjoin {
 namespace {
-
-// RAII environment variable override.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      setenv(name, value, 1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 constexpr const char* kVar = "PJOIN_ENV_TEST_VAR";
 

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "engine/executor.h"
+#include "engine/plan.h"
 #include "exec/pipeline.h"
 #include "exec/thread_pool.h"
 #include "join/hash_join.h"
@@ -246,6 +248,50 @@ TEST_P(JoinDifferentialTest, AllStrategiesMatchReference) {
       ASSERT_EQ(actual, expected);
     }
     ++idx;
+  }
+}
+
+Table ToTable(const std::string& prefix, const IntRows& rows, int cols) {
+  std::vector<ColumnDef> defs;
+  for (int c = 0; c < cols; ++c) {
+    defs.push_back({prefix + std::to_string(c), DataType::kInt64, 0});
+  }
+  Table table(prefix, Schema(std::move(defs)));
+  for (const auto& row : rows) {
+    for (int c = 0; c < cols; ++c) table.column(c).AppendInt64(row[c]);
+    table.FinishRow();
+  }
+  return table;
+}
+
+// A bare count(*) over the join projects no column, so every pair and
+// build-only row travels at stride 0; the right-outer BHJ's pair buffers
+// must still count the matches.
+TEST_P(JoinDifferentialTest, CountStarWithoutOutputColumnsMatchesReference) {
+  const JoinKind kind = GetParam();
+  const DataConfig& cfg = kConfigs[0];
+  const uint64_t seed = 9000 + static_cast<uint64_t>(kind) * 131;
+  const IntRows build = MakeBuild(cfg, seed);
+  const IntRows probe = MakeProbe(cfg, seed + 1);
+  const auto expected = static_cast<int64_t>(
+      ReferenceJoin(build, probe, 0, kind, cfg.build_cols, cfg.probe_cols)
+          .size());
+  Table b = ToTable("b", build, cfg.build_cols);
+  Table p = ToTable("p", probe, cfg.probe_cols);
+  auto plan = Aggregate(
+      Join(ScanTable(&b), ScanTable(&p), {{"b0", "p0"}}, kind,
+           kind == JoinKind::kMark ? "mark" : ""),
+      {}, {AggDef::CountStar("n")});
+  for (JoinStrategy strategy :
+       {JoinStrategy::kBHJ, JoinStrategy::kRJ, JoinStrategy::kBRJ}) {
+    SCOPED_TRACE(JoinStrategyName(strategy));
+    ExecOptions options;
+    options.join_strategy = strategy;
+    options.num_threads = 2;
+    options.rewrite.enabled = 0;  // keep `b` on the build side
+    QueryResult result = ExecuteQuery(*plan, options);
+    ASSERT_EQ(result.num_rows(), 1u);
+    EXPECT_EQ(std::get<int64_t>(result.rows[0][0]), expected);
   }
 }
 

@@ -1,4 +1,4 @@
-// Tests for the advisor's skew defense: the sampled-skew cost terms must
+// Tests for the advisor's skew defense: the histogram-estimated skew terms must
 // keep kAuto off the plain (undefended) radix path whenever the estimated
 // hottest partition overflows the margin-scaled L2 target, and the decision
 // must surface in EXPLAIN / EXPLAIN ANALYZE and the metrics JSON.
@@ -14,8 +14,8 @@
 #include "engine/executor.h"
 #include "engine/explain.h"
 #include "engine/plan.h"
-#include "engine/sampler.h"
 #include "storage/table.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace pjoin {
@@ -28,17 +28,8 @@ AdvisorOptions PinnedCaches() {
   return opt;
 }
 
-SkewEstimate EstimateWithTopShare(double top_share, uint64_t sample_rows = 1024) {
-  SkewEstimate est;
-  est.present = true;
-  est.table_rows = sample_rows * 100;
-  est.sample_rows = sample_rows;
-  est.distinct_keys = 100;
-  est.top_share = top_share;
-  est.topk_share = std::min(1.0, top_share * 1.5);
-  est.key_payload_corr = 0.5;
-  est.top.push_back(SkewHeavyKey{1, top_share});
-  return est;
+SkewEstimate EstimateWithTopShare(double top_share) {
+  return SkewEstimate{/*sample_rows=*/65536, top_share};
 }
 
 // The ISSUE's property: across the whole decision surface, a sampled
@@ -119,7 +110,7 @@ TEST(SkewAdvisor, SkewPenaltyGrowsWithShare) {
   EXPECT_GT(heavy.cost_brj, mild.cost_brj);
 }
 
-// ---- End to end: a skewed build sampled by AdvisePlan ---------------------
+// ---- End to end: a skewed build estimated by AdvisePlan ------------------
 
 Table MakeSkewedBuild(uint64_t rows, double heavy_fraction) {
   Table t("skb", Schema({{"b0", DataType::kInt64, 0},
@@ -206,15 +197,16 @@ TEST(SkewAdvisor, SkewedBuildArmsDefenseEndToEnd) {
   EXPECT_NE(json.find("\"skew\":{\"heavy_hitters\":"), std::string::npos);
 }
 
-TEST(SkewAdvisor, DisablingSamplerRestoresPlainDecision) {
+// Without statistics there is no histogram, hence no skew estimate: the
+// advisor decides as if keys were uniform and arms no defense.
+TEST(SkewAdvisor, StatsOffRestoresPlainDecision) {
   Table build = MakeSkewedBuild(20000, 0.5);
   Table probe = MakeUniformProbe(40000, 20000);
   auto plan = CountPlan(&build, &probe);
 
-  ExecOptions off = ForcedPartitionAutoOptions();
-  off.advisor.skew_sample_size = 0;
+  ScopedEnv stats_off("PJOIN_STATS", "0");
   QueryStats stats;
-  ExecuteQuery(*plan, off, &stats);
+  ExecuteQuery(*plan, ForcedPartitionAutoOptions(), &stats);
   const JoinMetrics* jm = stats.metrics.FindJoin(0);
   ASSERT_NE(jm, nullptr);
   ASSERT_TRUE(jm->advisor.present);
@@ -234,12 +226,12 @@ TEST(SkewAdvisor, ExplainShowsSkewDecisionFields) {
   auto plan = CountPlan(&build, &probe);
   ExecOptions options = ForcedPartitionAutoOptions();
 
-  // Plain EXPLAIN: the sampled estimate renders under the advisor line.
+  // Plain EXPLAIN: the histogram estimate renders under the advisor line;
+  // the 20,000-row build key is below the sampling cap, so every row counts.
   const std::string text = ExplainPlan(*plan, options);
-  EXPECT_NE(text.find("skew: sample=1024"), std::string::npos) << text;
+  EXPECT_NE(text.find("skew: sample=20000"), std::string::npos) << text;
   EXPECT_NE(text.find("top_share="), std::string::npos) << text;
   EXPECT_NE(text.find("max_part_share="), std::string::npos) << text;
-  EXPECT_NE(text.find("corr="), std::string::npos) << text;
   EXPECT_NE(text.find("defense=on"), std::string::npos) << text;
   EXPECT_EQ(text.find("fell back"), std::string::npos) << text;
 
@@ -247,14 +239,14 @@ TEST(SkewAdvisor, ExplainShowsSkewDecisionFields) {
   QueryStats stats;
   ExecuteQuery(*plan, options, &stats);
   const std::string analyzed = ExplainAnalyzePlan(*plan, options, stats);
-  EXPECT_NE(analyzed.find("skew: sample=1024"), std::string::npos) << analyzed;
+  EXPECT_NE(analyzed.find("skew: sample=20000"), std::string::npos) << analyzed;
   EXPECT_NE(analyzed.find("defense=on"), std::string::npos) << analyzed;
   EXPECT_NE(analyzed.find("skew_defense: heavy="), std::string::npos)
       << analyzed;
   EXPECT_NE(analyzed.find("bypass_build="), std::string::npos) << analyzed;
   EXPECT_EQ(analyzed.find("fell back"), std::string::npos) << analyzed;
 
-  // Identical runs render identically (fixed sampling seed).
+  // Identical runs render identically (deterministic statistics).
   EXPECT_EQ(text, ExplainPlan(*plan, options));
 }
 

@@ -27,6 +27,7 @@
 #include "stats/histogram.h"
 #include "stats/stats_catalog.h"
 #include "storage/table.h"
+#include "tests/test_util.h"
 #include "tpch/gen.h"
 #include "util/env.h"
 #include "util/rng.h"
@@ -34,34 +35,6 @@
 
 namespace pjoin {
 namespace {
-
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = getenv(name);
-    if (old != nullptr) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      setenv(name, value, 1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 Table IntTable(const std::string& name, const std::string& col,
                const std::vector<int64_t>& values) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,6 +23,37 @@
 #include "util/check.h"
 
 namespace pjoin {
+
+// RAII environment variable override; a null value unsets the variable.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    if (old != nullptr) {
+      had_old_ = true;
+      old_ = old;
+    }
+    if (value != nullptr) {
+      setenv(name, value, 1);
+    } else {
+      unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (had_old_) {
+      setenv(name_.c_str(), old_.c_str(), 1);
+    } else {
+      unsetenv(name_.c_str());
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  std::string name_;
+  bool had_old_ = false;
+  std::string old_;
+};
 
 // Rows of int64 columns, used as plain relations in tests.
 using IntRows = std::vector<std::vector<int64_t>>;
