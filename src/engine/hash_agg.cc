@@ -1,8 +1,11 @@
 #include "engine/hash_agg.h"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <bit>
 #include <cstring>
+#include <functional>
 #include <numeric>
 #include <string_view>
 #include <utility>
@@ -18,6 +21,17 @@ namespace {
 // A fresh directory holds this many slots, so the first growth happens
 // when the 1025th group arrives (load factor 1/2).
 constexpr size_t kInitialSlots = 2048;
+
+// Finish aims at this many groups per partition, so a partition's directory
+// and words stay cache resident while it merges, and caps the partitions
+// at 2^kMaxPartitionBits.
+constexpr size_t kPartitionGroups = 8192;
+constexpr int kMaxPartitionBits = 8;
+
+// Finish sorts and boxes this many key ranges per worker, cut at splitter
+// keys chosen from kSamplesPerRange sampled keys per range and table.
+constexpr uint32_t kRangesPerWorker = 4;
+constexpr size_t kSamplesPerRange = 8;
 
 // Group index of every row of a scalar aggregate's batch.
 constexpr uint32_t kScalarGroups[kBatchCapacity] = {};
@@ -71,6 +85,70 @@ std::string_view TrimmedChars(const std::byte* bytes, size_t width) {
   const char* chars = reinterpret_cast<const char*>(bytes);
   while (width > 0 && chars[width - 1] == ' ') --width;
   return {chars, width};
+}
+
+// log2 of Finish's partition count for `groups` worker groups on
+// `threads` workers: 0 below the parallel threshold or on one worker, else
+// about kPartitionGroups groups per partition and at least four partitions
+// per worker.
+int PartitionBits(size_t groups, int threads) {
+  if (threads <= 1 || groups < HashAggOp::kParallelFinishGroups) return 0;
+  const size_t target = std::max(groups / kPartitionGroups,
+                                 size_t{4} * static_cast<size_t>(threads));
+  return std::min(static_cast<int>(std::bit_width(target - 1)),
+                  kMaxPartitionBits);
+}
+
+// Orders items [0, n) stably by bucket_of(i) < buckets: calls place(pos, i)
+// with every item's position and returns the buckets' bounds (buckets + 1
+// offsets).
+template <typename BucketOf, typename Place>
+std::vector<uint32_t> CountingSort(uint32_t n, uint32_t buckets,
+                                   BucketOf bucket_of, Place place) {
+  std::vector<uint32_t> bounds(buckets + 1, 0);
+  for (uint32_t i = 0; i < n; ++i) ++bounds[bucket_of(i) + 1];
+  std::partial_sum(bounds.begin(), bounds.end(), bounds.begin());
+  std::vector<uint32_t> cursor(bounds.begin(), bounds.end() - 1);
+  for (uint32_t i = 0; i < n; ++i) place(cursor[bucket_of(i)]++, i);
+  return bounds;
+}
+
+// Sorts `v` by its entries' `prefix`: a stable LSD radix sort over the bytes,
+// skipping every byte all prefixes share.
+template <typename Entry>
+void RadixSortByPrefix(std::vector<Entry>& v) {
+  std::vector<std::array<uint32_t, 256>> counts(8);
+  for (const Entry& e : v) {
+    for (int b = 0; b < 8; ++b) ++counts[b][(e.prefix >> (8 * b)) & 0xff];
+  }
+  std::vector<Entry> tmp(v.size());
+  for (int b = 0; b < 8; ++b) {
+    std::array<uint32_t, 256>& next = counts[b];
+    if (v.empty() || next[(v[0].prefix >> (8 * b)) & 0xff] == v.size()) {
+      continue;
+    }
+    std::exclusive_scan(next.begin(), next.end(), next.begin(), 0u);
+    for (const Entry& e : v) tmp[next[(e.prefix >> (8 * b)) & 0xff]++] = e;
+    v.swap(tmp);
+  }
+}
+
+// Runs task(i) for every i in [0, tasks): on the pool's workers, which
+// claim tasks from an atomic counter, or inline when `parallel` is false.
+void RunTasks(ThreadPool* pool, bool parallel, size_t tasks,
+              const std::function<void(size_t)>& task) {
+  if (!parallel) {
+    for (size_t i = 0; i < tasks; ++i) task(i);
+    return;
+  }
+  std::atomic<size_t> next{0};
+  pool->ParallelRun([&](int) {
+    for (;;) {
+      const size_t i = next.fetch_add(1);
+      if (i >= tasks) return;
+      task(i);
+    }
+  });
 }
 
 }  // namespace
@@ -260,15 +338,27 @@ void HashAggOp::Consume(Batch& batch, ThreadContext& ctx) {
   Fold(t, batch, groups);
 }
 
-void HashAggOp::MergeTable(GroupTable& into, const GroupTable& from) const {
+void HashAggOp::MergeGroups(GroupTable& into, const GroupTable& from,
+                            const uint32_t* groups, uint32_t n) const {
   // One directory resize at most per merged table; when the tables share
   // most groups this over-sizes by at most 2x.
-  if (key_words_ > 0) Reserve(into, static_cast<size_t>(into.size) + from.size);
+  if (key_words_ > 0) Reserve(into, static_cast<size_t>(into.size) + n);
   const size_t mask = into.slots.size() - 1;
-  for (uint32_t g = 0; g < from.size; ++g) {
-    if (key_words_ > 0 && g + kPrefetchDistance < from.size) {
-      PrefetchForRead(&into.slots[from.hashes[g + kPrefetchDistance] & mask]);
+  auto group_at = [&](uint32_t i) { return groups != nullptr ? groups[i] : i; };
+  for (uint32_t i = 0; i < n; ++i) {
+    // A partition's groups sit scattered over the worker table: fetch their
+    // words two distances ahead, their directory slot one distance ahead.
+    if (groups != nullptr && i + 2 * kPrefetchDistance < n) {
+      const uint32_t ahead = groups[i + 2 * kPrefetchDistance];
+      PrefetchForRead(&from.hashes[ahead]);
+      PrefetchForRead(GroupWords(from.keys, ahead, key_words_));
+      PrefetchForRead(GroupWords(from.accums, ahead, acc_words_));
     }
+    if (key_words_ > 0 && i + kPrefetchDistance < n) {
+      PrefetchForRead(
+          &into.slots[from.hashes[group_at(i + kPrefetchDistance)] & mask]);
+    }
+    const uint32_t g = group_at(i);
     const uint64_t* key = GroupWords(from.keys, g, key_words_);
     const uint64_t* src = GroupWords(from.accums, g, acc_words_);
     bool inserted = into.size == 0;
@@ -425,54 +515,172 @@ std::vector<Value> HashAggOp::BoxRow(const GroupTable& t,
   return row;
 }
 
+bool HashAggOp::Before(const std::vector<GroupTable>& parts,
+                       const SortEntry& a, const SortEntry& b) const {
+  // The prefix orders like the first key field and settles almost every
+  // comparison; ties fall back to the full typed key, then to the boxed
+  // rows, then to the key bytes.
+  if (a.prefix != b.prefix) return a.prefix < b.prefix;
+  const uint64_t* ka = GroupWords(parts[a.part].keys, a.group, key_words_);
+  const uint64_t* kb = GroupWords(parts[b.part].keys, b.group, key_words_);
+  const int c = CompareKeys(ka, kb);
+  if (c != 0) return c < 0;
+  const std::vector<Value> ra = BoxRow(parts[a.part], a.group);
+  const std::vector<Value> rb = BoxRow(parts[b.part], b.group);
+  if (ra < rb) return true;
+  if (rb < ra) return false;
+  return std::lexicographical_compare(ka, ka + key_words_, kb, kb + key_words_);
+}
+
 void HashAggOp::Finish(ExecContext& exec) {
-  (void)exec;
-  GroupTable merged = std::move(tables_[0]);
-  for (size_t w = 1; w < tables_.size(); ++w) {
-    MergeTable(merged, tables_[w]);
-    tables_[w] = GroupTable{};
+  const size_t workers = tables_.size();
+  size_t total_groups = 0;
+  for (const GroupTable& t : tables_) total_groups += t.size;
+  const int bits = PartitionBits(total_groups, exec.num_threads());
+  const uint32_t num_parts = uint32_t{1} << bits;
+  const uint32_t num_ranges =
+      bits > 0 ? kRangesPerWorker * static_cast<uint32_t>(exec.num_threads())
+               : 1;
+  auto run = [&](size_t tasks, const std::function<void(size_t)>& task) {
+    RunTasks(exec.pool(), bits > 0, tasks, task);
+  };
+
+  // 1. Partition: every worker's group indices, bucketed stably by the top
+  // `bits` bits of their hash. members[w][bounds[w][p]..bounds[w][p+1]) are
+  // worker w's groups of partition p, in group order.
+  std::vector<std::vector<uint32_t>> members(workers);
+  std::vector<std::vector<uint32_t>> bounds(workers);
+  if (bits > 0) {
+    run(workers, [&](size_t w) {
+      const GroupTable& t = tables_[w];
+      members[w].resize(t.size);
+      bounds[w] = CountingSort(
+          t.size, num_parts,
+          [&](uint32_t g) { return t.hashes[g] >> (64 - bits); },
+          [&](uint32_t pos, uint32_t g) { members[w][pos] = g; });
+    });
   }
-  tables_.clear();
-  // The directory and hashes only serve lookups; drop them before boxing.
-  merged.slots = {};
-  merged.hashes = {};
 
-  // A scalar aggregate over empty input still yields one row of zero counts.
-  if (merged.size == 0 && key_words_ == 0) AppendGroup(merged, 0, nullptr);
-
-  // Sort (prefix, group) pairs. The prefix orders like the first key field
-  // and settles almost every comparison; ties fall back to the full typed
-  // key, then to the boxed rows.
-  struct SortEntry {
+  // Key ranges for the sort: num_ranges - 1 splitter keys, quantiles of keys
+  // sampled evenly from every worker table. Range r holds the groups from
+  // splitter r-1 (inclusive) to splitter r in key order, so equal keys share
+  // a range and the sorted ranges concatenate to the result order.
+  struct KeyRef {
     uint64_t prefix;
-    uint32_t group;
+    const uint64_t* key;
   };
-  const uint64_t* keys = merged.keys.data();
-  auto key_of = [&](uint32_t g) {
-    return keys + static_cast<size_t>(g) * key_words_;
+  auto key_less = [&](const KeyRef& a, const KeyRef& b) {
+    if (a.prefix != b.prefix) return a.prefix < b.prefix;
+    return CompareKeys(a.key, b.key) < 0;
   };
-  std::vector<SortEntry> order(merged.size);
-  for (uint32_t g = 0; g < merged.size; ++g) {
-    order[g] = {key_words_ > 0 ? SortPrefix(key_of(g)) : 0, g};
-  }
-  if (key_words_ > 0) {
-    std::sort(order.begin(), order.end(),
-              [&](const SortEntry& a, const SortEntry& b) {
-                if (a.prefix != b.prefix) return a.prefix < b.prefix;
-                const int c = CompareKeys(key_of(a.group), key_of(b.group));
-                if (c != 0) return c < 0;
-                return BoxRow(merged, a.group) < BoxRow(merged, b.group);
-              });
+  std::vector<KeyRef> splitters;
+  if (num_ranges > 1) {
+    const size_t samples = kSamplesPerRange * num_ranges;
+    std::vector<KeyRef> sample;
+    for (const GroupTable& t : tables_) {
+      for (size_t i = 0; i < samples && t.size > 0; ++i) {
+        const uint64_t* key = GroupWords(t.keys, i * t.size / samples,
+                                         key_words_);
+        sample.push_back({SortPrefix(key), key});
+      }
+    }
+    std::sort(sample.begin(), sample.end(), key_less);
+    for (size_t r = 1; r < num_ranges; ++r) {
+      splitters.push_back(sample[r * sample.size() / num_ranges]);
+    }
   }
 
+  // 2. Merge each partition, then list its groups by key range. Worker
+  // order makes a group's partials combine exactly as a serial merge of the
+  // tables would. One partition takes over worker 0's table whole and merges
+  // the rest into it. runs[p][range_bounds[p][r]..range_bounds[p][r+1]) are
+  // partition p's groups of range r.
+  std::vector<GroupTable> parts(num_parts);
+  std::vector<std::vector<SortEntry>> runs(num_parts);
+  std::vector<std::vector<uint32_t>> range_bounds(num_parts);
+  run(num_parts, [&](size_t p) {
+    GroupTable& into = parts[p];
+    if (bits == 0) {
+      into = std::move(tables_[0]);
+      for (size_t w = 1; w < workers; ++w) {
+        MergeGroups(into, tables_[w], nullptr, tables_[w].size);
+      }
+    } else {
+      size_t upper = 0;
+      for (size_t w = 0; w < workers; ++w) {
+        upper += bounds[w][p + 1] - bounds[w][p];
+      }
+      Reserve(into, upper);
+      into.keys.reserve(upper * key_words_);
+      into.accums.reserve(upper * acc_words_);
+      for (size_t w = 0; w < workers; ++w) {
+        MergeGroups(into, tables_[w], members[w].data() + bounds[w][p],
+                    bounds[w][p + 1] - bounds[w][p]);
+      }
+    }
+    // The directory and hashes only serve lookups; drop them before boxing.
+    into.slots = {};
+    into.hashes = {};
+    // A scalar aggregate over empty input still yields one row of zero
+    // counts.
+    if (into.size == 0 && key_words_ == 0) AppendGroup(into, 0, nullptr);
+
+    std::vector<SortEntry> entries(into.size);
+    std::vector<uint32_t> range_of(into.size);
+    for (uint32_t g = 0; g < into.size; ++g) {
+      const uint64_t* key = GroupWords(into.keys, g, key_words_);
+      const uint64_t prefix = key_words_ > 0 ? SortPrefix(key) : 0;
+      entries[g] = {prefix, static_cast<uint32_t>(p), g};
+      range_of[g] = static_cast<uint32_t>(
+          std::upper_bound(splitters.begin(), splitters.end(),
+                           KeyRef{prefix, key}, key_less) -
+          splitters.begin());
+    }
+    runs[p].resize(into.size);
+    range_bounds[p] = CountingSort(
+        into.size, num_ranges, [&](uint32_t g) { return range_of[g]; },
+        [&](uint32_t pos, uint32_t g) { runs[p][pos] = entries[g]; });
+  });
+  tables_.clear();
+  members.clear();
+
+  // 3. Sort and box each key range into its place in the result.
+  std::vector<size_t> range_start(num_ranges + 1, 0);
+  for (uint32_t r = 0; r < num_ranges; ++r) {
+    range_start[r + 1] = range_start[r];
+    for (uint32_t p = 0; p < num_parts; ++p) {
+      range_start[r + 1] += range_bounds[p][r + 1] - range_bounds[p][r];
+    }
+  }
   result_.column_names.clear();
   for (const auto& g : group_by_) result_.column_names.push_back(g);
   for (const auto& a : aggs_) result_.column_names.push_back(a.name);
   result_.rows.clear();
-  result_.rows.reserve(order.size());
-  for (const SortEntry& e : order) {
-    result_.rows.push_back(BoxRow(merged, e.group));
-  }
+  result_.rows.resize(range_start[num_ranges]);
+  run(num_ranges, [&](size_t r) {
+    std::vector<SortEntry> order;
+    order.reserve(range_start[r + 1] - range_start[r]);
+    for (uint32_t p = 0; p < num_parts; ++p) {
+      order.insert(order.end(), runs[p].begin() + range_bounds[p][r],
+                   runs[p].begin() + range_bounds[p][r + 1]);
+    }
+    // The prefix settles almost every comparison: radix sort by it, then
+    // order each run of equal prefixes by the full comparison.
+    RadixSortByPrefix(order);
+    for (size_t i = 0, j; i < order.size(); i = j) {
+      for (j = i + 1; j < order.size() && order[j].prefix == order[i].prefix;
+           ++j) {
+      }
+      std::sort(order.begin() + i, order.begin() + j,
+                [&](const SortEntry& a, const SortEntry& b) {
+                  return Before(parts, a, b);
+                });
+    }
+    size_t row = range_start[r];
+    for (const SortEntry& e : order) {
+      result_.rows[row++] = BoxRow(parts[e.part], e.group);
+    }
+  });
   if (metrics_ != nullptr) {
     metrics_->AddOut(0, result_.rows.size(), result_.rows.empty() ? 0 : 1);
   }

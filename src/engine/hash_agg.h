@@ -1,7 +1,8 @@
 // Hash aggregation: the terminal pipeline breaker of every query.
 //
 // Every worker aggregates into its own flat, fixed-width group table; Finish
-// merges the tables, sorts the groups by key and boxes the result once.
+// merges the tables, sorts the groups by key and boxes the result once, in
+// parallel on the query's pool.
 //
 //   * Keys. The group fields (CHAR included) are packed back to back into
 //     `key_words_` 64-bit words, zero padded. A batch is hashed at once
@@ -16,12 +17,29 @@
 //     a heap allocation.
 //   * Scalar aggregates (no group keys: count(*)/sum(...) over every
 //     microbenchmark join) have a single group and skip hashing entirely.
-//   * Finish merges the worker tables in worker order, freeing each, sorts
-//     the group indices with a typed key comparison (integers as integers,
-//     floats with `<`, CHAR as std::string orders its trimmed bytes), and
-//     boxes the rows already in order. Key ties — distinct bytes that
-//     compare equal, like +0.0 and -0.0 — fall back to the boxed rows, so
-//     the order is the canonical std::sort order of vector<Value>.
+//   * Finish runs three parallel regions; workers claim tasks from an
+//     atomic counter. (1) Partition: every worker table's group indices are
+//     split into F partitions by the top bits of the stored group hash (a
+//     counting sort per table, no rehash). (2) Merge: each task merges one
+//     partition's groups from all worker tables in worker order, so a
+//     floating-point sum adds its worker partials in the order a serial
+//     merge of the tables would, and lists the merged groups by key range.
+//     The ranges are cut at splitter keys sampled from the worker tables
+//     before the merge, so equal keys share a range. (3) Sort and box: each
+//     task sorts one key range and boxes its rows straight into their
+//     places in the result.
+//   * F comes from the summed worker group count: about kPartitionGroups
+//     groups per partition, at least four partitions per worker. Below
+//     kParallelFinishGroups, or with one worker, F = 1 and the same code
+//     runs on the calling thread with no parallel region.
+//   * Order. A radix sort on an order-preserving 64-bit prefix of the first
+//     key field settles almost every comparison; equal prefixes sort by the
+//     typed key (integers as integers, floats with `<`, CHAR as std::string
+//     orders its trimmed bytes). Key ties — distinct bytes that compare
+//     equal, like +0.0 and -0.0 — fall back to the boxed rows, so the order
+//     is the canonical std::sort order of vector<Value>; rows that tie as
+//     well order by their key bytes, so the order never depends on the
+//     worker count.
 #ifndef PJOIN_ENGINE_HASH_AGG_H_
 #define PJOIN_ENGINE_HASH_AGG_H_
 
@@ -76,6 +94,10 @@ class HashAggOp : public Operator {
            " aggs:" + std::to_string(aggs_.size());
   }
 
+  // Below this many groups, summed over the worker tables, Finish runs as
+  // one partition on the calling thread.
+  static constexpr size_t kParallelFinishGroups = 4096;
+
   // Valid after Finish; rows canonically sorted.
   const QueryResult& result() const { return result_; }
   // Moves the result out (after Finish); result() is empty afterwards.
@@ -123,9 +145,21 @@ class HashAggOp : public Operator {
   void PackKey(const std::byte* row, uint64_t* key) const;
   void InitFromRow(GroupTable& t, uint32_t group, const std::byte* row) const;
   void Fold(GroupTable& t, const Batch& batch, const uint32_t* groups) const;
-  void MergeTable(GroupTable& into, const GroupTable& from) const;
+  // Merges groups `groups[0..n)` of `from` (all of them, in order, when
+  // `groups` is null) into `into`.
+  void MergeGroups(GroupTable& into, const GroupTable& from,
+                   const uint32_t* groups, uint32_t n) const;
   int CompareKeys(const uint64_t* a, const uint64_t* b) const;
   uint64_t SortPrefix(const uint64_t* key) const;
+  // One group of one partition, keyed for the sort.
+  struct SortEntry {
+    uint64_t prefix;  // SortPrefix of the group's key
+    uint32_t part;
+    uint32_t group;
+  };
+  // The result order over the groups of `parts`: a strict total order.
+  bool Before(const std::vector<GroupTable>& parts, const SortEntry& a,
+              const SortEntry& b) const;
   std::vector<Value> BoxRow(const GroupTable& t, uint32_t group) const;
 
   const RowLayout* in_layout_;

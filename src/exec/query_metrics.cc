@@ -108,6 +108,19 @@ void QueryMetrics::SetJoins(std::vector<JoinMetrics> joins) {
                    });
 }
 
+void QueryMetrics::FollowStep(const QueryMetrics& earlier, int join_offset) {
+  const int shift = static_cast<int>(earlier.pipelines_.size());
+  for (OperatorMetrics& op : operators_) {
+    if (op.pipeline_index_ >= 0) op.pipeline_index_ += shift;
+  }
+  for (JoinMetrics& j : joins_) j.join_id += join_offset;
+  pipelines_.insert(pipelines_.begin(), earlier.pipelines_.begin(),
+                    earlier.pipelines_.end());
+  operators_.insert(operators_.begin(), earlier.operators_.begin(),
+                    earlier.operators_.end());
+  joins_.insert(joins_.begin(), earlier.joins_.begin(), earlier.joins_.end());
+}
+
 const JoinMetrics* QueryMetrics::FindJoin(int join_id) const {
   for (const JoinMetrics& j : joins_) {
     if (j.join_id == join_id) return &j;

@@ -94,6 +94,8 @@ class OperatorMetrics {
   std::string detail_;
   int pipeline_index_;
   std::vector<OperatorSlot> slots_;
+
+  friend class QueryMetrics;  // FollowStep renumbers pipeline_index_
 };
 
 // Per-pipeline record. Worker-indexed vectors are sized at registration;
@@ -375,6 +377,11 @@ class QueryMetrics {
   void AddScan(ScanMetrics scan) { scans_.push_back(std::move(scan)); }
   // Replaces the join records; they are kept sorted by join_id.
   void SetJoins(std::vector<JoinMetrics> joins);
+  // Makes this record the continuation of `earlier`, the record of the
+  // query's previous steps: their pipelines, operators and joins go first,
+  // and this run's operator pipeline indices and join ids shift past them
+  // (join ids by `join_offset`, the joins the earlier steps ran).
+  void FollowStep(const QueryMetrics& earlier, int join_offset);
 
   // Query-level summary filled by the executor after the run.
   void SetSummary(double seconds, uint64_t source_tuples, uint64_t result_rows,

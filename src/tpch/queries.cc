@@ -17,7 +17,7 @@ namespace {
 // ---------------------------------------------------------------------------
 
 void AccumulateStats(QueryStats* total, const QueryStats& step,
-                     int join_offset) {
+                     bool first_step, int join_offset) {
   if (total == nullptr) return;
   total->seconds += step.seconds;
   total->source_tuples += step.source_tuples;
@@ -29,18 +29,14 @@ void AccumulateStats(QueryStats* total, const QueryStats& step,
   total->bytes.Merge(step.bytes);
   total->bloom_dropped += step.bloom_dropped;
   total->partition_bytes += step.partition_bytes;
-  // Scalars accumulate; the full observability snapshot keeps the final
-  // (main) step, which carries the query's principal join tree and any
-  // rewrite-pass record. Its joins() collects every step's joins, renumbered
-  // into the query-global post-order sequence.
-  std::vector<JoinMetrics> joins;
-  if (join_offset > 0) joins = total->metrics.joins();
-  for (JoinMetrics j : step.metrics.joins()) {
-    j.join_id += join_offset;
-    joins.push_back(std::move(j));
-  }
+  // Scalars accumulate; the observability snapshot keeps the final (main)
+  // step's query-level sections, which carry the query's principal join
+  // tree and any rewrite-pass record. Its pipelines, operators and joins
+  // collect every step's, in step order, renumbered query-global (joins in
+  // the post-order sequence).
+  QueryMetrics earlier = std::move(total->metrics);
   total->metrics = step.metrics;
-  total->metrics.SetJoins(std::move(joins));
+  if (!first_step) total->metrics.FollowStep(earlier, join_offset);
 }
 
 class StepRunner {
@@ -65,7 +61,7 @@ class StepRunner {
     join_offset_ += num_joins;
     QueryStats step;
     QueryResult result = ExecuteQuery(plan, options, &step, pool_);
-    AccumulateStats(stats_, step, offset);
+    AccumulateStats(stats_, step, steps_run_++ == 0, offset);
     return result;
   }
 
@@ -74,6 +70,7 @@ class StepRunner {
   QueryStats* stats_;
   ThreadPool* pool_;
   int join_offset_ = 0;
+  int steps_run_ = 0;
 };
 
 // Materializes a query result into a temporary base table.
@@ -81,6 +78,7 @@ Table MaterializeResult(const QueryResult& result, const std::string& name,
                         std::vector<ColumnDef> columns) {
   PJOIN_CHECK(columns.size() <= result.column_names.size());
   Table table(name, Schema(columns));
+  table.Reserve(result.rows.size());
   for (const auto& row : result.rows) {
     for (size_t c = 0; c < columns.size(); ++c) {
       switch (columns[c].type) {

@@ -4,13 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <limits>
 #include <map>
 
 #include "engine/executor.h"
 #include "engine/plan.h"
+#include "exec/morsel.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace pjoin {
@@ -345,6 +349,34 @@ QueryResult OracleAggregate(const std::vector<AggRow>& rows, int64_t min_vi,
   return out;
 }
 
+// The table of `rows`, one column per AggRow field.
+Table AggTable(const std::vector<AggRow>& rows) {
+  Table t("agg", Schema({{"k64", DataType::kInt64, 0},
+                         {"k32", DataType::kInt32, 0},
+                         {"kd", DataType::kDate, 0},
+                         {"kf", DataType::kFloat64, 0},
+                         {"ks", DataType::kChar, 5},
+                         {"kc", DataType::kChar, 24},
+                         {"vi", DataType::kInt64, 0},
+                         {"vn", DataType::kInt32, 0},
+                         {"vf", DataType::kFloat64, 0},
+                         {"vg", DataType::kFloat64, 0}}));
+  for (const AggRow& r : rows) {
+    t.column(0).AppendInt64(r.k64);
+    t.column(1).AppendInt32(r.k32);
+    t.column(2).AppendInt32(r.kd);
+    t.column(3).AppendFloat64(r.kf);
+    t.column(4).AppendString(r.ks);
+    t.column(5).AppendString(r.kc);
+    t.column(6).AppendInt64(r.vi);
+    t.column(7).AppendInt32(r.vn);
+    t.column(8).AppendFloat64(r.vf);
+    t.column(9).AppendFloat64(r.vg);
+    t.FinishRow();
+  }
+  return t;
+}
+
 TEST(HashAggDifferential, MatchesRowAtATimeOracle) {
   const std::vector<std::vector<std::string>> key_sets = {
       {"k64"}, {"k32"}, {"kd"}, {"kf"}, {"ks"},
@@ -364,29 +396,7 @@ TEST(HashAggDifferential, MatchesRowAtATimeOracle) {
                                       : rng.Below(groups);
       rows.push_back(MakeAggRow(g, std::max<uint64_t>(groups, 1), rng));
     }
-    Table t("agg", Schema({{"k64", DataType::kInt64, 0},
-                           {"k32", DataType::kInt32, 0},
-                           {"kd", DataType::kDate, 0},
-                           {"kf", DataType::kFloat64, 0},
-                           {"ks", DataType::kChar, 5},
-                           {"kc", DataType::kChar, 24},
-                           {"vi", DataType::kInt64, 0},
-                           {"vn", DataType::kInt32, 0},
-                           {"vf", DataType::kFloat64, 0},
-                           {"vg", DataType::kFloat64, 0}}));
-    for (const AggRow& r : rows) {
-      t.column(0).AppendInt64(r.k64);
-      t.column(1).AppendInt32(r.k32);
-      t.column(2).AppendInt32(r.kd);
-      t.column(3).AppendFloat64(r.kf);
-      t.column(4).AppendString(r.ks);
-      t.column(5).AppendString(r.kc);
-      t.column(6).AppendInt64(r.vi);
-      t.column(7).AppendInt32(r.vn);
-      t.column(8).AppendFloat64(r.vf);
-      t.column(9).AppendFloat64(r.vg);
-      t.FinishRow();
-    }
+    Table t = AggTable(rows);
     // With zero groups the filter drops every row.
     const int64_t min_vi = groups == 0 ? kViRange : -kViRange - 1;
     for (const auto& key : key_sets) {
@@ -420,6 +430,209 @@ TEST(HashAggDifferential, MatchesRowAtATimeOracle) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The parallel Finish: worker tables split into hash partitions, merged,
+// sorted by key range and boxed across the pool. Every worker count must
+// give the 1-worker result exactly: same rows, same order, doubles bit for
+// bit.
+// ---------------------------------------------------------------------------
+
+// Fails unless `got` and `want` match row for row, doubles bit for bit
+// (ApproxEquals lets NaN match anything and -0.0 match +0.0).
+void ExpectIdentical(const QueryResult& got, const QueryResult& want) {
+  ASSERT_EQ(got.column_names, want.column_names);
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  for (size_t r = 0; r < got.rows.size(); ++r) {
+    ASSERT_EQ(got.rows[r].size(), want.rows[r].size());
+    for (size_t c = 0; c < got.rows[r].size(); ++c) {
+      const Value& a = got.rows[r][c];
+      const Value& b = want.rows[r][c];
+      const bool same =
+          a.index() == b.index() &&
+          (std::holds_alternative<double>(a)
+               ? std::bit_cast<uint64_t>(std::get<double>(a)) ==
+                     std::bit_cast<uint64_t>(std::get<double>(b))
+               : a == b);
+      ASSERT_TRUE(same) << "row " << r << " column " << c << ": got "
+                        << ValueToString(a) << ", want " << ValueToString(b);
+    }
+  }
+}
+
+// Aggregates that stay exact in any addition order over AggRow values.
+std::vector<AggDef> FinishAggs() {
+  return {AggDef::Sum("vi", "sum_i"), AggDef::Sum("vf", "sum_f"),
+          AggDef::CountStar("star"),  AggDef::Min("vi", "min_i"),
+          AggDef::Max("vf", "max_f"), AggDef::Min("vg", "min_g"),
+          AggDef::Max("vg", "max_g"), AggDef::Avg("vf", "avg_f")};
+}
+
+// Runs `aggs` grouped by `key` over `t` on 1, 2, 3, 4 and 8 workers and
+// returns the 1-worker result; every other run must be identical to it.
+QueryResult RunOnEveryWorkerCount(const Table& t,
+                                  const std::vector<std::string>& key,
+                                  const std::vector<AggDef>& aggs) {
+  QueryResult one;
+  for (int threads : {1, 2, 3, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExecOptions options;
+    options.num_threads = threads;
+    QueryResult got = ExecuteQuery(*Aggregate(ScanTable(&t), key, aggs),
+                                   options);
+    if (threads == 1) {
+      one = std::move(got);
+    } else {
+      ExpectIdentical(got, one);
+    }
+  }
+  return one;
+}
+
+// `n` rows over `groups` groups. Clustered rows visit the groups in order,
+// a run of rows each, so a worker's morsels see few of its peers' groups and
+// the summed worker group count stays near `groups`. Scattered rows visit
+// every group once, then random ones, so every worker holds partials of
+// most groups.
+std::vector<AggRow> FinishRows(uint64_t groups, uint64_t n, bool clustered) {
+  Rng rng(groups + n);
+  std::vector<AggRow> rows;
+  rows.reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    const uint64_t g = clustered   ? i * groups / n
+                       : i < groups ? i
+                                    : rng.Below(groups);
+    rows.push_back(MakeAggRow(g, groups, rng));
+  }
+  return rows;
+}
+
+TEST(HashAggParallelFinish, MatchesOneWorkerAndOracleAroundTheThreshold) {
+  // Four morsels of clustered rows: one partition just below the threshold,
+  // partitions just above it.
+  constexpr uint64_t kRows = 4 * kDefaultMorselSize;
+  for (uint64_t groups : {HashAggOp::kParallelFinishGroups - 64,
+                          HashAggOp::kParallelFinishGroups + 64}) {
+    SCOPED_TRACE("groups=" + std::to_string(groups));
+    const std::vector<AggRow> rows = FinishRows(groups, kRows, true);
+    const Table t = AggTable(rows);
+    for (const std::vector<std::string>& key :
+         {std::vector<std::string>{"k64"},
+          std::vector<std::string>{"kc", "k64", "kf"}}) {
+      SCOPED_TRACE("key=" + key[0]);
+      const QueryResult one = RunOnEveryWorkerCount(t, key, FinishAggs());
+      ASSERT_EQ(one.num_rows(), groups);
+      ExpectIdentical(one, OracleAggregate(rows, -kViRange - 1, key,
+                                           FinishAggs()));
+    }
+  }
+}
+
+TEST(HashAggParallelFinish, MatchesOneWorkerAndOracleAt150kGroups) {
+  // The shape of the full-lineitem group-bys of Q18 and Q21.
+  constexpr uint64_t kGroups = 150000;
+  const std::vector<AggRow> rows = FinishRows(kGroups, 2 * kGroups, false);
+  const Table t = AggTable(rows);
+  const QueryResult one = RunOnEveryWorkerCount(t, {"k64"}, FinishAggs());
+  ASSERT_EQ(one.num_rows(), kGroups);
+  ExpectIdentical(one,
+                  OracleAggregate(rows, -kViRange - 1, {"k64"}, FinishAggs()));
+}
+
+TEST(HashAggParallelFinish, CharKeysSharingTheirSortPrefix) {
+  // Every key starts with the same 8 bytes, so the sort prefix ties for all
+  // groups and the order rests on the full key comparison.
+  constexpr uint64_t kGroups = 20000;
+  std::vector<AggRow> rows = FinishRows(kGroups, 3 * kGroups, false);
+  for (AggRow& r : rows) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "Customer#%09lld",
+                  static_cast<long long>(r.k64));
+    r.kc = name;
+  }
+  const Table t = AggTable(rows);
+  const QueryResult one = RunOnEveryWorkerCount(t, {"kc"}, FinishAggs());
+  ASSERT_EQ(one.num_rows(), kGroups);
+  ExpectIdentical(one,
+                  OracleAggregate(rows, -kViRange - 1, {"kc"}, FinishAggs()));
+}
+
+TEST(HashAggParallelFinish, NaNMinMaxMergeAcrossWorkers) {
+  // Every tenth group sees only NaN in vg, so its min_g and max_g are NaN
+  // whatever order the partials merge in; the other groups see no NaN.
+  constexpr uint64_t kGroups = 12000;
+  std::vector<AggRow> rows = FinishRows(kGroups, 4 * kGroups, false);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (AggRow& r : rows) {
+    if (r.k32 % 10 == 0) r.vg = nan;
+  }
+  const Table t = AggTable(rows);
+  const QueryResult one = RunOnEveryWorkerCount(t, {"k32"}, FinishAggs());
+  ASSERT_EQ(one.num_rows(), kGroups);
+  size_t nan_groups = 0;
+  for (const auto& row : one.rows) {
+    nan_groups += std::isnan(std::get<double>(row[6])) ? 1 : 0;
+  }
+  EXPECT_EQ(nan_groups, kGroups / 10);
+  ExpectIdentical(one,
+                  OracleAggregate(rows, -kViRange - 1, {"k32"}, FinishAggs()));
+}
+
+TEST(HashAggParallelFinish, SignedZeroKeysInDifferentPartitions) {
+  // Finish partitions by the top bits of the key hash: +0.0 hashes to 0 and
+  // -0.0 to a hash with its top bit set, so the two land in different
+  // partitions. They compare equal, so their order falls back to the boxed
+  // rows (sum 3 before sum 5), and with equal rows to the key bytes (+0.0
+  // first).
+  ASSERT_EQ(HashInt64(std::bit_cast<uint64_t>(0.0)) >> 63, 0u);
+  ASSERT_EQ(HashInt64(std::bit_cast<uint64_t>(-0.0)) >> 63, 1u);
+  constexpr uint64_t kGroups = 6000;
+  Table t("z", Schema({{"f", DataType::kFloat64, 0},
+                       {"v", DataType::kInt64, 0}}));
+  auto add = [&](double f, int64_t v) {
+    t.column(0).AppendFloat64(f);
+    t.column(1).AppendInt64(v);
+    t.FinishRow();
+  };
+  add(-0.0, 3);
+  Rng rng(5);
+  for (uint64_t i = 0; i < 4 * kDefaultMorselSize; ++i) {
+    add(static_cast<double>(rng.Below(kGroups) + 1) * 0.5, 1);
+  }
+  add(0.0, 5);
+  const QueryResult sums =
+      RunOnEveryWorkerCount(t, {"f"}, {AggDef::Sum("v", "sv")});
+  ASSERT_EQ(sums.num_rows(), kGroups + 2);
+  EXPECT_TRUE(std::signbit(std::get<double>(sums.rows[0][0])));
+  EXPECT_EQ(std::get<int64_t>(sums.rows[0][1]), 3);
+  EXPECT_FALSE(std::signbit(std::get<double>(sums.rows[1][0])));
+  EXPECT_EQ(std::get<int64_t>(sums.rows[1][1]), 5);
+
+  const QueryResult counts =
+      RunOnEveryWorkerCount(t, {"f"}, {AggDef::Count("v", "n")});
+  ASSERT_EQ(counts.num_rows(), kGroups + 2);
+  EXPECT_FALSE(std::signbit(std::get<double>(counts.rows[0][0])));
+  EXPECT_TRUE(std::signbit(std::get<double>(counts.rows[1][0])));
+}
+
+TEST(HashAggParallelFinish, PartitionsThatReceiveNoGroups) {
+  // Keys whose hash has a clear top bit leave the upper half of the
+  // partitions without a single group.
+  constexpr uint64_t kGroups = 20000;
+  std::vector<int64_t> keys;
+  for (uint64_t k = 0; keys.size() < kGroups; ++k) {
+    if (HashInt64(k) >> 63 == 0) keys.push_back(static_cast<int64_t>(k));
+  }
+  std::vector<AggRow> rows = FinishRows(kGroups, 3 * kGroups, false);
+  for (AggRow& r : rows) {
+    r.k64 = keys[static_cast<uint64_t>(r.k32 + 500000) / 37];
+  }
+  const Table t = AggTable(rows);
+  const QueryResult one = RunOnEveryWorkerCount(t, {"k64"}, FinishAggs());
+  ASSERT_EQ(one.num_rows(), kGroups);
+  ExpectIdentical(one,
+                  OracleAggregate(rows, -kViRange - 1, {"k64"}, FinishAggs()));
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "engine/plan.h"
 #include "exec/morsel.h"
 #include "spill/memory_governor.h"
+#include "tpch/queries.h"
 #include "util/rng.h"
 
 namespace pjoin {
@@ -479,6 +480,56 @@ TEST_F(MetricsTest, ToJsonStableAcrossRuns) {
   EXPECT_NE(timed.find("\"seconds\":"), std::string::npos);
   EXPECT_NE(timed.find("\"wall_seconds\":"), std::string::npos);
   EXPECT_NE(timed.find("\"finish_seconds\":"), std::string::npos);
+}
+
+TEST(MetricsMultiStep, Q21KeepsEveryStepsPipelines) {
+  // Q21 aggregates lineitem twice (one scan-into-aggregate pipeline per
+  // step) before its join tree. The query's record holds every step's
+  // pipelines in step order, each step ending in the pipeline of its
+  // aggregate, so the steps' pipeline counts sum to the query's.
+  auto db = GenerateTpch(0.01);
+  ExecOptions options;
+  options.num_threads = 2;
+  QueryStats stats;
+  const TpchQuery& q21 = GetTpchQuery(21);
+  q21.run(*db, options, &stats, nullptr);
+  const QueryMetrics& qm = stats.metrics;
+
+  std::vector<int> step_ends;  // pipeline index of each step's aggregate
+  int last_index = 0;
+  for (const OperatorMetrics& op : qm.operators()) {
+    ASSERT_GE(op.pipeline_index(), last_index) << op.name();
+    ASSERT_LT(op.pipeline_index(), static_cast<int>(qm.pipelines().size()));
+    last_index = op.pipeline_index();
+    if (op.name() == "hash_agg") step_ends.push_back(op.pipeline_index());
+  }
+  ASSERT_EQ(step_ends.size(), 3u);
+  std::vector<size_t> step_pipelines;
+  for (size_t k = 0; k < step_ends.size(); ++k) {
+    step_pipelines.push_back(step_ends[k] - (k == 0 ? -1 : step_ends[k - 1]));
+  }
+  EXPECT_EQ(step_pipelines[0], 1u);
+  EXPECT_EQ(step_pipelines[1], 1u);
+  EXPECT_GT(step_pipelines[2], 1u);
+  EXPECT_EQ(qm.pipelines().size(),
+            step_pipelines[0] + step_pipelines[1] + step_pipelines[2]);
+  for (int k : {0, 1}) {
+    EXPECT_EQ(qm.pipelines()[step_ends[k]].label, "scan lineitem");
+    EXPECT_GT(qm.pipelines()[step_ends[k]].finish_seconds, 0.0);
+  }
+  // Joins keep their query-global post-order ids.
+  ASSERT_EQ(qm.joins().size(), static_cast<size_t>(q21.num_joins));
+  for (int j = 0; j < q21.num_joins; ++j) {
+    EXPECT_EQ(qm.joins()[j].join_id, j);
+  }
+  // The JSON export lists the same pipelines.
+  const std::string json = qm.ToJson();
+  size_t finishes = 0;
+  for (size_t pos = json.find("\"finish_seconds\""); pos != std::string::npos;
+       pos = json.find("\"finish_seconds\"", pos + 1)) {
+    ++finishes;
+  }
+  EXPECT_EQ(finishes, qm.pipelines().size());
 }
 
 }  // namespace
