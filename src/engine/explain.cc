@@ -184,8 +184,7 @@ void RenderJoinActuals(const JoinMetrics& jm, int depth,
     indent();
     out << "ht: entries=" << ht.build_tuples
         << " dir_slots=" << ht.directory_slots
-        << " chained=" << ht.chained_entries << " max_chain=" << ht.max_chain
-        << " resizes=" << ht.resizes
+        << " chained=" << ht.chained_entries
         << " mem=" << HumanBytes(ht.directory_bytes + ht.materialized_bytes)
         << "\n";
   }

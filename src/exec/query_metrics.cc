@@ -262,9 +262,7 @@ std::string QueryMetrics::ToJson(bool include_timings) const {
         << ",\"directory_slots\":" << h.directory_slots
         << ",\"directory_bytes\":" << h.directory_bytes
         << ",\"materialized_bytes\":" << h.materialized_bytes
-        << ",\"chained_entries\":" << h.chained_entries
-        << ",\"max_chain\":" << h.max_chain << ",\"resizes\":" << h.resizes
-        << "}";
+        << ",\"chained_entries\":" << h.chained_entries << "}";
     out << ",\"build_partitions\":";
     AppendPartitioner(out, j.build_side);
     out << ",\"probe_partitions\":";

@@ -143,8 +143,6 @@ struct HashTableMetrics {
   uint64_t directory_bytes = 0;
   uint64_t materialized_bytes = 0;
   uint64_t chained_entries = 0;  // entries placed behind another (collisions)
-  uint64_t max_chain = 0;
-  uint64_t resizes = 0;  // the directory is sized exactly once: always 0
 };
 
 // One side of a radix join after Finalize().

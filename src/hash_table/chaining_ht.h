@@ -3,14 +3,19 @@
 // Design follows Leis et al. (morsel-driven parallelism) and Lang et al.:
 //  * The build pipeline first materializes entries into worker-local paged
 //    buffers; the directory is then sized exactly once (no resizing) and
-//    filled in a parallel bulk pass using lock-free CAS pushes.
+//    filled by Build() in three steps: zero it (a large one in per-worker
+//    slices, the first touch of its pages), push every entry with a lock-free
+//    CAS while prefetching the slot kPrefetchDistance entries ahead
+//    (workers claim entry pages, not buffers, from one counter), and sum
+//    their pushes onto non-empty slots into chained_entries().
 //  * Directory slots are 64-bit words packing a 48-bit entry pointer and a
 //    16-bit Bloom tag ("tagged pointers"), the BHJ's fuzzy semi-join
 //    reducer: a probe whose tag bit is absent skips the chain walk — and,
 //    pushed down into the probe pipeline, skips the tuple entirely.
 //  * Probing is batch-wise with software prefetching (relaxed operator
-//    fusion): one pass computes hashes and prefetches directory slots, the
-//    second pass walks chains.
+//    fusion, join/hash_join.h): hash, prefetch the slots, gather and test
+//    the tags, prefetch the surviving chain heads, then walk all surviving
+//    chains level by level, prefetching each next entry.
 //
 // Entry memory layout: [next: 8B][hash: 8B][optional matched: 8B][row bytes].
 // The matched word exists only for join kinds that must track which build
@@ -52,11 +57,14 @@ class ChainingHashTable {
   void MaterializeEntry(int thread_id, uint64_t hash, const std::byte* row,
                         uint32_t row_bytes);
 
-  // Sizes the directory for the materialized entry count and inserts all
-  // entries in parallel. Safe to call once.
+  // Sizes the directory for the materialized entry count, zeroes it and
+  // inserts all entries in parallel. Safe to call once.
   void Build(ThreadPool& pool);
 
   uint64_t num_entries() const { return num_entries_; }
+  // Entries placed behind another in their chain, sum(len - 1) over all
+  // chains: the collisions a probe may have to traverse. Counted by Build.
+  uint64_t chained_entries() const { return chained_entries_; }
   uint64_t directory_size() const { return dir_size_; }
   uint64_t DirectoryBytes() const { return dir_size_ * 8; }
 
@@ -154,6 +162,7 @@ class ChainingHashTable {
 
   std::vector<RowBuffer> build_buffers_;
   uint64_t num_entries_ = 0;
+  uint64_t chained_entries_ = 0;
 
   AlignedBuffer dir_storage_;
   std::atomic<uint64_t>* dir_ = nullptr;

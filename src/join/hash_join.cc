@@ -9,6 +9,7 @@
 #include "kernels/kernels.h"
 #include "spill/memory_governor.h"
 #include "util/bitutil.h"
+#include "util/prefetch.h"
 #include "util/stopwatch.h"
 
 namespace pjoin {
@@ -197,21 +198,7 @@ JoinMetrics HashJoin::CollectMetrics() const {
   ht.directory_slots = table_->directory_size();
   ht.directory_bytes = table_->DirectoryBytes();
   ht.materialized_bytes = table_->MaterializedBytes();
-  ht.resizes = 0;  // the directory is sized exactly once (Section 4.3)
-  // Chain statistics from a directory walk: entries past the chain head are
-  // the CAS-push "collisions" a probe must traverse.
-  for (uint64_t s = 0; s < table_->directory_size(); ++s) {
-    uint64_t slot = table_->LoadSlot(s);
-    const std::byte* entry =
-        reinterpret_cast<const std::byte*>(slot & ChainingHashTable::kPointerMask);
-    uint64_t len = 0;
-    while (entry != nullptr) {
-      ++len;
-      entry = ChainingHashTable::EntryNext(entry);
-    }
-    if (len > 1) ht.chained_entries += len - 1;
-    if (len > ht.max_chain) ht.max_chain = len;
-  }
+  ht.chained_entries = table_->chained_entries();
   m.spill = SnapshotSpill(spill_.get());
   return m;
 }
@@ -254,8 +241,8 @@ void HashJoinProbe::Consume(Batch& batch, ThreadContext& ctx) {
   JoinEmitter& emitter = emitters_[ctx.thread_id];
 
   // Relaxed operator fusion: the batch is the staging buffer. The hash
-  // kernel fills the hash vector, a prefetch pass requests the directory
-  // cache lines, and the chain walks run with the slots (likely) in cache.
+  // kernel fills the hash vector and a prefetch pass requests the directory
+  // cache lines, so the tag gather below finds the slots (likely) in cache.
   uint64_t hashes[kBatchCapacity];
   HashRowsBatch(probe_key, batch.rows, batch.layout->stride(), batch.size,
                 hashes);
@@ -266,71 +253,89 @@ void HashJoinProbe::Consume(Batch& batch, ThreadContext& ctx) {
                      static_cast<uint64_t>(batch.size) *
                          batch.layout->stride());
 
-  // Chain walk for one surviving probe tuple; returns whether it matched.
-  auto walk_chain = [&](const std::byte* entry, const std::byte* probe_row,
-                        uint64_t hash) {
-    bool matched = false;
-    while (entry != nullptr) {
-      if (ChainingHashTable::EntryHash(entry) == hash &&
-          KeySpec::Equals(build_key, ht.EntryRow(entry), probe_key,
-                          probe_row)) {
-        matched = true;
-        switch (kind) {
-          case JoinKind::kInner:
-          case JoinKind::kLeftOuter:
-            emitter.EmitPair(ht.EntryRow(entry), probe_row, ctx);
-            break;
-          case JoinKind::kRightOuter:
-            // Matched pairs are materialized (the downstream operators run
-            // after the post-probe build scan) and replayed from there.
-            MaterializeJoinRow(join_->projection(),
-                               join_->pair_buffer(ctx.thread_id).AppendSlot(),
-                               ht.EntryRow(entry), probe_row);
-            ht.MarkMatched(entry);
-            break;
-          case JoinKind::kProbeSemi:
-            emitter.EmitProbeOnly(probe_row, ctx);
-            break;
-          case JoinKind::kBuildSemi:
-          case JoinKind::kBuildAnti:
-            ht.MarkMatched(entry);
-            break;
-          case JoinKind::kProbeAnti:
-          case JoinKind::kMark:
-            break;  // existence is all that matters
-        }
-        // Kinds that only need existence stop at the first match; kinds
-        // that must visit every matching build tuple keep walking.
-        if (kind == JoinKind::kProbeSemi || kind == JoinKind::kProbeAnti ||
-            kind == JoinKind::kMark) {
-          break;
-        }
-      }
-      entry = ChainingHashTable::EntryNext(entry);
+  // One matching build entry for one probe tuple: the kind's action.
+  auto on_match = [&](const std::byte* entry, const std::byte* probe_row) {
+    switch (kind) {
+      case JoinKind::kInner:
+      case JoinKind::kLeftOuter:
+        emitter.EmitPair(ht.EntryRow(entry), probe_row, ctx);
+        break;
+      case JoinKind::kRightOuter:
+        // Matched pairs are materialized (the downstream operators run
+        // after the post-probe build scan) and replayed from there.
+        MaterializeJoinRow(join_->projection(),
+                           join_->pair_buffer(ctx.thread_id).AppendSlot(),
+                           ht.EntryRow(entry), probe_row);
+        ht.MarkMatched(entry);
+        break;
+      case JoinKind::kProbeSemi:
+        emitter.EmitProbeOnly(probe_row, ctx);
+        break;
+      case JoinKind::kBuildSemi:
+      case JoinKind::kBuildAnti:
+        ht.MarkMatched(entry);
+        break;
+      case JoinKind::kProbeAnti:
+      case JoinKind::kMark:
+        break;  // existence is all that matters
     }
-    return matched;
   };
+  auto entry_matches = [&](const std::byte* entry, const std::byte* probe_row,
+                           uint64_t hash) {
+    return ChainingHashTable::EntryHash(entry) == hash &&
+           KeySpec::Equals(build_key, ht.EntryRow(entry), probe_key,
+                           probe_row);
+  };
+  // Kinds that only need existence stop at the first match; kinds that
+  // must visit every matching build tuple keep walking.
+  const bool first_match_only = kind == JoinKind::kProbeSemi ||
+                                kind == JoinKind::kProbeAnti ||
+                                kind == JoinKind::kMark;
 
   SpillJoinState* spill = join_->spill();
   uint64_t matched_tuples = 0;
   if (spill == nullptr) {
     // Batched tag-check kernel: one gather over the directory decides which
-    // tuples have a chain worth walking; the walk loop then only touches
+    // tuples have a chain worth walking; the walk then only touches
     // surviving lanes. Tuples whose tag bit is absent are definitively
-    // unmatched, which the second loop below turns into the kind's
+    // unmatched, which the loop after the walk turns into the kind's
     // unmatched-probe emission.
     uint32_t sel[kBatchCapacity];
     uint64_t heads[kBatchCapacity];
-    const uint32_t survivors = ActiveKernels().dir_tag_probe(
+    uint32_t lanes = ActiveKernels().dir_tag_probe(
         ht.dir_words(), ht.dir_shift(), ht.dir_mask(), hashes, batch.size,
         sel, heads);
+    for (uint32_t j = 0; j < lanes; ++j) {
+      PrefetchForRead(reinterpret_cast<const void*>(heads[j]));
+    }
+    // Level-wise walk: each round advances every live lane (sel[j] is its
+    // probe tuple, heads[j] its current entry) by one entry and prefetches
+    // the next, so the chain misses of a whole batch overlap instead of
+    // serializing per tuple. A lane leaves at its chain's end, or at its
+    // first match for existence-only kinds; survivors are compacted in
+    // place (the write index never passes the read index).
     bool matched[kBatchCapacity];
     std::memset(matched, 0, batch.size);
-    for (uint32_t j = 0; j < survivors; ++j) {
-      const uint32_t i = sel[j];
-      matched[i] = walk_chain(reinterpret_cast<const std::byte*>(heads[j]),
-                              batch.Row(i), hashes[i]);
-      matched_tuples += matched[i] ? 1 : 0;
+    while (lanes > 0) {
+      uint32_t live = 0;
+      for (uint32_t j = 0; j < lanes; ++j) {
+        const uint32_t i = sel[j];
+        const std::byte* entry = reinterpret_cast<const std::byte*>(heads[j]);
+        const std::byte* probe_row = batch.Row(i);
+        if (entry_matches(entry, probe_row, hashes[i])) {
+          matched_tuples += matched[i] ? 0 : 1;
+          matched[i] = true;
+          on_match(entry, probe_row);
+          if (first_match_only) continue;
+        }
+        const std::byte* next = ChainingHashTable::EntryNext(entry);
+        if (next == nullptr) continue;
+        PrefetchForRead(next);
+        sel[live] = i;
+        heads[live] = reinterpret_cast<uint64_t>(next);
+        ++live;
+      }
+      lanes = live;
     }
     if (kind == JoinKind::kProbeAnti || kind == JoinKind::kLeftOuter) {
       for (uint32_t i = 0; i < batch.size; ++i) {
@@ -361,7 +366,15 @@ void HashJoinProbe::Consume(Batch& batch, ThreadContext& ctx) {
       continue;
     }
     // Tagged-pointer reducer: a missing tag bit skips the chain walk.
-    const bool matched = walk_chain(ht.ChainHead(hash), probe_row, hash);
+    bool matched = false;
+    for (const std::byte* entry = ht.ChainHead(hash); entry != nullptr;
+         entry = ChainingHashTable::EntryNext(entry)) {
+      if (entry_matches(entry, probe_row, hash)) {
+        matched = true;
+        on_match(entry, probe_row);
+        if (first_match_only) break;
+      }
+    }
     if (!matched && kind == JoinKind::kProbeAnti) {
       emitter.EmitProbeOnly(probe_row, ctx);
     } else if (!matched && kind == JoinKind::kLeftOuter) {

@@ -3,10 +3,18 @@
 // The build pipeline materializes build tuples into worker-local buffers and
 // bulk-builds a global chaining hash table whose directory slots carry
 // 16-bit Bloom tags (the tagged-pointer semi-join reducer of Leis et al.).
-// The probe side stays fully pipelined: batches act as the relaxed-operator-
-// fusion staging buffers, and probing runs in two tight loops — hash +
-// prefetch, then chain walk — which is the software-prefetching scheme that
-// keeps the BHJ's performance flat even when the hash table exceeds the LLC.
+// The build finishes with a parallel directory build: zero the directory (a
+// large one in per-worker slices), insert with prefetched CAS pushes, and
+// count chained entries from the pushes themselves, so no pass over the
+// table follows the query. The probe side stays fully pipelined: batches act
+// as the relaxed-operator-fusion staging buffers, and each batch is probed
+// in stages — hash, prefetch the directory slots, gather and test the Bloom
+// tags, prefetch the surviving chain heads, then walk all surviving chains
+// one entry per round, prefetching each next entry. This is the
+// software-prefetching scheme that keeps the BHJ's performance flat even
+// when the hash table exceeds the LLC. Only a spilling (hybrid) join probes
+// tuple by tuple, since it routes each tuple to the resident table or a
+// spill partition.
 #ifndef PJOIN_JOIN_HASH_JOIN_H_
 #define PJOIN_JOIN_HASH_JOIN_H_
 

@@ -43,6 +43,12 @@ class RowBuffer {
     }
   }
 
+  // Page-wise access, for callers that hand pages out to several workers:
+  // page p holds PageCount(p) contiguous rows starting at PageRows(p).
+  size_t num_pages() const { return pages_.size(); }
+  std::byte* PageRows(size_t p) { return pages_[p].data.data(); }
+  uint32_t PageCount(size_t p) const { return pages_[p].count; }
+
   // Random access by index (row i). O(1): pages have fixed capacity.
   const std::byte* RowAt(uint64_t i) const {
     return pages_[i / page_rows_].data.data() + (i % page_rows_) * stride_;

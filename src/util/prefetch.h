@@ -23,6 +23,10 @@ inline constexpr uint64_t kPrefetchDistance = 16;
 // not displace hot state from L1).
 inline void PrefetchForRead(const void* p) { __builtin_prefetch(p, 0, 1); }
 
+// Write prefetch for a line the caller is about to update (e.g. a directory
+// slot a CAS will claim): requests it in exclusive state up front.
+inline void PrefetchForWrite(const void* p) { __builtin_prefetch(p, 1, 1); }
+
 }  // namespace pjoin
 
 #endif  // PJOIN_UTIL_PREFETCH_H_

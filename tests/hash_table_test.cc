@@ -4,6 +4,8 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/thread_pool.h"
@@ -151,6 +153,90 @@ TEST(ChainingHT, ParallelBuildConsistent) {
     for (const auto& [k, n] : expected) {
       ASSERT_EQ(CountMatches(ht, k), n) << "threads=" << threads;
     }
+  }
+}
+
+// Sum of (len - 1) over every directory chain, by walking the directory;
+// `entries` receives the total number of entries reached.
+uint64_t WalkChainedEntries(const ChainingHashTable& ht, uint64_t* entries) {
+  uint64_t chained = 0;
+  *entries = 0;
+  for (uint64_t s = 0; s < ht.directory_size(); ++s) {
+    uint64_t len = 0;
+    for (auto* e = reinterpret_cast<const std::byte*>(
+             ht.LoadSlot(s) & ChainingHashTable::kPointerMask);
+         e != nullptr; e = ChainingHashTable::EntryNext(e)) {
+      ++len;
+    }
+    *entries += len;
+    if (len > 1) chained += len - 1;
+  }
+  return chained;
+}
+
+TEST(ChainingHT, ChainedEntriesMatchDirectoryWalk) {
+  // 40000 unique keys give a 1 MiB directory, which the 4-worker build
+  // zeroes in per-worker slices; the other cases zero theirs inline.
+  std::vector<int64_t> unique;
+  for (int64_t k = 0; k < 40000; ++k) unique.push_back(k * 7);
+  std::vector<int64_t> duplicated;  // 5000 keys, four copies each
+  for (int rep = 0; rep < 4; ++rep) {
+    for (int64_t k = 0; k < 5000; ++k) duplicated.push_back(k);
+  }
+  // One key 3000 times: a chain longer than a probe batch.
+  std::vector<int64_t> one_hot(3000, 42);
+  const std::vector<int64_t> empty;
+  const std::pair<const char*, const std::vector<int64_t>*> cases[] = {
+      {"unique", &unique},
+      {"duplicated", &duplicated},
+      {"one_hot", &one_hot},
+      {"empty", &empty}};
+  for (const auto& [name, keys] : cases) {
+    uint64_t chained_at_one = 0;
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(name) + " threads=" + std::to_string(threads));
+      ChainingHashTable ht(8, false);
+      ThreadPool pool(threads);
+      MaterializeKeys(ht, *keys, threads);
+      ht.Build(pool);
+      uint64_t walked_entries = 0;
+      EXPECT_EQ(ht.chained_entries(), WalkChainedEntries(ht, &walked_entries));
+      EXPECT_EQ(walked_entries, keys->size());
+      if (threads == 1) chained_at_one = ht.chained_entries();
+      EXPECT_EQ(ht.chained_entries(), chained_at_one);
+      if (keys == &one_hot) {
+        EXPECT_EQ(ht.chained_entries(), one_hot.size() - 1);
+      }
+    }
+  }
+}
+
+TEST(ChainingHT, BuildSpreadsOneBufferOverWorkers) {
+  // Every entry sits in worker buffer 0 (as after a re-routed radix build),
+  // several pages of it; a 4-worker Build must give the 1-worker table.
+  std::vector<int64_t> keys;
+  Rng rng(17);
+  for (int i = 0; i < 50000; ++i) {
+    keys.push_back(static_cast<int64_t>(rng.Below(20000)));
+  }
+  std::map<int64_t, int> expected;
+  for (int64_t k : keys) expected[k]++;
+  uint64_t chained_at_one = 0;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ChainingHashTable ht(8, false);
+    ThreadPool pool(threads);
+    MaterializeKeys(ht, keys, /*threads=*/1);
+    ASSERT_EQ(ht.build_buffer(0).size(), keys.size());
+    ht.Build(pool);
+    EXPECT_EQ(ht.num_entries(), keys.size());
+    for (int64_t k = 0; k < 20000; ++k) {
+      auto it = expected.find(k);
+      ASSERT_EQ(CountMatches(ht, k), it == expected.end() ? 0 : it->second)
+          << k;
+    }
+    if (threads == 1) chained_at_one = ht.chained_entries();
+    EXPECT_EQ(ht.chained_entries(), chained_at_one);
   }
 }
 

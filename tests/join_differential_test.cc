@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/executor.h"
@@ -292,6 +293,49 @@ TEST_P(JoinDifferentialTest, CountStarWithoutOutputColumnsMatchesReference) {
     QueryResult result = ExecuteQuery(*plan, options);
     ASSERT_EQ(result.num_rows(), 1u);
     EXPECT_EQ(std::get<int64_t>(result.rows[0][0]), expected);
+  }
+}
+
+// BHJ chains longer than a probe batch: one build key 3000 times plus a
+// unique tail, probed with a mix of the hot key, tail keys and absent keys.
+// The lanes of one probe batch then leave the level-wise chain walk in
+// different rounds: a hot lane walks 3000 entries (or stops at its first
+// match for the existence-only kinds), a tail lane one or two.
+TEST_P(JoinDifferentialTest, BhjLongChainMatchesReference) {
+  const JoinKind kind = GetParam();
+  constexpr int64_t kHotKey = 7;
+  Rng rng(4200 + static_cast<uint64_t>(kind));
+  IntRows build;
+  for (int i = 0; i < 3000; ++i) {
+    build.push_back({kHotKey, static_cast<int64_t>(rng.Next() & 0xFFFF)});
+  }
+  for (int64_t k = 0; k < 2000; ++k) {
+    build.push_back({1000 + k, static_cast<int64_t>(rng.Next() & 0xFFFF)});
+  }
+  // Interleave hot and tail rows so every worker buffer holds both.
+  for (size_t i = build.size() - 1; i > 0; --i) {
+    std::swap(build[i], build[rng.Below(i + 1)]);
+  }
+  IntRows probe;
+  for (int i = 0; i < 3000; ++i) {
+    // ~2% hot, the rest over the tail's range widened by a quarter on each
+    // side, so some probe keys are absent.
+    const int64_t key = rng.Below(50) == 0
+                            ? kHotKey
+                            : 500 + static_cast<int64_t>(rng.Below(3000));
+    probe.push_back({key, static_cast<int64_t>(rng.Next() & 0xFFFF)});
+  }
+  const IntRows expected = ReferenceJoin(build, probe, 0, kind, 2, 2);
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const IntRows actual =
+        RunJoin(JoinStrategy::kBHJ, kind, build, probe, 2, 2, threads);
+    if (kind == JoinKind::kMark) {
+      // One row per probe tuple, however many entries its chain matches.
+      EXPECT_EQ(actual.size(), probe.size());
+    }
+    ASSERT_EQ(actual.size(), expected.size());
+    ASSERT_EQ(actual, expected);
   }
 }
 

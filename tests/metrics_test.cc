@@ -306,7 +306,7 @@ TEST_F(MetricsTest, ExplainAnalyzeGoldenTree) {
       "aggregate [groups:0 aggs:1] (rows_in=3 rows_out=1)\n"
       "  join #0 [inner, BHJ] on d_k = f_k "
       "(build=2 probe=4 matched=3 rows_out=3)\n"
-      "    ht: entries=2 dir_slots=64 chained=0 max_chain=1 resizes=0 "
+      "    ht: entries=2 dir_slots=64 chained=0 "
       "mem=560B\n"
       "    scan d [2 rows] (scanned=2 passed=2)\n"
       "    scan f [4 rows] (scanned=4 passed=4)\n";
