@@ -55,7 +55,7 @@ MicroWorkload MakePayloadWorkload(int64_t scale_divisor, int payload_cols,
 MicroWorkload MakeSkewWorkload(int64_t scale_divisor, double zipf_theta,
                                bool workload_b = false);
 
-// Build-side skew for the skew-defense study: build keys are drawn
+// Build-side skew for the skew study (DESIGN.md §12): build keys are drawn
 // Zipf(theta) from a universe of build_tuples/4 values (so hot keys repeat
 // heavily on the side that becomes hash-table entries and partitions), and
 // the probe references the same universe uniformly. theta in {0.5, 1.0, 1.5}

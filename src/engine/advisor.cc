@@ -394,14 +394,12 @@ JoinDecision JoinAdvisor::Decide(JoinKind kind, uint64_t est_build_rows,
     }
   }
 
-  // Skew term. A radix join's hottest final partition holds at least the
+  // Skew estimate. A radix join's hottest final partition holds at least the
   // hottest key's share of the build side; when that share overflows the
   // margin-scaled L2 target the per-partition table degenerates (Table 4's
-  // collapse), so RJ/BRJ pay that share of the probe side at DRAM-miss cost
-  // plus a re-split pass over the oversized build fraction. Uniform inputs
-  // never trip this: an even 1/P spread is below the overflow share by
-  // construction of the fan-out. Any partitioned strategy that still wins is
-  // armed with the runtime defense (heavy-hitter bypass + re-split).
+  // collapse) while the BHJ only gets faster. Uniform inputs never trip
+  // this: an even 1/P spread is below the overflow share by construction of
+  // the fan-out.
   d.est_max_partition_share = EvenPartitionShare(est_build_rows, build_width, l2);
   if (skew != nullptr) {
     d.skew_sampled = true;
@@ -412,19 +410,7 @@ JoinDecision JoinAdvisor::Decide(JoinKind kind, uint64_t est_build_rows,
   }
   const double overflow_share =
       PartitionOverflowShare(est_build_rows, build_width, options);
-  if (d.est_max_partition_share > overflow_share) {
-    d.skew_overflow = true;
-    const double share = d.est_max_partition_share;
-    const double skew_penalty =
-        share * probe * kDramMissBytes * depth_penalty +
-        share * build * (sb + kPartitionInsertBytes);
-    d.cost_rj += skew_penalty;
-    if (bloomable) {
-      d.cost_brj += skew_penalty;
-    } else {
-      d.cost_brj = d.cost_rj;
-    }
-  }
+  d.skew_overflow = d.est_max_partition_share > overflow_share;
 
   // Decision. Hard rule first: a build side that fits L2 never partitions
   // (the paper's headline case — 58 of 59 TPC-H joins). Suspended when the
@@ -432,6 +418,13 @@ JoinDecision JoinAdvisor::Decide(JoinKind kind, uint64_t est_build_rows,
   if (d.est_ht_bytes <= l2 && (budget == 0 || d.est_ht_bytes <= budget)) {
     d.choice = JoinStrategy::kBHJ;
     d.reason = "build fits L2";
+    return d;
+  }
+  // Skewed builds never partition (the paper's answer to skew, Table 4 and
+  // Fig. 17); under a budget the BHJ goes hybrid instead.
+  if (d.skew_overflow) {
+    d.choice = JoinStrategy::kBHJ;
+    d.reason = "skewed build; partitioning collapses";
     return d;
   }
   const double best_partitioned =
@@ -457,13 +450,7 @@ JoinDecision JoinAdvisor::Decide(JoinKind kind, uint64_t est_build_rows,
   } else {
     d.choice = JoinStrategy::kBHJ;
     d.reason = d.spill_expected ? "spill inevitable; hybrid hash still cheaper"
-                                : d.skew_overflow
-                                      ? "skewed build; partitioning collapses"
-                                      : "partitioning not worth the bandwidth";
-  }
-  if (d.skew_overflow && d.choice != JoinStrategy::kBHJ) {
-    d.skew_defense = true;
-    d.reason = "skewed build; partitioned with skew defense";
+                                : "partitioning not worth the bandwidth";
   }
   return d;
 }

@@ -101,7 +101,6 @@ struct JoinDecision {
   double est_top_share = 0;        // histogram share of the hottest key
   double est_max_partition_share = 0;  // max(hottest key, even 1/P spread)
   bool skew_overflow = false;  // share overflows one margin-scaled partition
-  bool skew_defense = false;   // partitioned pick runs the runtime defense
   const char* reason = "";  // static string, stable across runs
 };
 
@@ -125,8 +124,7 @@ class JoinAdvisor {
   // `build_base_rows` is the unfiltered cardinality of the build subtree's
   // base table; est_build / base bounds the Bloom filter's pass rate under
   // the FK-containment assumption. `skew`, when non-null, is the build key's
-  // hottest-value share; it penalizes the partitioned strategies for the
-  // share their hottest partition would absorb.
+  // hottest-value share; a share that overflows one partition picks BHJ.
   static JoinDecision Decide(JoinKind kind, uint64_t est_build_rows,
                              uint64_t build_base_rows,
                              uint64_t est_probe_rows, uint32_t build_width,
@@ -136,8 +134,7 @@ class JoinAdvisor {
 
   // Largest build-side share one final partition can absorb before its
   // robin-hood table overflows the margin-scaled L2 target. Shares above it
-  // mark the decision skew_overflow, penalize RJ/BRJ, and arm the runtime
-  // defense on any partitioned pick.
+  // mark the decision skew_overflow, which picks BHJ.
   static double PartitionOverflowShare(uint64_t est_build_rows,
                                        uint32_t build_width,
                                        const AdvisorOptions& options);

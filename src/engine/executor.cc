@@ -128,7 +128,6 @@ void AttachAdvisorMetrics(JoinMetrics& m, const JoinDecision& d,
   m.advisor.skew_sampled = d.skew_sampled;
   m.advisor.est_top_share = d.est_top_share;
   m.advisor.est_max_partition_share = d.est_max_partition_share;
-  m.advisor.skew_defense = d.skew_defense;
   m.advisor.fell_back = r.overflow_demoted;
   m.replan = r.replan;
 }
@@ -444,9 +443,6 @@ Lowerer::Stream Lowerer::LowerJoin(const PlanNode& node,
   radix_options.bits2 = options_.radix_bits2;
   radix_options.use_swwcb = options_.use_swwcb;
   radix_options.use_streaming = options_.use_streaming;
-  // An estimated skew overflow arms the runtime defense on the partitioned
-  // pick: heavy-hitter bypass plus per-partition re-split.
-  radix_options.skew_defense = adv.skew_defense;
 
   radix_joins_.push_back(std::make_unique<RadixJoin>(
       node.join_kind, build.layout, build_keys, probe.layout, probe_keys,

@@ -116,7 +116,7 @@ void RenderAdvisorLine(const JoinDecision& d, int depth, bool fell_back,
     *out << "skew: sample=" << d.skew_sample_rows
          << " top_share=" << Fixed(d.est_top_share, 3)
          << " max_part_share=" << Fixed(d.est_max_partition_share, 3)
-         << " defense=" << (d.skew_defense ? "on" : "off") << "\n";
+         << "\n";
   }
 }
 
@@ -212,15 +212,6 @@ void RenderJoinActuals(const JoinMetrics& jm, int depth,
           << " samples=" << bl.adaptive_samples;
     }
     out << "\n";
-  }
-  if (jm.skew.enabled) {
-    const SkewDefenseMetrics& sk = jm.skew;
-    indent();
-    out << "skew_defense: heavy=" << sk.heavy_hitters
-        << " bypass_build=" << sk.bypass_build_tuples
-        << " bypass_probe=" << sk.bypass_probe_tuples
-        << " resplit=" << sk.partitions_resplit
-        << " dense=" << sk.dense_fallbacks << "\n";
   }
   if (jm.spill.partitions_spilled > 0) {
     const SpillMetrics& sp = jm.spill;

@@ -279,13 +279,6 @@ std::string QueryMetrics::ToJson(bool include_timings) const {
         << ",\"bytes_written\":" << sp.bytes_written
         << ",\"bytes_read\":" << sp.bytes_read
         << ",\"max_recursion_depth\":" << sp.max_recursion_depth << "}";
-    const SkewDefenseMetrics& sk = j.skew;
-    out << ",\"skew\":{\"heavy_hitters\":" << sk.heavy_hitters
-        << ",\"bypass_build_tuples\":" << sk.bypass_build_tuples
-        << ",\"bypass_probe_tuples\":" << sk.bypass_probe_tuples
-        << ",\"partitions_resplit\":" << sk.partitions_resplit
-        << ",\"dense_fallbacks\":" << sk.dense_fallbacks
-        << ",\"enabled\":" << Bool(sk.enabled) << "}";
     if (j.advisor.present) {
       const AdvisorMetrics& a = j.advisor;
       out << ",\"advisor\":{\"choice\":\"" << JoinStrategyName(a.choice)
@@ -304,7 +297,6 @@ std::string QueryMetrics::ToJson(bool include_timings) const {
       AppendDouble(out, a.est_top_share);
       out << ",\"est_max_partition_share\":";
       AppendDouble(out, a.est_max_partition_share);
-      out << ",\"skew_defense\":" << Bool(a.skew_defense);
       // Estimate quality: symmetric q-errors of the cardinality estimates
       // against the observed counts.
       const double qb = EstimateQError(a.est_build_tuples, j.build_tuples);

@@ -195,17 +195,6 @@ struct SpillMetrics {
   uint64_t physical_bytes_read = 0;
 };
 
-// Runtime skew-defense activity of one radix join. `enabled` is false unless
-// the advisor (or a test) armed the defense; the counters are zero then.
-struct SkewDefenseMetrics {
-  bool enabled = false;
-  uint32_t heavy_hitters = 0;          // keys routed around partitioning
-  uint64_t bypass_build_tuples = 0;    // build tuples in the dense-array join
-  uint64_t bypass_probe_tuples = 0;    // probe tuples bypassing partitioning
-  uint32_t partitions_resplit = 0;     // oversized partitions re-split 16-way
-  uint32_t dense_fallbacks = 0;        // same-hash clusters joined densely
-};
-
 // Decision record of the cost-based join advisor (JoinStrategy::kAuto).
 // `present` records that the join was advised at all: manually chosen
 // strategies have no decision, and the JSON omits the record for them.
@@ -223,7 +212,6 @@ struct AdvisorMetrics {
   bool skew_sampled = false;
   double est_top_share = 0;
   double est_max_partition_share = 0;
-  bool skew_defense = false;  // partitioned pick armed the runtime defense
 };
 
 // Mid-query re-planning record of one advisor-chosen join
@@ -282,7 +270,6 @@ struct JoinMetrics {
   uint64_t partition_ht_grows = 0;      // robin-hood segment regrowths
   uint64_t partition_ht_peak_bytes = 0; // largest per-partition table
   SpillMetrics spill;
-  SkewDefenseMetrics skew;
   AdvisorMetrics advisor;
   ReplanMetrics replan;
   // Key pairs this join compared as dictionary codes (engine/coded_keys.h).

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
-#include <set>
-#include <unordered_map>
 
 #include "kernels/kernels.h"
 #include "spill/memory_governor.h"
 #include "util/check.h"
-#include "util/cpu_info.h"
 #include "util/stopwatch.h"
 
 namespace pjoin {
@@ -40,106 +37,6 @@ class RjSpillEmitter : public SpillEmitter {
  private:
   JoinEmitter* emitter_;
   ThreadContext* ctx_;
-};
-// Depth bound on the in-memory 16-way re-split: 4 bits per level exhausts
-// the 64-bit hash long before this, so it only guards stack depth.
-constexpr int kMaxResplitDepth = 16;
-
-// Grouped dense-array join for key clusters where a hash table adds nothing:
-// the heavy-hitter bypass (one hash per morsel) and re-split partitions that
-// cannot split (all tuples share one hash). Build rows are grouped by exact
-// key — one group per hash barring 64-bit collisions — and probes compare
-// against group representatives, so duplicate-heavy keys join in linear time
-// where robin-hood probing would cluster quadratically.
-class DenseKeyJoin {
- public:
-  DenseKeyJoin(JoinKind kind, const KeySpec* bkey, const KeySpec* pkey,
-               JoinEmitter* emitter)
-      : kind_(kind),
-        bkey_(bkey),
-        pkey_(pkey),
-        emitter_(emitter),
-        track_(TracksBuildMatches(kind)) {}
-
-  void AddBuildRow(const std::byte* row) {
-    for (Group& g : groups_) {
-      if (KeySpec::Equals(*bkey_, g.rep, *bkey_, row)) {
-        g.rows.push_back(row);
-        return;
-      }
-    }
-    groups_.push_back(Group{row, {row}, false});
-  }
-
-  // Probes one row, emitting per-kind output; returns true when matched.
-  bool Probe(const std::byte* probe_row, ThreadContext& ctx) {
-    bool matched = false;
-    for (Group& g : groups_) {
-      if (!KeySpec::Equals(*bkey_, g.rep, *pkey_, probe_row)) continue;
-      matched = true;
-      switch (kind_) {
-        case JoinKind::kInner:
-        case JoinKind::kLeftOuter:
-          for (const std::byte* b : g.rows) {
-            emitter_->EmitPair(b, probe_row, ctx);
-          }
-          break;
-        case JoinKind::kRightOuter:
-          for (const std::byte* b : g.rows) {
-            emitter_->EmitPair(b, probe_row, ctx);
-          }
-          g.matched = true;
-          break;
-        case JoinKind::kProbeSemi:
-          break;  // emitted once below, not per build row
-        case JoinKind::kBuildSemi:
-        case JoinKind::kBuildAnti:
-          g.matched = true;
-          break;
-        case JoinKind::kProbeAnti:
-        case JoinKind::kMark:
-          break;
-      }
-      break;  // group keys are distinct: at most one group can equal
-    }
-    if (kind_ == JoinKind::kProbeSemi && matched) {
-      emitter_->EmitProbeOnly(probe_row, ctx);
-    } else if (kind_ == JoinKind::kProbeAnti && !matched) {
-      emitter_->EmitProbeOnly(probe_row, ctx);
-    } else if (kind_ == JoinKind::kLeftOuter && !matched) {
-      emitter_->EmitProbeOnly(probe_row, ctx);
-    } else if (kind_ == JoinKind::kMark) {
-      emitter_->EmitMark(probe_row, matched, ctx);
-    }
-    return matched;
-  }
-
-  // Build-preserving kinds: per-group verdicts are final here for the same
-  // reason as in a partition pair. Call once after all probes.
-  void FinishBuildSide(ThreadContext& ctx) {
-    if (!track_) return;
-    for (const Group& g : groups_) {
-      if ((kind_ == JoinKind::kBuildSemi && g.matched) ||
-          (kind_ == JoinKind::kBuildAnti && !g.matched) ||
-          (kind_ == JoinKind::kRightOuter && !g.matched)) {
-        for (const std::byte* b : g.rows) emitter_->EmitBuildOnly(b, ctx);
-      }
-    }
-  }
-
- private:
-  struct Group {
-    const std::byte* rep;
-    std::vector<const std::byte*> rows;
-    bool matched;
-  };
-
-  JoinKind kind_;
-  const KeySpec* bkey_;
-  const KeySpec* pkey_;
-  JoinEmitter* emitter_;
-  bool track_;
-  std::vector<Group> groups_;
 };
 
 RadixConfig MakePartitionerConfig(const RadixJoin::Options& options,
@@ -175,9 +72,6 @@ RadixJoin::RadixJoin(JoinKind kind, const RowLayout* build_layout,
   probe_part_ = std::make_unique<RadixPartitioner>(
       MakePartitionerConfig(options, probe_layout->stride(), bits));
   PJOIN_CHECK(build_part_->num_partitions() == probe_part_->num_partitions());
-  resplit_threshold_ = options.resplit_partition_bytes > 0
-                           ? options.resplit_partition_bytes
-                           : GetCpuInfo().l2_bytes;
 }
 
 JoinMetrics RadixJoin::CollectMetrics() const {
@@ -186,8 +80,7 @@ JoinMetrics RadixJoin::CollectMetrics() const {
   m.join_id = join_id_;
   m.kind = kind_;
   m.strategy = options_.strategy;
-  m.build_tuples =
-      build_part_->total_tuples() + SpilledBuildTuples() + HeavyBuildTuples();
+  m.build_tuples = build_part_->total_tuples() + SpilledBuildTuples();
   m.probe_tuples = probe_seen_.load(std::memory_order_relaxed);
   m.probe_matched = probe_matched_.load(std::memory_order_relaxed);
   m.build_width = build_layout_->stride();
@@ -202,8 +95,7 @@ JoinMetrics RadixJoin::CollectMetrics() const {
   if (bloom_enabled()) {
     b.size_bytes = bloom_.SizeBytes();
     b.num_blocks = bloom_.num_blocks();
-    b.build_keys =
-        build_part_->total_tuples() + SpilledBuildTuples() + HeavyBuildTuples();
+    b.build_keys = build_part_->total_tuples() + SpilledBuildTuples();
     b.probes = bloom_checks_.load(std::memory_order_relaxed);
     b.negatives = bloom_dropped_.load(std::memory_order_relaxed);
     b.adaptive = adaptive();
@@ -211,18 +103,6 @@ JoinMetrics RadixJoin::CollectMetrics() const {
     b.adaptive_samples = adaptive() ? adaptive_.sampled_checks() : 0;
   }
   m.spill = SnapshotSpill(spill_.get());
-  SkewDefenseMetrics& sk = m.skew;
-  sk.enabled = options_.skew_defense;
-  if (heavy_ != nullptr) {
-    sk.heavy_hitters = static_cast<uint32_t>(heavy_->hashes.size());
-    sk.bypass_build_tuples = heavy_->build_tuples;
-    sk.bypass_probe_tuples =
-        heavy_->probe_tuples.load(std::memory_order_relaxed);
-  }
-  sk.partitions_resplit =
-      static_cast<uint32_t>(resplit_partitions_.load(std::memory_order_relaxed));
-  sk.dense_fallbacks =
-      static_cast<uint32_t>(dense_fallbacks_.load(std::memory_order_relaxed));
   return m;
 }
 
@@ -243,96 +123,6 @@ void RadixBuildSink::Close(ThreadContext& ctx) {
 
 void RadixBuildSink::Finish(ExecContext& exec) {
   if (!join_->build_deferred()) join_->FinishBuild(exec);
-}
-
-void RadixJoin::DetectHeavyHitters() {
-  RadixPartitioner& part = *build_part_;
-  const uint64_t total = part.PendingTuples();
-  if (total == 0) return;
-
-  // Misra-Gries summary over the staged hashes. Any hash whose share exceeds
-  // 1/candidates is guaranteed to survive regardless of scan order, so with
-  // candidates >= 2/heavy_hitter_share the exact pass below sees every
-  // qualifying hash and the result is deterministic even though the staged
-  // order is not.
-  const double share = std::max(1e-6, options_.heavy_hitter_share);
-  const int candidates = static_cast<int>(
-      std::min(1024.0, std::max(64.0, 2.0 / share)));
-  std::unordered_map<uint64_t, uint64_t> counters;
-  counters.reserve(candidates * 2);
-  part.ForEachStagedTuple([&](uint64_t hash, const std::byte*) {
-    auto it = counters.find(hash);
-    if (it != counters.end()) {
-      ++it->second;
-      return;
-    }
-    if (static_cast<int>(counters.size()) < candidates) {
-      counters.emplace(hash, 1);
-      return;
-    }
-    for (auto i = counters.begin(); i != counters.end();) {
-      if (--i->second == 0) {
-        i = counters.erase(i);
-      } else {
-        ++i;
-      }
-    }
-  });
-  if (counters.empty()) return;
-
-  // Exact counts for the surviving candidates only.
-  std::unordered_map<uint64_t, uint64_t> exact;
-  exact.reserve(counters.size() * 2);
-  for (const auto& [h, c] : counters) exact.emplace(h, 0);
-  part.ForEachStagedTuple([&](uint64_t hash, const std::byte*) {
-    auto it = exact.find(hash);
-    if (it != exact.end()) ++it->second;
-  });
-  const uint64_t min_count = std::max<uint64_t>(
-      1, static_cast<uint64_t>(share * static_cast<double>(total)));
-  std::vector<std::pair<uint64_t, uint64_t>> qualified;  // (count, hash)
-  for (const auto& [h, c] : exact) {
-    if (c >= min_count) qualified.emplace_back(c, h);
-  }
-  if (qualified.empty()) return;
-  // Hottest first; count ties break on the hash value — deterministic.
-  std::sort(qualified.rbegin(), qualified.rend());
-  if (static_cast<int>(qualified.size()) > options_.max_heavy_hitters) {
-    qualified.resize(options_.max_heavy_hitters);
-  }
-
-  auto heavy = std::make_unique<HeavyHitters>();
-  for (const auto& [c, h] : qualified) {
-    heavy->hashes.push_back(h);
-    heavy->filter_mask |= uint64_t{1} << (h & 63);
-  }
-  heavy->build_rows.resize(heavy->hashes.size());
-
-  // Pull the heavy tuples out of their pass-1 pre-partitions into dense
-  // per-hash row arrays; survivors are compacted in place so the exchange
-  // (and any spill decision) sizes only the cold remainder.
-  const uint32_t row_stride = build_layout_->stride();
-  const uint64_t p1_mask = (uint64_t{1} << part.config().bits1) - 1;
-  std::set<int> pre_partitions;
-  for (uint64_t h : heavy->hashes) {
-    pre_partitions.insert(static_cast<int>(h & p1_mask));
-  }
-  uint64_t extracted = 0;
-  for (int p1 : pre_partitions) {
-    part.ExtractFromPrePartition(
-        p1, [&](uint64_t hash) { return heavy->Find(hash) >= 0; },
-        [&](uint64_t hash, const std::byte* row) {
-          std::vector<std::byte>& dst = heavy->build_rows[heavy->Find(hash)];
-          dst.insert(dst.end(), row, row + row_stride);
-          ++extracted;
-        });
-  }
-  heavy->build_tuples = extracted;
-  heavy->probe.resize(options_.num_threads);
-  for (ChunkedTupleBuffer& buf : heavy->probe) {
-    buf.Init(probe_part_->tuple_stride());
-  }
-  heavy_ = std::move(heavy);
 }
 
 void RadixJoin::RouteStagedToHashTable(ExecContext& exec) {
@@ -367,24 +157,15 @@ void RadixJoin::FinishBuild(ExecContext& exec) {
     RouteStagedToHashTable(exec);
     return;
   }
-  if (options_.skew_defense) DetectHeavyHitters();
   if (bloom_enabled()) {
     // The filter is generated while partitioning during the second pass over
     // the build side (Section 4.7). Exact sizing: the staged tuple count is
     // known before pass 2 starts. Block count >= pass-1 fan-out keeps the
     // per-pre-partition block ranges disjoint (unsynchronized writes).
     // Spilled keys are inserted below, before Finalize, so the probe-side
-    // early filter stays sound for spilled partitions too. Bypassed heavy
-    // hashes (already extracted from the staged tuples) are re-inserted here
-    // for the same reason — dropped-by-filter must still mean no partner.
-    const uint64_t heavy_keys =
-        heavy_ != nullptr ? heavy_->hashes.size() : uint64_t{0};
-    bloom_.Resize(part.PendingTuples() + heavy_keys,
-                  uint64_t{1} << part.config().bits1);
+    // early filter stays sound for spilled partitions too.
+    bloom_.Resize(part.PendingTuples(), uint64_t{1} << part.config().bits1);
     part.set_bloom(&bloom_);
-    if (heavy_ != nullptr) {
-      for (uint64_t h : heavy_->hashes) bloom_.InsertUnsynchronized(h);
-    }
   }
 
   MemoryGovernor& gov = MemoryGovernor::Global();
@@ -485,16 +266,13 @@ void RadixProbeSink::Consume(Batch& batch, ThreadContext& ctx) {
       join_->bloom_enabled() &&
       (!join_->adaptive() || join_->adaptive_controller().enabled());
   SpillJoinState* spill = join_->spill();
-  RadixJoin::HeavyHitters* heavy = join_->heavy();
   const uint64_t p1_mask =
       (uint64_t{1} << part.config().bits1) - 1;  // pass-1 fan-out mask
   const uint32_t row_stride = join_->probe_layout()->stride();
-  const uint32_t tuple_stride = part.tuple_stride();
   uint64_t dropped = 0;
   uint64_t checks = 0;
   uint64_t passes = 0;
   uint64_t spilled = 0;
-  uint64_t bypassed = 0;
   uint64_t hashes[kBatchCapacity];
   HashRowsBatch(key, batch.rows, batch.layout->stride(), batch.size, hashes);
   uint64_t pass_bitmap[kBatchCapacity / 64];
@@ -518,16 +296,6 @@ void RadixProbeSink::Consume(Batch& batch, ThreadContext& ctx) {
     if (use_bloom && ((pass_bitmap[i >> 6] >> (i & 63)) & 1) == 0) {
       continue;
     }
-    if (heavy != nullptr && heavy->Find(hash) >= 0) {
-      // Heavy-hash tuples bypass partitioning (and spilling: their build
-      // rows were extracted before any eviction) into the worker's bypass
-      // buffer, joined against the dense build arrays by extra morsels.
-      std::byte* dst = heavy->probe[ctx.thread_id].AllocBytes(tuple_stride);
-      __builtin_memcpy(dst, &hash, 8);
-      __builtin_memcpy(dst + 8, row, row_stride);
-      ++bypassed;
-      continue;
-    }
     if (spill != nullptr &&
         spill->IsSpilled(static_cast<int>(hash & p1_mask))) {
       spill->probe(static_cast<int>(hash & p1_mask))
@@ -540,9 +308,6 @@ void RadixProbeSink::Consume(Batch& batch, ThreadContext& ctx) {
   if (spilled > 0) {
     spill->stats.probe_tuples_spilled.fetch_add(spilled,
                                                 std::memory_order_relaxed);
-  }
-  if (bypassed > 0) {
-    heavy->probe_tuples.fetch_add(bypassed, std::memory_order_relaxed);
   }
   join_->AddProbeSeen(batch.size);
   if (checks > 0) join_->AddBloomWindow(checks, dropped);
@@ -610,27 +375,14 @@ bool PartitionJoinSource::ProduceMorsel(Operator& consumer,
   SpillJoinState* spill = join_->spill();
   const int num_final = bp.num_partitions();
   const int num_extra = spill != nullptr ? spill->num_spilled() : 0;
-  RadixJoin::HeavyHitters* heavy = join_->heavy();
-  const int num_heavy =
-      heavy != nullptr ? static_cast<int>(heavy->hashes.size()) : 0;
-  if (f >= num_final + num_extra + num_heavy) return false;
-
-  if (f >= num_final + num_extra) {
-    // Bypassed heavy hashes join last: one dense-array morsel per hash.
-    if (!ws.emitter_bound) {
-      ws.emitter.Bind(&join_->projection(), &consumer, metrics_);
-      ws.emitter_bound = true;
-    }
-    JoinHeavyMorsel(f - num_final - num_extra, ws, ctx);
-    return true;
+  if (f >= num_final + num_extra) return false;
+  if (!ws.emitter_bound) {
+    ws.emitter.Bind(&join_->projection(), &consumer, metrics_);
+    ws.emitter_bound = true;
   }
 
   if (f >= num_final) {
     // Spilled pre-partitions become extra morsels after the resident ones.
-    if (!ws.emitter_bound) {
-      ws.emitter.Bind(&join_->projection(), &consumer, metrics_);
-      ws.emitter_bound = true;
-    }
     const int p1 = spill->spilled_at(f - num_final);
     SpillJoinSpec spec;
     spec.kind = join_->kind();
@@ -650,15 +402,8 @@ bool PartitionJoinSource::ProduceMorsel(Operator& consumer,
     return true;
   }
 
-  if (!ws.emitter_bound) {
-    ws.emitter.Bind(&join_->projection(), &consumer, metrics_);
-    ws.emitter_bound = true;
-  }
-  // Pass 1 + pass 2 consumed the low bits1+bits2 hash bits; a defensive
-  // re-split of an oversized partition starts above them.
   JoinPartitionPair(ws, bp.partition_data(f), bp.partition_tuples(f),
-                    pp.partition_data(f), pp.partition_tuples(f),
-                    bp.config().bits1 + bp.config().bits2, 0, ctx);
+                    pp.partition_data(f), pp.partition_tuples(f), ctx);
   return true;
 }
 
@@ -666,8 +411,8 @@ void PartitionJoinSource::JoinPartitionPair(WorkerState& ws,
                                             const std::byte* bdata,
                                             uint64_t bcount,
                                             const std::byte* pdata,
-                                            uint64_t pcount, int bit_shift,
-                                            int depth, ThreadContext& ctx) {
+                                            uint64_t pcount,
+                                            ThreadContext& ctx) {
   RadixPartitioner& bp = join_->build_partitioner();
   RadixPartitioner& pp = join_->probe_partitioner();
   const uint32_t bstride = bp.tuple_stride();
@@ -675,64 +420,6 @@ void PartitionJoinSource::JoinPartitionPair(WorkerState& ws,
   const JoinKind kind = join_->kind();
   const KeySpec& bkey = join_->build_key();
   const KeySpec& pkey = join_->probe_key();
-
-  // Oversized-partition strategy switch (skew defense): a build side above
-  // the re-split threshold splits 16-way in memory on the hash bits above
-  // the radix passes and recurses — PR 3's Grace recursion applied to
-  // resident partitions. A partition whose build hashes are all identical
-  // (one giant key, or a full-hash collision cluster) can never split; it
-  // falls back to the grouped dense scan instead of a robin-hood table whose
-  // equal hashes would cluster into one quadratic probe chain.
-  if (join_->options().skew_defense && depth < kMaxResplitDepth &&
-      bcount * bstride > join_->resplit_threshold() && bit_shift + 4 <= 64) {
-    const uint64_t first_hash = RadixPartitioner::TupleHash(bdata);
-    bool all_same = true;
-    for (uint64_t i = 1; i < bcount && all_same; ++i) {
-      all_same =
-          RadixPartitioner::TupleHash(bdata + i * bstride) == first_hash;
-    }
-    if (all_same) {
-      join_->AddDenseFallback();
-      DenseKeyJoin dense(kind, &bkey, &pkey, &ws.emitter);
-      for (uint64_t i = 0; i < bcount; ++i) {
-        dense.AddBuildRow(RadixPartitioner::TupleRow(bdata + i * bstride));
-      }
-      uint64_t matched = 0;
-      for (uint64_t j = 0; j < pcount; ++j) {
-        matched +=
-            dense.Probe(RadixPartitioner::TupleRow(pdata + j * pstride), ctx)
-                ? 1
-                : 0;
-      }
-      dense.FinishBuildSide(ctx);
-      if (matched > 0) join_->AddProbeMatched(matched);
-      ctx.bytes->AddRead(JoinPhase::kJoin,
-                         bcount * bstride + pcount * pstride);
-      return;
-    }
-    constexpr int kWays = 16;
-    std::vector<std::vector<std::byte>> bbuckets(kWays), pbuckets(kWays);
-    auto split = [&](const std::byte* data, uint64_t count, uint32_t stride,
-                     std::vector<std::vector<std::byte>>& buckets) {
-      for (uint64_t i = 0; i < count; ++i) {
-        const std::byte* t = data + i * stride;
-        const int b = static_cast<int>(
-            (RadixPartitioner::TupleHash(t) >> bit_shift) & (kWays - 1));
-        buckets[b].insert(buckets[b].end(), t, t + stride);
-      }
-    };
-    split(bdata, bcount, bstride, bbuckets);
-    split(pdata, pcount, pstride, pbuckets);
-    join_->AddResplit();
-    for (int b = 0; b < kWays; ++b) {
-      const uint64_t bc = bbuckets[b].size() / bstride;
-      const uint64_t pc = pbuckets[b].size() / pstride;
-      if (bc == 0 && pc == 0) continue;
-      JoinPartitionPair(ws, bbuckets[b].data(), bc, pbuckets[b].data(), pc,
-                        bit_shift + 4, depth + 1, ctx);
-    }
-    return;
-  }
 
   // Build the per-partition hash table on the fly (Algorithm 2). Tuples are
   // not moved: only pointers into the partition buffer are stored.
@@ -808,41 +495,6 @@ void PartitionJoinSource::JoinPartitionPair(WorkerState& ws,
       }
     }
   }
-}
-
-void PartitionJoinSource::JoinHeavyMorsel(int heavy_idx, WorkerState& ws,
-                                          ThreadContext& ctx) {
-  RadixJoin::HeavyHitters& heavy = *join_->heavy();
-  const uint64_t target = heavy.hashes[heavy_idx];
-  const std::vector<std::byte>& brows = heavy.build_rows[heavy_idx];
-  const uint32_t row_stride = join_->build_layout()->stride();
-  const uint64_t bcount = row_stride > 0 ? brows.size() / row_stride : 0;
-  const uint32_t pstride = join_->probe_partitioner().tuple_stride();
-
-  // Every build row of every key hashing to `target` is in this dense
-  // array (extraction preceded spilling), and every probing tuple of those
-  // keys is in some worker's bypass buffer — verdicts here are final.
-  DenseKeyJoin dense(join_->kind(), &join_->build_key(), &join_->probe_key(),
-                     &ws.emitter);
-  for (uint64_t i = 0; i < bcount; ++i) {
-    dense.AddBuildRow(brows.data() + i * row_stride);
-  }
-  uint64_t matched = 0;
-  uint64_t probes = 0;
-  for (const ChunkedTupleBuffer& buf : heavy.probe) {
-    buf.ForEachChunk([&](const std::byte* data, uint64_t used) {
-      for (uint64_t off = 0; off + pstride <= used; off += pstride) {
-        const std::byte* tuple = data + off;
-        if (RadixPartitioner::TupleHash(tuple) != target) continue;
-        ++probes;
-        matched +=
-            dense.Probe(RadixPartitioner::TupleRow(tuple), ctx) ? 1 : 0;
-      }
-    });
-  }
-  dense.FinishBuildSide(ctx);
-  if (matched > 0) join_->AddProbeMatched(matched);
-  ctx.bytes->AddRead(JoinPhase::kJoin, bcount * row_stride + probes * pstride);
 }
 
 void PartitionJoinSource::Close(ThreadContext& ctx) {

@@ -65,19 +65,6 @@ class RadixJoin {
     int bits2 = -1;
     bool use_swwcb = true;
     bool use_streaming = true;
-    // --- Skew defense (armed by the advisor on an estimated skew overflow, or
-    // explicitly by tests/benches; off by default so manual RJ/BRJ runs keep
-    // their exact pre-defense behavior).
-    bool skew_defense = false;
-    // Minimum share of staged build tuples for a hash to be routed around
-    // partitioning into the dense-array bypass. Must stay above 1/64 (the
-    // Misra-Gries candidate bound) for detection to be exact.
-    double heavy_hitter_share = 0.05;
-    // Cap on bypassed hashes (the sampled top-k).
-    int max_heavy_hitters = 16;
-    // Resident final partitions whose build side exceeds this re-split
-    // 16-way in memory during the join phase (0 = auto: the L2 size).
-    uint64_t resplit_partition_bytes = 0;
   };
 
   RadixJoin(JoinKind kind, const RowLayout* build_layout,
@@ -151,45 +138,6 @@ class RadixJoin {
                                    std::memory_order_relaxed);
   }
 
-  // Heavy-hitter bypass state (skew defense). FinishBuild pulls the build
-  // tuples of the hottest hashes out of the partitioning flow into dense
-  // per-hash arrays; the probe sink routes matching tuples into per-worker
-  // bypass buffers, joined by extra morsels after the partition pairs. The
-  // per-partition finality argument carries over: equal keys hash equal, so
-  // every build row of a bypassed key lives in its dense array.
-  struct HeavyHitters {
-    std::vector<uint64_t> hashes;  // hottest first, <= max_heavy_hitters
-    uint64_t filter_mask = 0;      // one-word prefilter over (hash & 63)
-    std::vector<std::vector<std::byte>> build_rows;  // per hash: row bytes
-    std::vector<ChunkedTupleBuffer> probe;  // per worker: [hash][row] tuples
-    uint64_t build_tuples = 0;              // extracted at FinishBuild
-    std::atomic<uint64_t> probe_tuples{0};  // routed by the probe sink
-
-    // Index of `hash` among the heavy hashes, or -1.
-    int Find(uint64_t hash) const {
-      if (((filter_mask >> (hash & 63)) & 1) == 0) return -1;
-      for (size_t i = 0; i < hashes.size(); ++i) {
-        if (hashes[i] == hash) return static_cast<int>(i);
-      }
-      return -1;
-    }
-  };
-
-  // Non-null iff the defense is armed and FinishBuild found heavy hashes.
-  HeavyHitters* heavy() { return heavy_.get(); }
-  uint64_t HeavyBuildTuples() const {
-    return heavy_ == nullptr ? 0 : heavy_->build_tuples;
-  }
-
-  // Oversized-partition re-split: threshold and audit counters.
-  uint64_t resplit_threshold() const { return resplit_threshold_; }
-  void AddResplit() {
-    resplit_partitions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void AddDenseFallback() {
-    dense_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   const KeySpec& build_key() const { return build_key_; }
   const KeySpec& probe_key() const { return probe_key_; }
   const JoinProjection& projection() const { return projection_; }
@@ -231,9 +179,6 @@ class RadixJoin {
   JoinMetrics CollectMetrics() const;
 
  private:
-  // Exact heavy-hash detection over the staged build side (Misra-Gries
-  // candidates + one exact counting pass) and extraction into heavy_.
-  void DetectHeavyHitters();
   // Not-partitioned resolution: builds the chaining hash table over the
   // staged [hash][row] tuples (no input re-read) and finishes the BHJ build.
   void RouteStagedToHashTable(ExecContext& exec);
@@ -249,10 +194,6 @@ class RadixJoin {
   std::unique_ptr<RadixPartitioner> build_part_;
   std::unique_ptr<RadixPartitioner> probe_part_;
   std::unique_ptr<SpillJoinState> spill_;
-  std::unique_ptr<HeavyHitters> heavy_;
-  uint64_t resplit_threshold_ = 0;
-  std::atomic<uint64_t> resplit_partitions_{0};
-  std::atomic<uint64_t> dense_fallbacks_{0};
   BlockedBloomFilter bloom_;
   AdaptiveFilterController adaptive_;
   std::atomic<uint64_t> probe_seen_{0};
@@ -360,17 +301,10 @@ class PartitionJoinSource : public Source {
     bool emitter_bound = false;  // emitter binds on the worker's first morsel
   };
 
-  // Joins one (build, probe) tuple-array pair. With the skew defense armed,
-  // oversized build sides re-split 16-way on the hash bits above
-  // `bit_shift` and recurse; same-hash clusters fall back to a grouped
-  // dense scan instead of a degenerate robin-hood table.
+  // Joins one (build, probe) tuple-array pair.
   void JoinPartitionPair(WorkerState& ws, const std::byte* bdata,
                          uint64_t bcount, const std::byte* pdata,
-                         uint64_t pcount, int bit_shift, int depth,
-                         ThreadContext& ctx);
-  // Joins one bypassed heavy hash: its dense build array against every
-  // worker's bypass buffer.
-  void JoinHeavyMorsel(int heavy_idx, WorkerState& ws, ThreadContext& ctx);
+                         uint64_t pcount, ThreadContext& ctx);
   // Not-partitioned morsels: one buffered probe output, then the ht scan.
   bool ReplayHashMorsel(Operator& consumer, ThreadContext& ctx);
 

@@ -137,50 +137,6 @@ class RadixPartitioner {
     for (auto& worker : chunks_) worker[p1].Clear();
   }
 
-  // Extracts every staged tuple of pre-partition `p1` whose hash satisfies
-  // `pred(hash)` — calling sink(hash, row) for each — and compacts the
-  // surviving tuples in place, so the exchange and any later spill decision
-  // size only what remains. Valid in the PendingTuples window. The skew
-  // defense uses this to pull heavy-hitter build tuples out of the
-  // partitioning flow.
-  template <typename Pred, typename Sink>
-  void ExtractFromPrePartition(int p1, Pred&& pred, Sink&& sink) {
-    for (auto& worker : chunks_) {
-      ChunkedTupleBuffer& buf = worker[p1];
-      if (buf.empty()) continue;
-      bool any = false;
-      buf.ForEachChunk([&](const std::byte* data, uint64_t used) {
-        if (any) return;
-        for (uint64_t off = 0; off + tuple_stride_ <= used;
-             off += tuple_stride_) {
-          if (pred(TupleHash(data + off))) {
-            any = true;
-            return;
-          }
-        }
-      });
-      if (!any) continue;
-      ChunkedTupleBuffer keep;
-      keep.Init(tuple_stride_);
-      buf.ForEachChunk([&](const std::byte* data, uint64_t used) {
-        for (uint64_t off = 0; off + tuple_stride_ <= used;
-             off += tuple_stride_) {
-          const std::byte* tuple = data + off;
-          const uint64_t hash = TupleHash(tuple);
-          if (pred(hash)) {
-            sink(hash, TupleRow(tuple));
-          } else {
-            __builtin_memcpy(keep.AllocBytes(tuple_stride_), tuple,
-                             tuple_stride_);
-          }
-        }
-      });
-      // Move-assign clears the replaced chunks first, keeping the governor
-      // accounting exact.
-      buf = std::move(keep);
-    }
-  }
-
   // Runs histogram scan, exchange, and pass 2 on `pool`. Phase wall times go
   // to `timer`; byte counts to `per_thread_bytes`, an array indexed by pool
   // thread id (either may be null).

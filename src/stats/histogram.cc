@@ -4,11 +4,13 @@
 #include <cmath>
 #include <cstdio>
 
+#include "util/hash.h"
+
 namespace pjoin {
 namespace {
 
 // Sampling cap shared with the scan-range estimator: full scan below it,
-// fixed-stride (deterministic, order-insensitive) sample above it.
+// one row per stride above it (deterministic, order-insensitive).
 constexpr uint64_t kHistogramSampleCap = 65536;
 
 bool NumericValue(const Column& col, uint64_t row, double* out) {
@@ -43,7 +45,12 @@ EqualHeightHistogram EqualHeightHistogram::Build(const Column& col,
   const uint64_t stride = n <= kHistogramSampleCap ? 1 : n / kHistogramSampleCap;
   std::vector<double> sample;
   sample.reserve(n / stride + 1);
-  for (uint64_t row = 0; row < n; row += stride) {
+  for (uint64_t start = 0; start < n; start += stride) {
+    // A pseudo-random offset within each stride, fixed by the stride's
+    // index: a row-0 lattice would alias with any periodic layout (a hot key
+    // on every other row reads as absent, or as every sampled row).
+    const uint64_t span = std::min(stride, n - start);
+    const uint64_t row = start + HashInt64(start / stride) % span;
     double v;
     NumericValue(col, row, &v);
     // NaN has no place in an order: it would break the sort and never end

@@ -1,9 +1,10 @@
 // Equal-height histograms over numeric columns.
 //
 // The builder sorts a deterministic sample of the column (the full column up
-// to a cap, a fixed-stride sample beyond it) and closes a bucket whenever the
-// accumulated row count reaches the equal-height target — but only on a
-// value boundary, so no value ever spans two buckets. Heavy values therefore
+// to a cap, beyond it one row per fixed stride, at a pseudo-random offset
+// within the stride) and closes a bucket whenever the accumulated row count
+// reaches the equal-height target — but only on a value boundary, so no
+// value ever spans two buckets. Heavy values therefore
 // get singleton buckets automatically (the Hyrise chunk-statistics histograms
 // snap boundaries the same way), which is what makes equality estimates on
 // Zipf-distributed keys accurate: the hot key's bucket stores its exact
@@ -42,7 +43,7 @@ class EqualHeightHistogram {
   const std::vector<Bucket>& buckets() const { return buckets_; }
 
   // Rows the histogram was built from: the full column up to 65,536 rows,
-  // a fixed-stride sample of about that many beyond it (NaNs left out).
+  // one row per stride, about that many, beyond it (NaNs left out).
   uint64_t sample_rows() const { return sample_rows_; }
 
   // Share of the sample held by its most frequent value, in (0, 1]: exact

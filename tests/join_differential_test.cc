@@ -142,15 +142,11 @@ RowLayout MakeOutputLayout(JoinKind kind, int build_cols, int probe_cols) {
 }
 
 // Runs one join through real pipelines (the join_test.cc harness generalized
-// to arbitrary column counts) and returns sorted output rows. When
-// `skew_defense` is set, the radix strategies run with the heavy-hitter
-// bypass armed and an artificially tiny re-split threshold, so the
-// dense-array join and the 16-way partition re-split both execute.
+// to arbitrary column counts) and returns sorted output rows.
 // `metrics_out`, when non-null, receives the radix join's metrics.
 IntRows RunJoin(JoinStrategy strategy, JoinKind kind, const IntRows& build,
                 const IntRows& probe, int build_cols, int probe_cols,
-                int threads, bool skew_defense = false,
-                JoinMetrics* metrics_out = nullptr) {
+                int threads, JoinMetrics* metrics_out = nullptr) {
   RowLayout build_layout = MakeLayout("b", build_cols);
   RowLayout probe_layout = MakeLayout("p", probe_cols);
   RowLayout out_layout = MakeOutputLayout(kind, build_cols, probe_cols);
@@ -198,12 +194,6 @@ IntRows RunJoin(JoinStrategy strategy, JoinKind kind, const IntRows& build,
     options.strategy = strategy;
     options.expected_build_tuples = build.size() | 1;
     options.num_threads = threads;
-    if (skew_defense) {
-      options.skew_defense = true;
-      options.heavy_hitter_share = 0.04;
-      options.max_heavy_hitters = 8;
-      options.resplit_partition_bytes = 1024;  // force the re-split path
-    }
     RadixJoin join(kind, &build_layout, {0}, &probe_layout, {0}, projection,
                    options);
     RadixBuildSink build_sink(&join);
@@ -353,10 +343,9 @@ INSTANTIATE_TEST_SUITE_P(
 //
 // The sweep above skews only the probe keys; here the *build* side is
 // skewed, which is what breaks partitioned joins (one partition absorbs the
-// hot key's entire chain). Every strategy — including the radix joins with
-// the skew defense forced on, so heavy-hitter bypass, partition re-split,
-// and the dense-array fallback all execute — must stay bit-identical to the
-// nested-loop oracle. Run under ctest label `skew`.
+// hot key's entire chain). kAuto declines to partition such builds, but a
+// forced RJ/BRJ must still stay bit-identical to the nested-loop oracle, as
+// must the BHJ. Run under ctest label `skew`.
 
 struct SkewDataConfig {
   const char* name;
@@ -381,7 +370,7 @@ const SkewDataConfig kSkewConfigs[] = {
     {"heavy_nine_tenths", 2000, 4000, 0.0, 0.9, 500, 0.0, 2, 2},
     // Correlated skew: both sides hammer the same hot keys.
     {"both_sides_zipf", 2000, 4000, 1.0, 0.0, 500, 1.0, 2, 2},
-    // Wide payloads push per-partition bytes over the re-split threshold.
+    // Wide payloads: fewer tuples per partition byte.
     {"skew_wide", 1000, 2000, 1.0, 0.0, 250, 0.0, 4, 3},
 };
 
@@ -445,40 +434,20 @@ TEST_P(SkewDifferentialTest, AllStrategiesMatchReferenceOnSkewedBuilds) {
     IntRows expected =
         ReferenceJoin(build, probe, 0, kind, cfg.build_cols, cfg.probe_cols);
     const int threads = 1 + static_cast<int>(idx % 3);
-    // Undefended: the baseline joins must already be correct under skew.
     for (JoinStrategy strategy : strategies) {
       SCOPED_TRACE(JoinStrategyName(strategy));
       IntRows actual = RunJoin(strategy, kind, build, probe, cfg.build_cols,
                                cfg.probe_cols, threads);
       ASSERT_EQ(actual, expected);
     }
-    // Defended: heavy-hitter bypass + forced re-split, same results.
-    for (JoinStrategy strategy : {JoinStrategy::kRJ, JoinStrategy::kBRJ}) {
-      SCOPED_TRACE(std::string(JoinStrategyName(strategy)) + "+defense");
-      JoinMetrics metrics;
-      IntRows actual =
-          RunJoin(strategy, kind, build, probe, cfg.build_cols, cfg.probe_cols,
-                  threads, /*skew_defense=*/true, &metrics);
-      ASSERT_EQ(actual, expected);
-      EXPECT_TRUE(metrics.skew.enabled);
-      // The 1 KiB threshold forces re-splits (or dense fallbacks) on every
-      // config; the bypass bar (4%) is only guaranteed to be cleared on the
-      // strongly skewed shapes.
-      EXPECT_GT(metrics.skew.partitions_resplit + metrics.skew.dense_fallbacks,
-                0u);
-      if (cfg.build_theta >= 1.0 || cfg.heavy_fraction >= 0.25) {
-        EXPECT_GE(metrics.skew.heavy_hitters, 1u);
-        EXPECT_GT(metrics.skew.bypass_build_tuples, 0u);
-      }
-    }
     ++idx;
   }
 }
 
-// The defended join under a 16 KiB budget: heavy-hitter extraction happens
-// before spill eviction, so the bypass, the re-split, and the out-of-core
-// pair loop must compose — and still match the in-memory defended run.
-TEST_P(SkewDifferentialTest, DefendedJoinSpillsUnderTinyBudget) {
+// Skew plus spill: RJ and BRJ on the half-heavy build under a 16 KiB
+// budget evict pre-partitions, so skewed partitions join through the
+// out-of-core pair loop, and must still match the reference.
+TEST_P(SkewDifferentialTest, SkewedJoinSpillsUnderTinyBudget) {
   const JoinKind kind = GetParam();
   const SkewDataConfig& cfg = kSkewConfigs[4];  // heavy_half
   const uint64_t seed = 8100 + static_cast<uint64_t>(kind) * 17;
@@ -487,19 +456,18 @@ TEST_P(SkewDifferentialTest, DefendedJoinSpillsUnderTinyBudget) {
   IntRows expected =
       ReferenceJoin(build, probe, 0, kind, cfg.build_cols, cfg.probe_cols);
 
-  IntRows actual;
-  JoinMetrics metrics;
-  {
-    ScopedMemoryBudget scoped(16 * 1024);
-    actual = RunJoin(JoinStrategy::kRJ, kind, build, probe, cfg.build_cols,
-                     cfg.probe_cols, /*threads=*/2, /*skew_defense=*/true,
-                     &metrics);
+  for (JoinStrategy strategy : {JoinStrategy::kRJ, JoinStrategy::kBRJ}) {
+    SCOPED_TRACE(JoinStrategyName(strategy));
+    IntRows actual;
+    JoinMetrics metrics;
+    {
+      ScopedMemoryBudget scoped(16 * 1024);
+      actual = RunJoin(strategy, kind, build, probe, cfg.build_cols,
+                       cfg.probe_cols, /*threads=*/2, &metrics);
+    }
+    ASSERT_EQ(actual, expected);
+    EXPECT_GT(metrics.spill.partitions_spilled, 0u);
   }
-  ASSERT_EQ(actual, expected);
-  EXPECT_GT(metrics.spill.partitions_spilled, 0u);
-  EXPECT_TRUE(metrics.skew.enabled);
-  EXPECT_GE(metrics.skew.heavy_hitters, 1u);
-  EXPECT_GT(metrics.skew.bypass_build_tuples, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

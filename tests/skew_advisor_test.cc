@@ -1,7 +1,7 @@
-// Tests for the advisor's skew defense: the histogram-estimated skew terms must
-// keep kAuto off the plain (undefended) radix path whenever the estimated
-// hottest partition overflows the margin-scaled L2 target, and the decision
-// must surface in EXPLAIN / EXPLAIN ANALYZE and the metrics JSON.
+// Tests for the advisor's skew rule: a histogram-estimated hottest key that
+// overflows one margin-scaled partition makes kAuto decline to partition
+// (the paper's answer to skew, Table 4 and Fig. 17), and the estimate
+// surfaces in EXPLAIN / EXPLAIN ANALYZE and the metrics JSON.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,45 +32,75 @@ SkewEstimate EstimateWithTopShare(double top_share) {
   return SkewEstimate{/*sample_rows=*/65536, top_share};
 }
 
-// The ISSUE's property: across the whole decision surface, a sampled
-// max-key share above the partition-overflow threshold must never produce a
-// plain radix pick — either the advisor stays non-partitioned, or the
-// partitioned pick carries the armed runtime defense.
-TEST(SkewAdvisor, NeverPlainRadixAboveOverflowThreshold) {
-  const AdvisorOptions opt = PinnedCaches();
-  for (uint64_t build : {50000ull, 200000ull, 1000000ull, 10000000ull}) {
-    for (uint64_t probe_mult : {2ull, 10ull, 50ull}) {
-      for (uint32_t width : {8u, 16u, 32u}) {
-        for (double share : {0.02, 0.1, 0.3, 0.6, 0.95}) {
-          SkewEstimate est = EstimateWithTopShare(share);
-          JoinDecision d = JoinAdvisor::Decide(
-              JoinKind::kInner, build, build, build * probe_mult, width, 8, 0,
-              opt, &est);
-          SCOPED_TRACE("build=" + std::to_string(build) +
-                       " mult=" + std::to_string(probe_mult) +
-                       " width=" + std::to_string(width) +
-                       " share=" + std::to_string(share));
-          EXPECT_TRUE(d.skew_sampled);
-          EXPECT_DOUBLE_EQ(d.est_top_share, share);
-          EXPECT_GE(d.est_max_partition_share, share);
-          const double overflow =
-              JoinAdvisor::PartitionOverflowShare(build, width, opt);
-          if (d.est_max_partition_share > overflow) {
-            EXPECT_TRUE(d.skew_overflow);
-            const bool partitioned = d.choice != JoinStrategy::kBHJ;
-            // Never plain RJ/BRJ: a partitioned pick must be defended.
-            EXPECT_TRUE(!partitioned || d.skew_defense);
-            if (partitioned) {
-              EXPECT_STREQ(d.reason, "skewed build; partitioned with skew defense");
+// Across the whole decision surface, with and without a memory budget, a
+// sampled max-key share above the partition-overflow threshold picks BHJ
+// (hybrid when it must spill); below it the skew estimate decides nothing.
+TEST(SkewAdvisor, OverflowPicksBhjAtEveryBudget) {
+  for (uint64_t budget : {0ull, 1ull << 20, 16ull << 20}) {
+    AdvisorOptions opt = PinnedCaches();
+    opt.memory_budget = budget;
+    int flipped = 0;  // overflows that would partition without the estimate
+    for (uint64_t build : {50000ull, 200000ull, 1000000ull, 10000000ull}) {
+      for (uint64_t probe_mult : {2ull, 10ull, 50ull}) {
+        for (uint32_t width : {8u, 16u, 32u}) {
+          for (double share : {0.02, 0.1, 0.3, 0.6, 0.95}) {
+            SkewEstimate est = EstimateWithTopShare(share);
+            JoinDecision d = JoinAdvisor::Decide(
+                JoinKind::kInner, build, build, build * probe_mult, width, 8,
+                0, opt, &est);
+            JoinDecision plain = JoinAdvisor::Decide(
+                JoinKind::kInner, build, build, build * probe_mult, width, 8,
+                0, opt);
+            SCOPED_TRACE("budget=" + std::to_string(budget) +
+                         " build=" + std::to_string(build) +
+                         " mult=" + std::to_string(probe_mult) +
+                         " width=" + std::to_string(width) +
+                         " share=" + std::to_string(share));
+            EXPECT_TRUE(d.skew_sampled);
+            EXPECT_DOUBLE_EQ(d.est_top_share, share);
+            EXPECT_GE(d.est_max_partition_share, share);
+            // The estimate no longer touches the modeled costs.
+            EXPECT_DOUBLE_EQ(d.cost_rj, plain.cost_rj);
+            EXPECT_DOUBLE_EQ(d.cost_brj, plain.cost_brj);
+            const double overflow =
+                JoinAdvisor::PartitionOverflowShare(build, width, opt);
+            if (d.est_max_partition_share > overflow) {
+              EXPECT_TRUE(d.skew_overflow);
+              EXPECT_EQ(d.choice, JoinStrategy::kBHJ);
+              if (plain.choice != JoinStrategy::kBHJ) {
+                ++flipped;
+                EXPECT_STREQ(d.reason, "skewed build; partitioning collapses");
+              }
+            } else {
+              EXPECT_FALSE(d.skew_overflow);
+              EXPECT_EQ(d.choice, plain.choice);
+              EXPECT_STREQ(d.reason, plain.reason);
             }
-          } else {
-            EXPECT_FALSE(d.skew_overflow);
-            EXPECT_FALSE(d.skew_defense);
           }
         }
       }
     }
+    EXPECT_GT(flipped, 0) << "budget=" << budget;
   }
+}
+
+// Deferred re-planning re-costs through Decide with the plan-time skew
+// estimate, so an observed build side large enough to overflow one
+// partition resolves not partitioned too.
+TEST(SkewAdvisor, ReplanRecostHonorsSkewRule) {
+  AdvisorOptions opt = PinnedCaches();
+  opt.partition_margin = 1000.0;
+  const SkewEstimate est = EstimateWithTopShare(0.3);
+  const JoinDecision plan = JoinAdvisor::Decide(
+      JoinKind::kInner, 200000, 200000, 2000000, 8, 8, 0, opt, &est);
+  ASSERT_FALSE(plan.skew_overflow);
+  ASSERT_NE(plan.choice, JoinStrategy::kBHJ);
+  const uint64_t staged = 200000000;
+  ASSERT_LT(JoinAdvisor::PartitionOverflowShare(staged, 8, opt), 0.3);
+  const JoinResolution r = JoinAdvisor::Resolve(
+      JoinKind::kInner, plan, staged, 2000000, /*replan_qerror=*/2.0, opt);
+  EXPECT_TRUE(r.replan.triggered);
+  EXPECT_FALSE(r.partition);
 }
 
 TEST(SkewAdvisor, UniformSampleNeverTripsOverflow) {
@@ -88,26 +118,10 @@ TEST(SkewAdvisor, UniformSampleNeverTripsOverflow) {
       SCOPED_TRACE("build=" + std::to_string(build) +
                    " width=" + std::to_string(width));
       EXPECT_FALSE(d.skew_overflow);
-      EXPECT_FALSE(d.skew_defense);
       EXPECT_EQ(d.choice, plain.choice);
       EXPECT_DOUBLE_EQ(d.cost_rj, plain.cost_rj);
     }
   }
-}
-
-TEST(SkewAdvisor, SkewPenaltyGrowsWithShare) {
-  const AdvisorOptions opt = PinnedCaches();
-  const SkewEstimate mild_est = EstimateWithTopShare(0.3);
-  const SkewEstimate heavy_est = EstimateWithTopShare(0.9);
-  JoinDecision mild = JoinAdvisor::Decide(JoinKind::kInner, 10000000, 10000000,
-                                          100000000, 8, 8, 0, opt, &mild_est);
-  JoinDecision heavy = JoinAdvisor::Decide(
-      JoinKind::kInner, 10000000, 10000000, 100000000, 8, 8, 0, opt,
-      &heavy_est);
-  EXPECT_TRUE(mild.skew_overflow);
-  EXPECT_TRUE(heavy.skew_overflow);
-  EXPECT_GT(heavy.cost_rj, mild.cost_rj);
-  EXPECT_GT(heavy.cost_brj, mild.cost_brj);
 }
 
 // ---- End to end: a skewed build estimated by AdvisePlan ------------------
@@ -150,8 +164,8 @@ std::unique_ptr<PlanNode> CountPlan(const Table* build, const Table* probe) {
                    {AggDef::CountStar("n")});
 }
 
-// Tiny modeled caches + an enormous margin force the partitioned pick, so
-// the sampled overflow must arm the defense (rather than switch to BHJ).
+// Tiny modeled caches + an enormous margin would pick a partitioned
+// strategy for any build; the sampled overflow must still pick BHJ.
 ExecOptions ForcedPartitionAutoOptions() {
   ExecOptions options;
   options.join_strategy = JoinStrategy::kAuto;
@@ -162,7 +176,7 @@ ExecOptions ForcedPartitionAutoOptions() {
   return options;
 }
 
-TEST(SkewAdvisor, SkewedBuildArmsDefenseEndToEnd) {
+TEST(SkewAdvisor, SkewedBuildPicksBhjEndToEnd) {
   Table build = MakeSkewedBuild(20000, 0.5);
   Table probe = MakeUniformProbe(40000, 20000);
   auto plan = CountPlan(&build, &probe);
@@ -183,22 +197,17 @@ TEST(SkewAdvisor, SkewedBuildArmsDefenseEndToEnd) {
   EXPECT_TRUE(jm->advisor.skew_sampled);
   EXPECT_GT(jm->advisor.est_top_share, 0.4);
   EXPECT_GT(jm->advisor.est_max_partition_share, 0.4);
-  EXPECT_NE(jm->advisor.choice, JoinStrategy::kBHJ);
-  EXPECT_TRUE(jm->advisor.skew_defense);
-  // The runtime defense actually ran: the heavy key bypassed partitioning.
-  EXPECT_TRUE(jm->skew.enabled);
-  EXPECT_GE(jm->skew.heavy_hitters, 1u);
-  EXPECT_GT(jm->skew.bypass_build_tuples, 5000u);
-  EXPECT_GT(jm->skew.bypass_probe_tuples, 0u);
-  // The JSON carries both the estimate and the runtime record.
+  EXPECT_EQ(jm->advisor.choice, JoinStrategy::kBHJ);
+  EXPECT_STREQ(jm->advisor.reason, "skewed build; partitioning collapses");
+  EXPECT_FALSE(jm->has_partitions);
+  // The JSON carries the estimate.
   const std::string json = stats.metrics.ToJson(/*include_timings=*/false);
-  EXPECT_NE(json.find("\"skew_defense\":true"), std::string::npos);
+  EXPECT_NE(json.find("\"skew_sampled\":true"), std::string::npos);
   EXPECT_NE(json.find("\"est_top_share\":"), std::string::npos);
-  EXPECT_NE(json.find("\"skew\":{\"heavy_hitters\":"), std::string::npos);
 }
 
 // Without statistics there is no histogram, hence no skew estimate: the
-// advisor decides as if keys were uniform and arms no defense.
+// advisor decides as if keys were uniform, and the forced margin partitions.
 TEST(SkewAdvisor, StatsOffRestoresPlainDecision) {
   Table build = MakeSkewedBuild(20000, 0.5);
   Table probe = MakeUniformProbe(40000, 20000);
@@ -211,12 +220,10 @@ TEST(SkewAdvisor, StatsOffRestoresPlainDecision) {
   ASSERT_NE(jm, nullptr);
   ASSERT_TRUE(jm->advisor.present);
   EXPECT_FALSE(jm->advisor.skew_sampled);
-  EXPECT_FALSE(jm->advisor.skew_defense);
-  EXPECT_FALSE(jm->skew.enabled);
+  EXPECT_NE(jm->advisor.choice, JoinStrategy::kBHJ);
+  EXPECT_TRUE(jm->has_partitions);
   const std::string json = stats.metrics.ToJson(false);
   EXPECT_NE(json.find("\"skew_sampled\":false,\"est_top_share\":0.000000"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"dense_fallbacks\":0,\"enabled\":false}"),
             std::string::npos);
 }
 
@@ -232,18 +239,19 @@ TEST(SkewAdvisor, ExplainShowsSkewDecisionFields) {
   EXPECT_NE(text.find("skew: sample=20000"), std::string::npos) << text;
   EXPECT_NE(text.find("top_share="), std::string::npos) << text;
   EXPECT_NE(text.find("max_part_share="), std::string::npos) << text;
-  EXPECT_NE(text.find("defense=on"), std::string::npos) << text;
+  EXPECT_NE(text.find("skewed build; partitioning collapses"),
+            std::string::npos)
+      << text;
   EXPECT_EQ(text.find("fell back"), std::string::npos) << text;
 
-  // EXPLAIN ANALYZE adds the per-partition runtime record.
+  // EXPLAIN ANALYZE renders the same estimate beside the actuals.
   QueryStats stats;
   ExecuteQuery(*plan, options, &stats);
   const std::string analyzed = ExplainAnalyzePlan(*plan, options, stats);
   EXPECT_NE(analyzed.find("skew: sample=20000"), std::string::npos) << analyzed;
-  EXPECT_NE(analyzed.find("defense=on"), std::string::npos) << analyzed;
-  EXPECT_NE(analyzed.find("skew_defense: heavy="), std::string::npos)
+  EXPECT_NE(analyzed.find("skewed build; partitioning collapses"),
+            std::string::npos)
       << analyzed;
-  EXPECT_NE(analyzed.find("bypass_build="), std::string::npos) << analyzed;
   EXPECT_EQ(analyzed.find("fell back"), std::string::npos) << analyzed;
 
   // Identical runs render identically (deterministic statistics).

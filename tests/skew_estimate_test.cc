@@ -102,6 +102,25 @@ TEST(SkewHistogram, StridedSampleAboveCapWithinTwoFold) {
   EXPECT_LE(h.top_share(), 1.0);
 }
 
+// A periodic layout must not alias with the sampling stride: 262,144 rows
+// sample one row in four, so a row-0 lattice reads a hot key on every odd
+// row as absent and one on every 4th row as every sampled row.
+TEST(SkewHistogram, StridedSampleDoesNotAliasPeriodicLayouts) {
+  const uint64_t rows = 262144;
+  for (uint64_t period : {2ull, 4ull}) {
+    SCOPED_TRACE("period=" + std::to_string(period));
+    std::vector<int64_t> keys(rows);
+    for (uint64_t i = 0; i < rows; ++i) {
+      const bool hot = period == 2 ? i % 2 == 1 : i % 4 == 0;
+      keys[i] = hot ? 0 : static_cast<int64_t>(1 + i);
+    }
+    const Table t = KeyTable("sp", keys);
+    const EqualHeightHistogram h = EqualHeightHistogram::Build(t.column(0), 64);
+    EXPECT_EQ(h.sample_rows(), 65536u);
+    EXPECT_NEAR(h.top_share(), 1.0 / static_cast<double>(period), 0.02);
+  }
+}
+
 TEST(SkewHistogram, UniqueKeysShareOneRowOfTheSample) {
   std::vector<int64_t> keys(30000);
   for (size_t i = 0; i < keys.size(); ++i) keys[i] = static_cast<int64_t>(i);
