@@ -12,7 +12,7 @@
 #include "bench_util/harness.h"
 #include "bench_util/workloads.h"
 #include "engine/executor.h"
-#include "stats/stats_catalog.h"
+#include "stats/column_catalog.h"
 #include "tpch/gen.h"
 #include "tpch/queries.h"
 #include "util/env.h"
@@ -111,7 +111,7 @@ inline void DumpSkewEstimate(const std::string& label, const Table& table,
                              int key_col) {
   const char* path = std::getenv("PJOIN_METRICS_JSON");
   if (path == nullptr || path[0] == '\0') return;
-  const TableStats* ts = StatsCatalog::Global().Get(table);
+  const TableStats* ts = ColumnCatalog::Global().Get(table);
   if (ts == nullptr) return;
   const ColumnStats& cs = ts->columns[key_col];
   if (!cs.histogram.valid()) return;
@@ -121,7 +121,8 @@ inline void DumpSkewEstimate(const std::string& label, const Table& table,
                "{\"label\":\"%s\",\"skew_estimate\":{\"table_rows\":%llu"
                ",\"sample_rows\":%llu,\"distinct_keys\":%llu"
                ",\"top_share\":%.6f}}\n",
-               label.c_str(), static_cast<unsigned long long>(ts->rows),
+               label.c_str(),
+               static_cast<unsigned long long>(table.num_rows()),
                static_cast<unsigned long long>(cs.histogram.sample_rows()),
                static_cast<unsigned long long>(cs.distinct),
                cs.histogram.top_share());

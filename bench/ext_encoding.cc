@@ -12,8 +12,7 @@
 #include <sys/resource.h>
 
 #include "bench/bench_common.h"
-#include "stats/stats_catalog.h"
-#include "storage/encoded_segment.h"
+#include "stats/column_catalog.h"
 #include "util/rng.h"
 
 namespace pjoin {
@@ -201,7 +200,6 @@ int main() {
       "\npeak RSS: %.1f MB before TPC-H sweep, %.1f MB after (high-water "
       "includes data generation; B/tup columns carry the bandwidth story)\n",
       rss_before_tpch, PeakRssMb());
-  EncodingCatalog::Global().Invalidate();
-  StatsCatalog::Global().Invalidate();
+  ColumnCatalog::Global().Invalidate();
   return 0;
 }

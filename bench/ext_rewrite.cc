@@ -13,7 +13,7 @@
 // Columns: median wall ms off/on, speedup, rules fired (final step), and
 // probe rows dropped by planted filters before any intermediate join.
 #include "bench/bench_common.h"
-#include "stats/stats_catalog.h"
+#include "stats/column_catalog.h"
 #include "util/rng.h"
 
 namespace pjoin {
@@ -184,7 +184,7 @@ int main() {
     chain.AddRow({cov, Ms(p.off_seconds), Ms(p.on_seconds),
                   SpeedupCell(p.speedup), RulesCell(stats_on),
                   std::to_string(stats_on.metrics.rewrite.bloom_dropped)});
-    StatsCatalog::Global().Invalidate();  // tables die with this iteration
+    ColumnCatalog::Global().Invalidate();  // tables die with this iteration
   }
   chain.Print();
   return 0;

@@ -8,7 +8,7 @@
 
 #include "engine/coded_keys.h"
 #include "spill/memory_governor.h"
-#include "stats/stats_catalog.h"
+#include "stats/column_catalog.h"
 #include "util/check.h"
 #include "util/cpu_info.h"
 #include "util/env.h"
@@ -102,15 +102,15 @@ struct WalkContext {
 };
 
 // The skew estimate of `join`'s first build key: its base column's
-// hottest-value share from the statistics catalog. None for computed keys,
-// non-numeric columns, and with statistics off (PJOIN_STATS=0).
+// hottest-value share from the column catalog. None for computed keys,
+// non-numeric columns, and empty tables.
 std::optional<SkewEstimate> BuildKeySkew(const PlanNode& join) {
   if (join.keys.empty()) return std::nullopt;
   int col = -1;
   const Table* table =
       ResolveBaseColumn(*join.build, join.keys[0].first, &col);
   if (table == nullptr) return std::nullopt;
-  const TableStats* ts = StatsCatalog::Global().Get(*table);
+  const TableStats* ts = ColumnCatalog::Global().Get(*table);
   if (ts == nullptr) return std::nullopt;
   const EqualHeightHistogram& h = ts->columns[col].histogram;
   if (!h.valid()) return std::nullopt;

@@ -101,7 +101,7 @@ void VisitJoins(Walk& w, const PlanNode& node) {
     const Column& pc = pt->column(pcol);
     if (bc.type() != DataType::kChar || pc.type() != DataType::kChar) continue;
     if (bc.width() != pc.width()) continue;
-    EncodingCatalog& catalog = EncodingCatalog::Global();
+    ColumnCatalog& catalog = ColumnCatalog::Global();
     const EncodedColumn* be = catalog.GetColumn(*bt, bcol);
     const EncodedColumn* pe = catalog.GetColumn(*pt, pcol);
     if (be == nullptr || pe == nullptr) continue;

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "engine/plan.h"
-#include "storage/encoded_segment.h"
+#include "stats/column_catalog.h"
 
 namespace pjoin {
 

@@ -7,7 +7,7 @@
 #include "rewrite/bloom_ops.h"
 #include "rewrite/rewrite.h"
 #include "spill/memory_governor.h"
-#include "stats/stats_catalog.h"
+#include "stats/column_catalog.h"
 #include "util/check.h"
 #include "util/env.h"
 #include "util/stopwatch.h"
@@ -676,15 +676,12 @@ QueryResult Lowerer::Run(ThreadPool& pool, QueryStats* stats) {
       r.bloom_dropped += op->dropped();
     }
   }
-  if (StatsEnabled()) {
-    qm.stats.buckets = StatsBuckets();
-    for (const Table* table : scanned_tables_) {
-      const TableStats* ts = StatsCatalog::Global().Get(*table);
-      if (ts == nullptr) continue;
-      ++qm.stats.tables;
-      for (const ColumnStats& cs : ts->columns) {
-        if (cs.distinct > 0 || cs.histogram.valid()) ++qm.stats.columns;
-      }
+  for (const Table* table : scanned_tables_) {
+    const TableStats* ts = ColumnCatalog::Global().Get(*table);
+    if (ts == nullptr) continue;
+    ++qm.stats.tables;
+    for (const ColumnStats& cs : ts->columns) {
+      if (cs.distinct > 0 || cs.histogram.valid()) ++qm.stats.columns;
     }
   }
 

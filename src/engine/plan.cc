@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "stats/stats_catalog.h"
+#include "stats/column_catalog.h"
 #include "util/check.h"
 
 namespace pjoin {
@@ -117,7 +117,7 @@ uint64_t EstimateJoinOutputRows(const PlanNode& join, uint64_t build_rows,
       std::max<uint64_t>(1, ColumnDistinctCount(*probe_table, probe_col)));
   if (ColumnDistinctCount(*build_table, build_col) == 0 ||
       ColumnDistinctCount(*probe_table, probe_col) == 0) {
-    return probe_rows;  // statistics disabled or unavailable
+    return probe_rows;  // an empty side has no statistics
   }
   const double d_max = static_cast<double>(std::max(d_build, d_probe));
   double out = static_cast<double>(build_rows) *

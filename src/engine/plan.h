@@ -77,10 +77,9 @@ struct PlanNode {
   std::vector<ColumnRef> OutputColumns() const;
 
   // Cardinality estimate used to size radix partitions and feed the join
-  // advisor. With the statistics catalog enabled (PJOIN_STATS, default on)
-  // scans answer from per-column histograms with correlation-damped
-  // conjunctions and joins from distinct-count sketches; without it, base
-  // table sizes propagate up and FK joins are estimated by their probe side.
+  // advisor. Scans answer from the column catalog's histograms with
+  // correlation-damped conjunctions, and joins from its distinct counts;
+  // joins on computed keys are estimated by their probe side.
   uint64_t EstimateRows() const;
 
   // Number of join nodes in this subtree.

@@ -6,7 +6,7 @@
 #include <map>
 #include <string_view>
 
-#include "stats/stats_catalog.h"
+#include "stats/column_catalog.h"
 #include "util/check.h"
 
 namespace pjoin {
@@ -24,42 +24,6 @@ std::string_view TrimmedCell(const Column& col, uint64_t row) {
 int64_t NumericCell(const Column& col, uint64_t row) {
   return col.width() == 8 ? col.GetInt64(row)
                           : static_cast<int64_t>(col.GetInt32(row));
-}
-
-// Sampled [min, max] of a column. Strided so estimation stays O(1)-ish even
-// on large base tables; deterministic (no RNG) so repeated plans agree.
-constexpr uint64_t kStatsSampleCap = 65536;
-
-struct NumericRange {
-  double min = 0;
-  double max = 0;
-  bool valid = false;
-};
-
-NumericRange SampleRange(const Column& col) {
-  NumericRange r;
-  const uint64_t n = col.size();
-  if (n == 0) return r;
-  const bool is_double = col.type() == DataType::kFloat64;
-  if (!is_double && col.type() != DataType::kInt64 &&
-      col.type() != DataType::kInt32 && col.type() != DataType::kDate) {
-    return r;
-  }
-  const uint64_t step = n <= kStatsSampleCap ? 1 : n / kStatsSampleCap;
-  r.valid = true;
-  bool first = true;
-  for (uint64_t i = 0; i < n; i += step) {
-    double v = is_double ? col.GetFloat64(i)
-                         : static_cast<double>(NumericCell(col, i));
-    if (first) {
-      r.min = r.max = v;
-      first = false;
-    } else {
-      r.min = std::min(r.min, v);
-      r.max = std::max(r.max, v);
-    }
-  }
-  return r;
 }
 
 double Clamp01(double v) { return std::min(1.0, std::max(0.0, v)); }
@@ -275,11 +239,10 @@ bool EvalPredicate(const ScanPredicate& pred, const Table& table,
 namespace {
 
 // Histogram-backed estimate for the numeric comparison ops. Returns false
-// when the column has no histogram (non-numeric, stats disabled) and the
-// caller should use the range heuristic instead.
+// when the column has no histogram (non-numeric, or no non-NaN value).
 bool HistogramSelectivity(const ScanPredicate& pred, const ColumnStats& cs,
                           double* out) {
-  if (!cs.numeric || !cs.histogram.valid()) return false;
+  if (!cs.histogram.valid()) return false;
   const EqualHeightHistogram& h = cs.histogram;
   const bool integral = h.integral();
   const double ref =
@@ -346,7 +309,7 @@ bool SketchStringSelectivity(const ScanPredicate& pred, const ColumnStats& cs,
 
 const ColumnStats* LookupColumnStats(const Table& table,
                                      const std::string& column) {
-  const TableStats* ts = StatsCatalog::Global().Get(table);
+  const TableStats* ts = ColumnCatalog::Global().Get(table);
   if (ts == nullptr) return nullptr;
   const int idx = table.schema().Find(column);
   if (idx < 0 || idx >= static_cast<int>(ts->columns.size())) return nullptr;
@@ -361,7 +324,7 @@ double EstimateSelectivity(const ScanPredicate& pred, const Table& table) {
     if (HistogramSelectivity(pred, *cs, &s)) return Clamp01(s);
     if (SketchStringSelectivity(pred, *cs, &s)) return Clamp01(s);
   }
-  const Column& col = table.column(pred.column);
+  // No statistics: the table is empty (or a double column holds only NaNs).
   switch (pred.op) {
     case ScanPredicate::Op::kEq:
     case ScanPredicate::Op::kNe:
@@ -370,42 +333,8 @@ double EstimateSelectivity(const ScanPredicate& pred, const Table& table) {
     case ScanPredicate::Op::kGt:
     case ScanPredicate::Op::kGe:
     case ScanPredicate::Op::kBetween:
-    case ScanPredicate::Op::kInSet: {
-      NumericRange r = SampleRange(col);
-      if (!r.valid) return 0.5;
-      // `domain` treats integer columns as dense (TPC-H keys/dates are);
-      // the +1 keeps point predicates meaningful on one-value domains.
-      const double domain = r.max - r.min + 1.0;
-      const double eq = Clamp01(1.0 / domain);
-      const double ref = pred.is_double ? pred.d0 : static_cast<double>(pred.i0);
-      switch (pred.op) {
-        case ScanPredicate::Op::kEq:
-          return eq;
-        case ScanPredicate::Op::kNe:
-          return 1.0 - eq;
-        case ScanPredicate::Op::kLt:
-          return Clamp01((ref - r.min) / domain);
-        case ScanPredicate::Op::kLe:
-          return Clamp01((ref - r.min + 1.0) / domain);
-        case ScanPredicate::Op::kGt:
-          return Clamp01((r.max - ref) / domain);
-        case ScanPredicate::Op::kGe:
-          return Clamp01((r.max - ref + 1.0) / domain);
-        case ScanPredicate::Op::kBetween: {
-          const double lo = pred.is_double ? pred.d0
-                                           : static_cast<double>(pred.i0);
-          const double hi = pred.is_double ? pred.d1
-                                           : static_cast<double>(pred.i1);
-          if (hi < lo) return 0.0;
-          const double clo = std::max(lo, r.min);
-          const double chi = std::min(hi, r.max);
-          if (chi < clo) return 0.0;
-          return Clamp01((chi - clo + 1.0) / domain);
-        }
-        default:  // kInSet
-          return Clamp01(static_cast<double>(pred.iset.size()) * eq);
-      }
-    }
+    case ScanPredicate::Op::kInSet:
+      return 0.5;
     case ScanPredicate::Op::kStrEq:
       return 0.05;
     case ScanPredicate::Op::kStrNe:
@@ -445,9 +374,9 @@ double EstimateConjunctionSelectivity(const std::vector<ScanPredicate>& all,
     }
     if (!duplicate) preds.push_back(&pred);
   }
-  const TableStats* ts = StatsCatalog::Global().Get(table);
+  const TableStats* ts = ColumnCatalog::Global().Get(table);
   if (ts == nullptr) {
-    // Pre-statistics behavior: plain multiplicative independence.
+    // An empty table has no statistics: plain multiplicative independence.
     double s = 1.0;
     for (const ScanPredicate* pred : preds) {
       s *= EstimateSelectivity(*pred, table);
@@ -483,7 +412,7 @@ double EstimateConjunctionSelectivity(const std::vector<ScanPredicate>& all,
       break;
     }
     distinct_product *= static_cast<double>(d);
-    if (distinct_product > static_cast<double>(ts->rows)) {
+    if (distinct_product > static_cast<double>(table.num_rows())) {
       correlated = true;
       break;
     }

@@ -84,14 +84,12 @@ struct ScanPredicate {
 bool EvalPredicate(const ScanPredicate& pred, const Table& table,
                    uint64_t row);
 
-// Estimated fraction of rows passing `pred`, in [0, 1]. With the statistics
-// catalog enabled (PJOIN_STATS, default on) numeric comparisons answer from
-// per-column equal-height histograms and string equality/membership from
-// distinct-count sketches; otherwise numeric comparisons interpolate against
-// a sampled column [min, max] range (uniformity assumption) and strings fall
-// back to fixed heuristics. Deterministic for a given table, so plan
-// estimates — and the join-advisor decisions built on them — are stable
-// across runs.
+// Estimated fraction of rows passing `pred`, in [0, 1]. Numeric comparisons
+// answer from the column catalog's equal-height histograms and string
+// equality/membership from its distinct counts; other string predicates,
+// and every predicate on an empty table, use fixed heuristics.
+// Deterministic for a given table, so plan estimates — and the join-advisor
+// decisions built on them — are stable across runs.
 double EstimateSelectivity(const ScanPredicate& pred, const Table& table);
 
 // Combined selectivity of a predicate conjunction, in [0, 1]. Without

@@ -11,7 +11,7 @@ TableScanSource::TableScanSource(const Table* table, const RowLayout* layout,
                                  std::vector<ScanPredicate> predicates,
                                  std::vector<CodedKeyEmit> coded_keys)
     : table_(table), layout_(layout), predicates_(std::move(predicates)) {
-  EncodingCatalog& catalog = EncodingCatalog::Global();
+  ColumnCatalog& catalog = ColumnCatalog::Global();
   const std::string tid_name = TidColumnName(table->name());
   for (int f = 0; f < layout_->num_fields(); ++f) {
     const RowField& field = layout_->field(f);

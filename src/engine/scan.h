@@ -6,9 +6,9 @@
 // row-format batches. With late materialization the scan additionally emits
 // the tuple id so a LateLoadOp can fetch deferred columns after the joins.
 //
-// When the encoding catalog holds segments for the table (PJOIN_ENCODING,
-// storage/encoded_segment.h), the scan works on codes instead of plain
-// values: predicates over dictionary columns become one bitmap test per row
+// When the column catalog (stats/column_catalog.h) holds encoded segments
+// for the table, the scan works on codes instead of plain values:
+// predicates over dictionary columns become one bitmap test per row
 // (the predicate runs once per distinct value, against the dictionary),
 // predicates over FOR columns compare against narrow decoded deltas, and
 // surviving rows decode through the unpack/gather kernels. Fields named in
@@ -24,7 +24,7 @@
 #include "engine/predicate.h"
 #include "exec/morsel.h"
 #include "exec/pipeline.h"
-#include "storage/encoded_segment.h"
+#include "stats/column_catalog.h"
 #include "storage/table.h"
 
 namespace pjoin {

@@ -338,8 +338,7 @@ std::string QueryMetrics::ToJson(bool include_timings) const {
       << ",\"blooms_planted\":" << rewrite.blooms_planted
       << ",\"bloom_dropped\":" << rewrite.bloom_dropped << "}";
   out << ",\"stats\":{\"tables\":" << stats.tables
-      << ",\"columns\":" << stats.columns << ",\"buckets\":" << stats.buckets
-      << "}";
+      << ",\"columns\":" << stats.columns << "}";
   const EncodingMetrics e = encoding();
   out << ",\"encoding\":{\"scans_encoded\":" << e.scans_encoded
       << ",\"coded_join_pairs\":" << e.coded_join_pairs

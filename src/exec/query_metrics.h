@@ -126,7 +126,7 @@ struct ScanMetrics {
   std::string table;
   uint64_t rows_scanned = 0;
   uint64_t rows_passed = 0;
-  // Encoded-segment actuals (storage/encoded_segment.h). `encoded` is false
+  // Encoded-segment actuals (stats/column_catalog.h). `encoded` is false
   // when the scan ran on plain columns — the default for small tables and
   // every PJOIN_ENCODING=0 run — and the counters below are zero then.
   bool encoded = false;
@@ -302,12 +302,10 @@ struct ServerMetrics {
   double queue_seconds = 0;
 };
 
-// Statistics-catalog snapshot for the query's base tables; zero when
-// PJOIN_STATS is off.
+// Column-catalog snapshot for the query's non-empty base tables.
 struct StatsMetrics {
   uint64_t tables = 0;
   uint64_t columns = 0;
-  int buckets = 0;
 };
 
 // Rewrite-pass record: the fired rules, the chosen join order, and what the

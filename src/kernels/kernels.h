@@ -58,7 +58,7 @@ struct SimdKernels {
   void (*histogram)(const std::byte* tuples, uint64_t n, uint32_t stride,
                     int shift, uint64_t mask, uint64_t* hist);
 
-  // Widens a packed run of little-endian codes (storage/encoded_segment.h)
+  // Widens a packed run of little-endian codes (stats/column_catalog.h)
   // to 32-bit: out[i] = load(codes + i * code_width, code_width)
   // zero-extended. code_width is 1, 2, or 4.
   void (*unpack_codes)(const std::byte* codes, uint32_t code_width, uint32_t n,

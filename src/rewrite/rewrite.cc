@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "stats/stats_catalog.h"
+#include "stats/column_catalog.h"
 #include "util/check.h"
 #include "util/env.h"
 

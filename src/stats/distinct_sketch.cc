@@ -1,14 +1,15 @@
 #include "stats/distinct_sketch.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
 #include "util/hash.h"
 
 namespace pjoin {
-namespace {
 
-uint64_t HashCell(const Column& col, uint64_t row) {
+uint64_t DistinctSketch::HashCell(const Column& col, uint64_t row) {
   switch (col.type()) {
     case DataType::kInt64:
       return HashInt64(static_cast<uint64_t>(col.GetInt64(row)));
@@ -27,8 +28,6 @@ uint64_t HashCell(const Column& col, uint64_t row) {
   }
 }
 
-}  // namespace
-
 DistinctSketch::DistinctSketch() : registers_(1u << kPrecision, 0) {}
 
 DistinctSketch DistinctSketch::Build(const Column& col) {
@@ -44,12 +43,8 @@ void DistinctSketch::AddHash(uint64_t hash) {
   const uint64_t rest = hash >> kPrecision;
   // Rank of the first set bit in the remaining 52 bits, 1-based; an all-zero
   // remainder ranks past the end.
-  uint8_t rank = 1;
-  uint64_t bits = rest;
-  while ((bits & 1) == 0 && rank <= 64 - kPrecision) {
-    ++rank;
-    bits >>= 1;
-  }
+  const uint8_t rank = static_cast<uint8_t>(
+      std::min(std::countr_zero(rest) + 1, 64 - kPrecision + 1));
   if (rank > registers_[idx]) registers_[idx] = rank;
   if (exact_alive_) {
     exact_.insert(hash);

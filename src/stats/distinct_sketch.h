@@ -24,6 +24,9 @@ class DistinctSketch {
   // their padded bytes).
   static DistinctSketch Build(const Column& col);
 
+  // The hash Build feeds for row `row` of `col`.
+  static uint64_t HashCell(const Column& col, uint64_t row);
+
   // Feed one pre-hashed value.
   void AddHash(uint64_t hash);
 

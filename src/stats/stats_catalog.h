@@ -1,81 +1,13 @@
-// Process-wide catalog of per-table, per-column statistics.
-//
-// Statistics are collected lazily, the first time an estimator asks about a
-// table, and cached keyed by the Table object. Construction is deterministic
-// (sorted full-or-strided samples, fixed hash seeds), so two collections of
-// the same table produce identical statistics and EXPLAIN goldens stay
-// stable. PJOIN_STATS=0 disables the subsystem: Get() returns nullptr and
-// every estimator falls back to its pre-statistics heuristic.
+// Kept for the benchmark driver (perfbench/driver.cc), which still names the
+// statistics catalog; the statistics live in the column catalog.
 #ifndef PJOIN_STATS_STATS_CATALOG_H_
 #define PJOIN_STATS_STATS_CATALOG_H_
 
-#include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
-
-#include "stats/distinct_sketch.h"
-#include "stats/histogram.h"
-#include "storage/table.h"
+#include "stats/column_catalog.h"
 
 namespace pjoin {
 
-struct ColumnStats {
-  bool numeric = false;      // histogram/min/max populated
-  double min = 0;
-  double max = 0;
-  uint64_t null_count = 0;   // storage has no NULLs today; kept for layout
-  uint64_t distinct = 0;
-  bool distinct_exact = false;
-  EqualHeightHistogram histogram;  // valid() only for numeric columns
-};
-
-struct TableStats {
-  uint64_t rows = 0;
-  int buckets = 0;                   // bucket target the stats were built with
-  std::vector<ColumnStats> columns;  // parallel to the table schema
-};
-
-class StatsCatalog {
- public:
-  static StatsCatalog& Global();
-
-  // Statistics for `table`, collecting them on first use. Returns nullptr
-  // when PJOIN_STATS=0 (checked per call, so scoped env changes behave) or
-  // when the table is empty. Cached entries are re-collected if the table
-  // grew since collection or the bucket knob changed.
-  const TableStats* Get(const Table& table);
-
-  // Collects fresh statistics for `table` without touching the cache.
-  // Exposed for the determinism tests.
-  static TableStats Collect(const Table& table, int buckets);
-
-  // Drops every cached entry (tests create short-lived tables; their
-  // addresses can be reused).
-  void Invalidate();
-
-  // Drops the cached entry for one table. Get() already detects content
-  // changes via the fingerprint; this is for callers that mutate a table
-  // in place and want the stale entry released immediately.
-  void InvalidateTable(const Table& table);
-
- private:
-  // The fingerprint lives beside the stats (not inside a TableStats
-  // subclass): TableStats has no virtual destructor, so deleting a derived
-  // cache entry through the base pointer would be undefined behaviour.
-  struct Entry {
-    uint64_t fingerprint = 0;
-    std::unique_ptr<TableStats> stats;
-  };
-  std::mutex mu_;
-  std::map<const Table*, Entry> cache_;
-};
-
-// Convenience: distinct count of `table.column(col)` or 0 when stats are
-// unavailable.
-uint64_t ColumnDistinctCount(const Table& table, int col);
+using StatsCatalog = ColumnCatalog;
 
 }  // namespace pjoin
 

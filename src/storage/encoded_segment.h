@@ -1,122 +1,13 @@
-// Encoded column segments: dictionary and frame-of-reference codes.
-//
-// The paper's cost model is bytes-moved-per-tuple: a join wins or loses on
-// how much payload it hauls through the memory hierarchy. Encoding shrinks
-// the haul at the source — scans read fixed-width codes instead of plain
-// values, predicates evaluate against the dictionary (once per distinct
-// value) or a code interval, and dictionary-encoded join keys probe on dense
-// word codes the SIMD kernels already chew through. Plain values are
-// materialized only for surviving tuples (late materialization as the
-// default path, not a bench trick).
-//
-// Two encodings cover the engine's types:
-//  - kDict (kChar columns): codes index a dictionary sorted by raw byte
-//    order. Equal raw values get equal codes, so code equality is exactly
-//    KeySpec::Equals on the plain values — the legality basis for
-//    join-on-codes.
-//  - kFor (kInt64/kInt32/kDate columns): value = ref + code, codes are
-//    unsigned deltas narrow enough for 1/2/4 bytes. FOR never changes how a
-//    value leaves the scan (deltas are decoded on emission); it only shrinks
-//    the scan's read traffic.
-//
-// Encoding is per-table, lazy, and cached (mirror of StatsCatalog): the
-// first scan of a table encodes it, keyed by the table address and
-// revalidated by content fingerprint so in-place appends re-encode.
-// PJOIN_ENCODING=0 disables the subsystem; tables below
-// PJOIN_ENCODING_MIN_ROWS stay plain.
+// Kept for the benchmark driver (perfbench/driver.cc), which still names the
+// encoding catalog; the encoded segments live in the column catalog.
 #ifndef PJOIN_STORAGE_ENCODED_SEGMENT_H_
 #define PJOIN_STORAGE_ENCODED_SEGMENT_H_
 
-#include <cstdint>
-#include <cstring>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <vector>
-
-#include "storage/table.h"
+#include "stats/column_catalog.h"
 
 namespace pjoin {
 
-struct EncodedColumn {
-  enum class Kind : uint8_t { kDict, kFor };
-  Kind kind = Kind::kDict;
-  uint32_t value_width = 0;  // bytes of one plain value
-  uint32_t code_width = 0;   // 1, 2, or 4 bytes per code
-  uint64_t rows = 0;
-
-  // rows * code_width bytes, little-endian codes.
-  std::vector<std::byte> codes;
-
-  // kDict: dictionary values in raw-byte sort order, stored as a
-  // single-column table (same column name/type as the source) so predicate
-  // evaluation over the dictionary reuses EvalPredicate bit-identically.
-  std::unique_ptr<Table> dict;
-  uint64_t ndv = 0;
-
-  // kFor: plain value = ref + code.
-  int64_t ref = 0;
-
-  uint32_t CodeAt(uint64_t row) const {
-    uint32_t code = 0;
-    std::memcpy(&code, codes.data() + row * code_width, code_width);
-    return code;
-  }
-
-  // kDict only: raw bytes of the dictionary value for `code`.
-  const std::byte* DictValue(uint32_t code) const {
-    return dict->column(0).Raw(code);
-  }
-
-  uint64_t encoded_bytes() const { return rows * code_width; }
-  uint64_t plain_bytes() const { return rows * value_width; }
-};
-
-struct EncodedTable {
-  uint64_t rows = 0;
-  // Parallel to the table schema; null where the column stays plain.
-  std::vector<std::unique_ptr<EncodedColumn>> columns;
-
-  const EncodedColumn* column(int i) const {
-    return i >= 0 && i < static_cast<int>(columns.size()) ? columns[i].get()
-                                                          : nullptr;
-  }
-  bool any_encoded() const {
-    for (const auto& c : columns) {
-      if (c != nullptr) return true;
-    }
-    return false;
-  }
-};
-
-class EncodingCatalog {
- public:
-  static EncodingCatalog& Global();
-
-  // Encoded segments for `table`, encoding on first use. Returns nullptr
-  // when PJOIN_ENCODING=0 (checked per call, so scoped env changes behave),
-  // when the table is below PJOIN_ENCODING_MIN_ROWS, or when no column
-  // benefits from encoding. Cached entries are re-encoded when the content
-  // fingerprint changes (address reuse or in-place append).
-  const EncodedTable* Get(const Table& table);
-
-  // Encoded segments for one column, or nullptr if it stays plain.
-  const EncodedColumn* GetColumn(const Table& table, int col);
-
-  // Encodes `table` without touching the cache (determinism tests).
-  static EncodedTable Encode(const Table& table);
-
-  // Drops every cached entry.
-  void Invalidate();
-
- private:
-  struct Entry {
-    uint64_t fingerprint = 0;
-    std::unique_ptr<EncodedTable> encoded;
-  };
-  std::mutex mu_;
-  std::map<const Table*, Entry> cache_;
-};
+using EncodingCatalog = ColumnCatalog;
 
 }  // namespace pjoin
 

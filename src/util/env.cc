@@ -129,21 +129,7 @@ int BenchRepetitions() {
   return static_cast<int>(GetEnvInt64("PJOIN_REPS", 3));
 }
 
-bool StatsEnabled() { return GetEnvInt64("PJOIN_STATS", 1) != 0; }
-
-int StatsBuckets() {
-  int64_t v = GetEnvInt64("PJOIN_STATS_BUCKETS", 64);
-  if (v < 2) v = 2;
-  if (v > 4096) v = 4096;
-  return static_cast<int>(v);
-}
-
 bool EncodingEnabled() { return GetEnvInt64("PJOIN_ENCODING", 1) != 0; }
-
-uint64_t EncodingMinRows() {
-  int64_t v = GetEnvInt64("PJOIN_ENCODING_MIN_ROWS", 256);
-  return v < 1 ? 1 : static_cast<uint64_t>(v);
-}
 
 double ReplanQErrorThreshold() {
   double v = GetEnvDouble("PJOIN_REPLAN_QERROR", 0.0);

@@ -69,26 +69,11 @@ int BenchRepetitions();
 // PJOIN_MEMORY_BUDGET, so a typo never silently changes the dispatch.
 SimdTier RequestedSimdTier(SimdTier def);
 
-// Table-statistics subsystem master switch (PJOIN_STATS, default 1).
-// 0 disables collection and lookups: estimation falls back to the
-// pre-statistics heuristics and the EXPLAIN/JSON output is byte-identical
-// to a build without the stats subsystem.
-bool StatsEnabled();
-
-// Equal-height histogram bucket target (PJOIN_STATS_BUCKETS, default 64,
-// clamped to [2, 4096]).
-int StatsBuckets();
-
-// Encoded-segment layer master switch (PJOIN_ENCODING, default 1).
-// 0 disables dictionary/FOR encoding, join-on-codes, and compressed spill
-// pages: scans read plain columns and the EXPLAIN/JSON output is
-// byte-identical to a build without the encoding layer.
+// Encoded-segment switch (PJOIN_ENCODING, default 1). 0 hides the column
+// catalog's dictionary/FOR segments from the engine, which turns off
+// join-on-codes and compressed spill pages: scans read plain columns. What
+// the catalog builds does not depend on it.
 bool EncodingEnabled();
-
-// Minimum table row count before a table is considered for encoding
-// (PJOIN_ENCODING_MIN_ROWS, default 256, clamped >= 1). Tiny tables gain
-// nothing from codes and keep their plain-path goldens.
-uint64_t EncodingMinRows();
 
 // Mid-query re-planning trigger (PJOIN_REPLAN_QERROR, default 0 = off).
 // When > 0, joins advised by the kAuto strategy defer their engine choice

@@ -1,4 +1,4 @@
-// The statistics and encoding catalogs validate each table once per query
+// The column catalog validates each table once per query
 // (FingerprintScope). These tests pin that the memo never outlives a query:
 // a table appended to between queries, a table address reused by a
 // different table, and the temporary tables of a multi-step TPC-H query all
@@ -15,8 +15,7 @@
 #include "engine/executor.h"
 #include "engine/plan.h"
 #include "engine/predicate.h"
-#include "stats/stats_catalog.h"
-#include "storage/encoded_segment.h"
+#include "stats/column_catalog.h"
 #include "storage/table.h"
 #include "tpch/gen.h"
 #include "tpch/queries.h"
@@ -95,8 +94,7 @@ int64_t ExpectedCount(const Table& build, const Table& probe) {
 }
 
 void DropCatalogs() {
-  StatsCatalog::Global().Invalidate();
-  EncodingCatalog::Global().Invalidate();
+  ColumnCatalog::Global().Invalidate();
 }
 
 TEST(StatsCatalogScope, AppendBetweenQueriesRecollects) {
@@ -111,10 +109,10 @@ TEST(StatsCatalogScope, AppendBetweenQueriesRecollects) {
   const JoinRun second = CountJoin(build, probe);
   EXPECT_EQ(second.count, ExpectedCount(build, probe));
   EXPECT_NEAR(static_cast<double>(second.est_build), 5000.0, 1250.0);
-  const TableStats* ts = StatsCatalog::Global().Get(build);
+  const TableStats* ts = ColumnCatalog::Global().Get(build);
   ASSERT_NE(ts, nullptr);
-  EXPECT_EQ(ts->rows, 8000u);
-  const EncodedTable* et = EncodingCatalog::Global().Get(build);
+  EXPECT_DOUBLE_EQ(ts->columns[0].histogram.total_rows(), 8000.0);
+  const EncodedTable* et = ColumnCatalog::Global().GetEncoded(build);
   ASSERT_NE(et, nullptr);
   EXPECT_EQ(et->rows, 8000u);
   DropCatalogs();
@@ -138,9 +136,9 @@ TEST(StatsCatalogScope, ReusedAddressSeesNewTable) {
   const JoinRun second = CountJoin(*slot, probe);
   EXPECT_EQ(second.count, ExpectedCount(*slot, probe));
   EXPECT_NEAR(static_cast<double>(second.est_build), 4000.0, 1000.0);
-  const TableStats* ts = StatsCatalog::Global().Get(*slot);
+  const TableStats* ts = ColumnCatalog::Global().Get(*slot);
   ASSERT_NE(ts, nullptr);
-  EXPECT_EQ(ts->columns[0].min, 500.0);
+  EXPECT_EQ(ts->columns[0].histogram.min(), 500.0);
   DropCatalogs();
 }
 

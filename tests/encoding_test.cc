@@ -16,7 +16,7 @@
 #include "kernels/kernels.h"
 #include "spill/memory_governor.h"
 #include "spill/spill_page.h"
-#include "storage/encoded_segment.h"
+#include "stats/column_catalog.h"
 #include "storage/table.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -39,7 +39,7 @@ TEST(EncodedSegment, DictEncodesCharColumn) {
     t.column(0).AppendString(MakeKey((i * 7) % 37));
     t.FinishRow();
   }
-  EncodedTable et = EncodingCatalog::Encode(t);
+  EncodedTable et = ColumnCatalog::Build(t).encoded;
   const EncodedColumn* c = et.column(0);
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->kind, EncodedColumn::Kind::kDict);
@@ -65,7 +65,7 @@ TEST(EncodedSegment, DictCodeWidthFollowsCardinality) {
     t.column(0).AppendString("value" + std::to_string(i % 1000));
     t.FinishRow();
   }
-  EncodedTable et = EncodingCatalog::Encode(t);
+  EncodedTable et = ColumnCatalog::Build(t).encoded;
   const EncodedColumn* c = et.column(0);
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->ndv, 1000u);
@@ -78,7 +78,7 @@ TEST(EncodedSegment, ForEncodesIntColumn) {
     t.column(0).AppendInt64(1000000 + (i * 97) % 50000);
     t.FinishRow();
   }
-  EncodedTable et = EncodingCatalog::Encode(t);
+  EncodedTable et = ColumnCatalog::Build(t).encoded;
   const EncodedColumn* c = et.column(0);
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->kind, EncodedColumn::Kind::kFor);
@@ -95,7 +95,7 @@ TEST(EncodedSegment, WideRangeIntStaysNarrowerThanPlain) {
     t.column(0).AppendInt64(i * 1000003);  // range needs 4-byte codes
     t.FinishRow();
   }
-  EncodedTable et = EncodingCatalog::Encode(t);
+  EncodedTable et = ColumnCatalog::Build(t).encoded;
   const EncodedColumn* c = et.column(0);
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->code_width, 4u);
@@ -104,23 +104,30 @@ TEST(EncodedSegment, WideRangeIntStaysNarrowerThanPlain) {
 
 TEST(EncodingCatalog, SmallTablesStayPlain) {
   ScopedEnv enable("PJOIN_ENCODING", "1");  // robust to an env-off suite run
-  EncodingCatalog::Global().Invalidate();
+  ColumnCatalog::Global().Invalidate();
   Table t("tiny", Schema({{"c_key", DataType::kChar, 8}}));
-  for (int64_t i = 0; i < 50; ++i) {
+  for (uint64_t i = 0; i + 1 < ColumnCatalog::kEncodingMinRows; ++i) {
     t.column(0).AppendString(MakeKey(i % 5));
     t.FinishRow();
   }
-  EXPECT_EQ(EncodingCatalog::Global().Get(t), nullptr);
-  {
-    ScopedEnv min_rows("PJOIN_ENCODING_MIN_ROWS", "10");
-    EXPECT_NE(EncodingCatalog::Global().Get(t), nullptr);
-  }
-  EncodingCatalog::Global().Invalidate();
+  ASSERT_EQ(t.num_rows(), 255u);
+  EXPECT_EQ(ColumnCatalog::Global().GetEncoded(t), nullptr);
+  // The statistics are there either way: the value map counts exactly.
+  ASSERT_NE(ColumnCatalog::Global().Get(t), nullptr);
+  EXPECT_EQ(ColumnCatalog::Global().Get(t)->columns[0].distinct, 5u);
+  // One more row reaches the threshold; the append rebuilds the entry.
+  t.column(0).AppendString(MakeKey(0));
+  t.FinishRow();
+  const EncodedTable* et = ColumnCatalog::Global().GetEncoded(t);
+  ASSERT_NE(et, nullptr);
+  EXPECT_EQ(et->rows, 256u);
+  EXPECT_EQ(et->column(0)->ndv, 5u);
+  ColumnCatalog::Global().Invalidate();
 }
 
 TEST(EncodingCatalog, DisabledByEnv) {
   ScopedEnv enable("PJOIN_ENCODING", "1");
-  EncodingCatalog::Global().Invalidate();
+  ColumnCatalog::Global().Invalidate();
   Table t("chars", Schema({{"c_key", DataType::kChar, 8}}));
   for (int64_t i = 0; i < 500; ++i) {
     t.column(0).AppendString(MakeKey(i % 20));
@@ -128,21 +135,22 @@ TEST(EncodingCatalog, DisabledByEnv) {
   }
   {
     ScopedEnv off("PJOIN_ENCODING", "0");
-    EXPECT_EQ(EncodingCatalog::Global().Get(t), nullptr);
+    EXPECT_EQ(ColumnCatalog::Global().GetEncoded(t), nullptr);
+    EXPECT_EQ(ColumnCatalog::Global().GetColumn(t, 0), nullptr);
   }
-  EXPECT_NE(EncodingCatalog::Global().Get(t), nullptr);
-  EncodingCatalog::Global().Invalidate();
+  EXPECT_NE(ColumnCatalog::Global().GetEncoded(t), nullptr);
+  ColumnCatalog::Global().Invalidate();
 }
 
 TEST(EncodingCatalog, AppendReencodes) {
   ScopedEnv enable("PJOIN_ENCODING", "1");
-  EncodingCatalog::Global().Invalidate();
+  ColumnCatalog::Global().Invalidate();
   Table t("chars", Schema({{"c_key", DataType::kChar, 8}}));
   for (int64_t i = 0; i < 400; ++i) {
     t.column(0).AppendString(MakeKey(i % 10));
     t.FinishRow();
   }
-  const EncodedTable* before = EncodingCatalog::Global().Get(t);
+  const EncodedTable* before = ColumnCatalog::Global().GetEncoded(t);
   ASSERT_NE(before, nullptr);
   EXPECT_EQ(before->column(0)->ndv, 10u);
   // In-place append: the fingerprint changes and Get re-encodes.
@@ -150,11 +158,11 @@ TEST(EncodingCatalog, AppendReencodes) {
     t.column(0).AppendString(MakeKey(100 + i));
     t.FinishRow();
   }
-  const EncodedTable* after = EncodingCatalog::Global().Get(t);
+  const EncodedTable* after = ColumnCatalog::Global().GetEncoded(t);
   ASSERT_NE(after, nullptr);
   EXPECT_EQ(after->rows, 500u);
   EXPECT_EQ(after->column(0)->ndv, 110u);
-  EncodingCatalog::Global().Invalidate();
+  ColumnCatalog::Global().Invalidate();
 }
 
 TEST(CodedKeys, RemapMergesDictionaries) {
@@ -171,8 +179,8 @@ TEST(CodedKeys, RemapMergesDictionaries) {
     probe.column(0).AppendString(MakeKey(i % 80));
     probe.FinishRow();
   }
-  EncodedTable eb = EncodingCatalog::Encode(build);
-  EncodedTable ep = EncodingCatalog::Encode(probe);
+  EncodedTable eb = ColumnCatalog::Build(build).encoded;
+  EncodedTable ep = ColumnCatalog::Build(probe).encoded;
   ASSERT_NE(eb.column(0), nullptr);
   ASSERT_NE(ep.column(0), nullptr);
   std::vector<uint32_t> remap = BuildCodeRemap(*ep.column(0), *eb.column(0));
@@ -395,8 +403,8 @@ IntRows ResultToIntRows(const QueryResult& r) {
 
 class EncodingDifferentialTest : public ::testing::TestWithParam<JoinKind> {
  protected:
-  void SetUp() override { EncodingCatalog::Global().Invalidate(); }
-  void TearDown() override { EncodingCatalog::Global().Invalidate(); }
+  void SetUp() override { ColumnCatalog::Global().Invalidate(); }
+  void TearDown() override { ColumnCatalog::Global().Invalidate(); }
   // The on-leg must mean "on" even when the suite runs under
   // PJOIN_ENCODING=0 (the CI goldens job): pin the knob per test.
   ScopedEnv enable_{"PJOIN_ENCODING", "1"};
@@ -452,7 +460,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(EncodingDifferential, MultiColumnCharKeys) {
   ScopedEnv enable("PJOIN_ENCODING", "1");
-  EncodingCatalog::Global().Invalidate();
+  ColumnCatalog::Global().Invalidate();
   auto dim = std::make_unique<Table>(
       "mdim", Schema({{"d_k1", DataType::kChar, 8},
                       {"d_k2", DataType::kChar, 8},
@@ -508,12 +516,12 @@ TEST(EncodingDifferential, MultiColumnCharKeys) {
     ASSERT_EQ(stats.metrics.joins().size(), 1u);
     EXPECT_EQ(stats.metrics.joins()[0].coded_key_pairs, 2u);
   }
-  EncodingCatalog::Global().Invalidate();
+  ColumnCatalog::Global().Invalidate();
 }
 
 TEST(EncodingDifferential, ComposesWithMemoryBudget) {
   ScopedEnv enable("PJOIN_ENCODING", "1");
-  EncodingCatalog::Global().Invalidate();
+  ColumnCatalog::Global().Invalidate();
   // Large enough to blow a 16 KiB budget on the build side; repetitive
   // payloads so the compressed spill pages actually shrink the file.
   DiffData d = MakeDiffData(555, /*dim_rows=*/4000, /*fact_rows=*/8000);
@@ -549,12 +557,12 @@ TEST(EncodingDifferential, ComposesWithMemoryBudget) {
     QueryResult plain = ExecuteQuery(*plan, opts);
     ASSERT_EQ(plain.rows, unbudgeted.rows);
   }
-  EncodingCatalog::Global().Invalidate();
+  ColumnCatalog::Global().Invalidate();
 }
 
 TEST(EncodingExec, ObservabilitySurfacesEncodedScans) {
   ScopedEnv enable("PJOIN_ENCODING", "1");
-  EncodingCatalog::Global().Invalidate();
+  ColumnCatalog::Global().Invalidate();
   DiffData d = MakeDiffData(321);
   auto plan = MakeDiffPlan(d, JoinKind::kInner);
   ExecOptions opts;
@@ -581,7 +589,7 @@ TEST(EncodingExec, ObservabilitySurfacesEncodedScans) {
                   "\"encoding\":{\"scans_encoded\":0,\"coded_join_pairs\":0"),
               std::string::npos);
   }
-  EncodingCatalog::Global().Invalidate();
+  ColumnCatalog::Global().Invalidate();
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 #include "engine/plan.h"
 #include "exec/thread_pool.h"
 #include "rewrite/rewrite.h"
-#include "stats/stats_catalog.h"
+#include "stats/column_catalog.h"
 #include "tests/test_util.h"
 #include "util/env.h"
 #include "util/rng.h"
@@ -128,7 +128,7 @@ class RewriteTest : public ::testing::Test {
     }
   }
 
-  ~RewriteTest() override { StatsCatalog::Global().Invalidate(); }
+  ~RewriteTest() override { ColumnCatalog::Global().Invalidate(); }
 
   // Agg( outer(build=dim, probe=inner(build=mid, probe=big)) ).
   std::unique_ptr<PlanNode> ChainPlan(JoinKind outer = JoinKind::kInner,
@@ -362,7 +362,7 @@ class RewriteDpTest : public ::testing::Test {
     }
   }
 
-  ~RewriteDpTest() override { StatsCatalog::Global().Invalidate(); }
+  ~RewriteDpTest() override { ColumnCatalog::Global().Invalidate(); }
 
   std::string LinkR(int i) const { return "rwc" + std::to_string(i) + "_r"; }
   std::string LinkL(int i) const { return "rwc" + std::to_string(i) + "_l"; }
@@ -548,7 +548,7 @@ TEST(RewriteFuzz, DifferentialAgainstOracle) {
   for (int i = 0; i < iters; ++i) {
     // Generated tables are short-lived; drop pointer-keyed stats entries so
     // address reuse can never serve stale statistics.
-    StatsCatalog::Global().Invalidate();
+    ColumnCatalog::Global().Invalidate();
     GeneratedPlan g = gen.Next();
     OracleRel oracle = OracleEval(*g.plan, g);
 
@@ -574,7 +574,7 @@ TEST(RewriteFuzz, DifferentialAgainstOracle) {
         << "rewrite-on diverged from the oracle at iteration " << i << "\n"
         << ExplainPlan(*g.plan, on);
   }
-  StatsCatalog::Global().Invalidate();
+  ColumnCatalog::Global().Invalidate();
 }
 
 }  // namespace

@@ -206,14 +206,17 @@ TEST(SkewAdvisor, SkewedBuildPicksBhjEndToEnd) {
   EXPECT_NE(json.find("\"est_top_share\":"), std::string::npos);
 }
 
-// Without statistics there is no histogram, hence no skew estimate: the
-// advisor decides as if keys were uniform, and the forced margin partitions.
-TEST(SkewAdvisor, StatsOffRestoresPlainDecision) {
+// A computed build key has no base column, hence no histogram and no skew
+// estimate: the advisor decides as if keys were uniform, and the forced
+// margin partitions.
+TEST(SkewAdvisor, ComputedKeyRestoresPlainDecision) {
   Table build = MakeSkewedBuild(20000, 0.5);
   Table probe = MakeUniformProbe(40000, 20000);
-  auto plan = CountPlan(&build, &probe);
+  auto plan = Aggregate(
+      Join(MapColumns(ScanTable(&build), {ComputedCopy("bk", "b0")}),
+           ScanTable(&probe), {{"bk", "p0"}}),
+      {}, {AggDef::CountStar("n")});
 
-  ScopedEnv stats_off("PJOIN_STATS", "0");
   QueryStats stats;
   ExecuteQuery(*plan, ForcedPartitionAutoOptions(), &stats);
   const JoinMetrics* jm = stats.metrics.FindJoin(0);

@@ -13,8 +13,7 @@
 #include "engine/advisor.h"
 #include "engine/plan.h"
 #include "stats/histogram.h"
-#include "stats/stats_catalog.h"
-#include "storage/encoded_segment.h"
+#include "stats/column_catalog.h"
 #include "storage/table.h"
 #include "util/rng.h"
 #include "util/zipf.h"
@@ -131,8 +130,8 @@ TEST(SkewHistogram, UniqueKeysShareOneRowOfTheSample) {
 
 TEST(SkewHistogram, TwoCollectionsAgree) {
   const Table t = KeyTable("sd", ZipfKeys(200000, 5));
-  const TableStats a = StatsCatalog::Collect(t, 64);
-  const TableStats b = StatsCatalog::Collect(t, 64);
+  const TableStats a = ColumnCatalog::Build(t).stats;
+  const TableStats b = ColumnCatalog::Build(t).stats;
   EXPECT_EQ(a.columns[0].histogram.sample_rows(),
             b.columns[0].histogram.sample_rows());
   EXPECT_EQ(a.columns[0].histogram.top_share(),
@@ -153,14 +152,13 @@ TEST(SkewHistogram, AdvisorReadsTheCatalogShare) {
       JoinAdvisor::AdvisePlan(*plan, AdvisorOptions{});
   ASSERT_EQ(advice.size(), 1u);
   const JoinDecision& d = advice.at(0);
-  const TableStats* ts = StatsCatalog::Global().Get(build);
+  const TableStats* ts = ColumnCatalog::Global().Get(build);
   ASSERT_NE(ts, nullptr);
   EXPECT_TRUE(d.skew_sampled);
   EXPECT_EQ(d.skew_sample_rows, 20000u);
   EXPECT_DOUBLE_EQ(d.est_top_share, ts->columns[0].histogram.top_share());
   EXPECT_DOUBLE_EQ(d.est_top_share, 0.5);
-  StatsCatalog::Global().Invalidate();
-  EncodingCatalog::Global().Invalidate();
+  ColumnCatalog::Global().Invalidate();
 }
 
 }  // namespace

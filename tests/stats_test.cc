@@ -6,26 +6,30 @@
 //     TPC-H columns (the bound the re-planner's trigger assumes).
 //   * Sketch accuracy: the distinct sketch is exact below its exact-set cap
 //     and within 5% above it.
-//   * Determinism: collecting statistics twice yields identical statistics,
-//     so EXPLAIN goldens cannot flap.
+//   * Determinism: building a table's catalog entry twice yields identical
+//     statistics, whatever PJOIN_ENCODING said at the first build, so
+//     EXPLAIN goldens cannot flap; racing first touches build once.
 //   * Estimator wiring: scan and join cardinality estimates use the catalog,
-//     multi-predicate conjunctions damp correlated columns, and PJOIN_STATS=0
-//     restores the pre-statistics heuristics.
+//     multi-predicate conjunctions damp correlated columns, and inputs
+//     without statistics (computed keys, empty tables) keep the plain
+//     heuristics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <latch>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/plan.h"
 #include "engine/predicate.h"
+#include "stats/column_catalog.h"
 #include "stats/distinct_sketch.h"
 #include "stats/histogram.h"
-#include "stats/stats_catalog.h"
 #include "storage/table.h"
 #include "tests/test_util.h"
 #include "tpch/gen.h"
@@ -211,53 +215,105 @@ TEST(StatsCatalogTest, CollectionIsDeterministic) {
     values.push_back(static_cast<int64_t>(rng.Below(7000)));
   }
   Table t = IntTable("sc_det", "v", values);
-  TableStats a = StatsCatalog::Collect(t, 64);
-  TableStats b = StatsCatalog::Collect(t, 64);
+  TableStats a = ColumnCatalog::Build(t).stats;
+  TableStats b = ColumnCatalog::Build(t).stats;
   ASSERT_EQ(a.columns.size(), b.columns.size());
-  EXPECT_EQ(a.rows, b.rows);
   for (size_t c = 0; c < a.columns.size(); ++c) {
     EXPECT_EQ(a.columns[c].distinct, b.columns[c].distinct);
-    EXPECT_EQ(a.columns[c].min, b.columns[c].min);
-    EXPECT_EQ(a.columns[c].max, b.columns[c].max);
     EXPECT_EQ(a.columns[c].histogram.DebugString(),
               b.columns[c].histogram.DebugString());
   }
 }
 
-TEST(StatsCatalogTest, DisabledByEnvReturnsNull) {
-  Table t = IntTable("sc_off", "v", {1, 2, 3, 4, 5});
-  {
-    ScopedEnv off("PJOIN_STATS", "0");
-    EXPECT_EQ(StatsCatalog::Global().Get(t), nullptr);
-    EXPECT_EQ(ColumnDistinctCount(t, 0), 0u);
+// 40,000 CHAR(16) rows over 30,011 values: beyond the sketch's exact cap,
+// where an estimate and the dictionary's exact count differ. The entry must
+// not depend on whether encoding was switched on at the first touch.
+TEST(StatsCatalogTest, StatisticsIndependentOfEncodingSwitch) {
+  Table t("sc_switch", Schema({{"c", DataType::kChar, 16}}));
+  t.Reserve(40000);
+  for (int64_t i = 0; i < 40000; ++i) {
+    t.column(0).AppendString("v" + std::to_string(i % 30011));
+    t.FinishRow();
   }
-  const TableStats* ts = StatsCatalog::Global().Get(t);
-  ASSERT_NE(ts, nullptr);
-  EXPECT_EQ(ts->rows, 5u);
-  EXPECT_EQ(ts->columns[0].distinct, 5u);
-  StatsCatalog::Global().Invalidate();
+  ColumnCatalog& cat = ColumnCatalog::Global();
+  cat.Invalidate();
+  uint64_t off_first = 0;
+  {
+    ScopedEnv off("PJOIN_ENCODING", "0");
+    off_first = ColumnDistinctCount(t, 0);
+  }
+  {
+    ScopedEnv on("PJOIN_ENCODING", "1");
+    EXPECT_EQ(ColumnDistinctCount(t, 0), off_first);
+    cat.Invalidate();
+    EXPECT_EQ(ColumnDistinctCount(t, 0), off_first);
+  }
+  EXPECT_EQ(off_first, 30011u);
+  cat.Invalidate();
 }
 
-TEST(StatsCatalogTest, BucketKnobRespected) {
+// Four threads touch one fresh table at once: one build, one shared entry.
+TEST(StatsCatalogTest, ConcurrentFirstTouchBuildsOnce) {
+  Rng rng(67);
+  std::vector<int64_t> values;
+  for (int i = 0; i < 50000; ++i) {
+    values.push_back(static_cast<int64_t>(rng.Below(20000)));
+  }
+  Table t = IntTable("sc_race", "v", values);
+  ColumnCatalog& cat = ColumnCatalog::Global();
+  cat.Invalidate();
+  const uint64_t builds_before = cat.builds();
+  constexpr int kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<const TableStats*> stats(kThreads, nullptr);
+  std::vector<const EncodedColumn*> encoded(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      stats[i] = cat.Get(t);
+      encoded[i] = cat.GetColumn(t, 0);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(cat.builds() - builds_before, 1u);
+  ASSERT_NE(stats[0], nullptr);
+  ASSERT_NE(encoded[0], nullptr);
+  for (int i = 1; i < kThreads; ++i) {
+    EXPECT_EQ(stats[i], stats[0]);
+    EXPECT_EQ(encoded[i], encoded[0]);
+  }
+  EXPECT_EQ(cat.Get(t), stats[0]);
+  cat.Invalidate();
+}
+
+TEST(StatsCatalogTest, EmptyTableHasNoStatistics) {
+  Table t = IntTable("sc_empty", "v", {});
+  EXPECT_EQ(ColumnCatalog::Global().Get(t), nullptr);
+  EXPECT_EQ(ColumnDistinctCount(t, 0), 0u);
+  EXPECT_EQ(EstimateSelectivity(ScanPredicate::LeI("v", 3), t), 0.5);
+  ColumnCatalog::Global().Invalidate();
+}
+
+TEST(StatsHistogram, BucketTargetRespected) {
   Rng rng(59);
   std::vector<int64_t> values;
   for (int i = 0; i < 50000; ++i) {
     values.push_back(static_cast<int64_t>(rng.Below(20000)));
   }
   Table t = IntTable("sc_buckets", "v", values);
-  TableStats wide = StatsCatalog::Collect(t, 8);
-  TableStats fine = StatsCatalog::Collect(t, 256);
-  EXPECT_LE(wide.columns[0].histogram.buckets().size(), 8u);
-  EXPECT_GT(fine.columns[0].histogram.buckets().size(),
-            wide.columns[0].histogram.buckets().size());
+  const EqualHeightHistogram wide = EqualHeightHistogram::Build(t.column(0), 8);
+  const EqualHeightHistogram fine =
+      EqualHeightHistogram::Build(t.column(0), 256);
+  EXPECT_LE(wide.buckets().size(), 8u);
+  EXPECT_GT(fine.buckets().size(), wide.buckets().size());
 }
 
 TEST(StatsCatalogTest, AppendRefreshesCachedStats) {
   Table t = IntTable("sc_append", "v", {1, 2, 3, 4, 5});
-  StatsCatalog& cat = StatsCatalog::Global();
+  ColumnCatalog& cat = ColumnCatalog::Global();
   const TableStats* ts = cat.Get(t);
   ASSERT_NE(ts, nullptr);
-  EXPECT_EQ(ts->rows, 5u);
   EXPECT_EQ(ts->columns[0].distinct, 5u);
 
   // In-place append: the cached entry's content fingerprint no longer
@@ -268,17 +324,17 @@ TEST(StatsCatalogTest, AppendRefreshesCachedStats) {
   }
   const TableStats* fresh = cat.Get(t);
   ASSERT_NE(fresh, nullptr);
-  EXPECT_EQ(fresh->rows, 8u);
   EXPECT_EQ(fresh->columns[0].distinct, 8u);
-  EXPECT_EQ(fresh->columns[0].max, 8.0);
+  EXPECT_EQ(fresh->columns[0].histogram.max(), 8.0);
 
-  // Explicit invalidation releases the entry immediately; the next Get()
-  // recollects from scratch and lands on the same statistics.
-  cat.InvalidateTable(t);
+  // Invalidation releases the entry; the next Get() rebuilds from scratch
+  // and lands on the same statistics.
+  cat.Invalidate();
   const TableStats* again = cat.Get(t);
   ASSERT_NE(again, nullptr);
-  EXPECT_EQ(again->rows, 8u);
   EXPECT_EQ(again->columns[0].distinct, 8u);
+  EXPECT_EQ(again->columns[0].histogram.DebugString(),
+            ColumnCatalog::Build(t).stats.columns[0].histogram.DebugString());
   cat.Invalidate();
 }
 
@@ -296,7 +352,7 @@ TEST(StatsEstimate, ScanEstimateUsesHistogram) {
       EstimateSelectivity(ScanPredicate::LeI("v", 100), t);
   EXPECT_GT(sel, 0.5);
   EXPECT_LE(QError(sel, 0.9), 2.0);
-  StatsCatalog::Global().Invalidate();
+  ColumnCatalog::Global().Invalidate();
 }
 
 TEST(StatsEstimate, JoinOutputUsesDistinctCounts) {
@@ -310,12 +366,14 @@ TEST(StatsEstimate, JoinOutputUsesDistinctCounts) {
   auto plan = Join(ScanTable(&build), ScanTable(&probe), {{"b0", "p0"}});
   // d_build = 100, d_probe = 200: |out| = 100 * 2000 / 200 = 1000.
   EXPECT_EQ(plan->EstimateRows(), 1000u);
-  {
-    // Stats off: the estimator falls back to its probe-side heuristic.
-    ScopedEnv off("PJOIN_STATS", "0");
-    EXPECT_EQ(plan->EstimateRows(), 2000u);  // heuristic: probe rows
-  }
-  StatsCatalog::Global().Invalidate();
+
+  // A computed build key has no base column, hence no distinct count: the
+  // estimator falls back to its probe-side heuristic.
+  auto computed =
+      Join(MapColumns(ScanTable(&build), {ComputedCopy("bk", "b0")}),
+           ScanTable(&probe), {{"bk", "p0"}});
+  EXPECT_EQ(computed->EstimateRows(), 2000u);  // heuristic: probe rows
+  ColumnCatalog::Global().Invalidate();
 }
 
 TEST(StatsEstimate, CorrelatedConjunctionIsDamped) {
@@ -341,13 +399,13 @@ TEST(StatsEstimate, CorrelatedConjunctionIsDamped) {
   EXPECT_LE(combined, single + 1e-12);
   EXPECT_GT(combined, single * single * 1.5);  // clearly above the product
   {
-    // Stats off: plain independence product (the pre-statistics behavior).
-    ScopedEnv off("PJOIN_STATS", "0");
-    const double off_combined = EstimateConjunctionSelectivity(preds, t);
-    const double off_single = EstimateSelectivity(preds[0], t);
+    // An empty table has no statistics: plain independence product.
+    Table empty("se_corr_empty", t.schema());
+    const double off_combined = EstimateConjunctionSelectivity(preds, empty);
+    const double off_single = EstimateSelectivity(preds[0], empty);
     EXPECT_NEAR(off_combined, off_single * off_single, 1e-12);
   }
-  StatsCatalog::Global().Invalidate();
+  ColumnCatalog::Global().Invalidate();
 }
 
 TEST(StatsEstimate, SameColumnPredicatesTakeMin) {
@@ -365,7 +423,7 @@ TEST(StatsEstimate, SameColumnPredicatesTakeMin) {
   // shared column); the combiner takes the most selective one.
   EXPECT_LE(combined, narrow + 1e-12);
   EXPECT_GT(combined, 0.0);
-  StatsCatalog::Global().Invalidate();
+  ColumnCatalog::Global().Invalidate();
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -54,6 +55,22 @@ class ScopedEnv {
   bool had_old_ = false;
   std::string old_;
 };
+
+// A computed int64 column `name` holding a copy of `input`: the same values
+// under a name that no longer resolves to a base column, so the planner has
+// no statistics for it.
+inline MapDef ComputedCopy(const std::string& name, const std::string& input) {
+  MapDef def;
+  def.name = name;
+  def.type = DataType::kInt64;
+  def.inputs = {input};
+  def.fn = [](const RowLayout& layout, const std::byte* row, const int* fields,
+              std::byte* dst) {
+    const int64_t v = layout.GetInt64(row, fields[0]);
+    std::memcpy(dst, &v, 8);
+  };
+  return def;
+}
 
 // Rows of int64 columns, used as plain relations in tests.
 using IntRows = std::vector<std::vector<int64_t>>;
