@@ -267,8 +267,8 @@ struct JoinMetrics {
   PartitionerMetrics build_side;
   PartitionerMetrics probe_side;
   BloomMetrics bloom;
-  uint64_t partition_ht_grows = 0;      // robin-hood segment regrowths
-  uint64_t partition_ht_peak_bytes = 0; // largest per-partition table
+  uint64_t partition_ht_grows = 0;      // partition-join scratch regrowths
+  uint64_t partition_ht_peak_bytes = 0; // largest worker chain scratch
   SpillMetrics spill;
   AdvisorMetrics advisor;
   ReplanMetrics replan;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <numeric>
 
 #include "kernels/kernels.h"
@@ -12,6 +13,22 @@
 namespace pjoin {
 
 namespace {
+
+// Key equality of a single 4- or 8-byte key field on both sides: the same
+// verdict as KeySpec::Equals' memcmp, as one load and compare per side.
+template <typename Word>
+struct WordEquals {
+  uint32_t build_offset;
+  uint32_t probe_offset;
+  bool operator()(const std::byte* build_row,
+                  const std::byte* probe_row) const {
+    Word a;
+    Word b;
+    std::memcpy(&a, build_row + build_offset, sizeof(Word));
+    std::memcpy(&b, probe_row + probe_offset, sizeof(Word));
+    return a == b;
+  }
+};
 
 // Routes spill-core emissions through the worker's in-pipeline emitter: the
 // radix join emits every kind in-place (per-partition verdicts are final),
@@ -110,11 +127,11 @@ void RadixBuildSink::Consume(Batch& batch, ThreadContext& ctx) {
   MetricsIn(batch, ctx);
   RadixPartitioner& part = join_->build_partitioner();
   const KeySpec& key = join_->build_key();
+  PJOIN_DCHECK(batch.layout->stride() == part.config().row_stride);
   uint64_t hashes[kBatchCapacity];
   HashRowsBatch(key, batch.rows, batch.layout->stride(), batch.size, hashes);
-  for (uint32_t i = 0; i < batch.size; ++i) {
-    part.Add(ctx.thread_id, hashes[i], batch.Row(i), ctx.bytes);
-  }
+  part.AddBatch(ctx.thread_id, hashes, batch.rows, nullptr, batch.size,
+                ctx.bytes);
 }
 
 void RadixBuildSink::Close(ThreadContext& ctx) {
@@ -171,8 +188,10 @@ void RadixJoin::FinishBuild(ExecContext& exec) {
   MemoryGovernor& gov = MemoryGovernor::Global();
   const uint32_t stride = part.tuple_stride();
   const uint64_t pending_bytes = part.PendingTuples() * stride;
-  // Finalize roughly doubles the footprint while the exchange copies chunks
-  // into the contiguous output; probe for the output allocation.
+  // With bits2 > 0, Finalize roughly doubles the footprint while pass 2
+  // copies the chunks into the contiguous output; probe for the output
+  // allocation. Partitions read in place (bits2 == 0) allocate nothing, but
+  // the same predicate decides residency so both layouts spill alike.
   if (!gov.WouldFit(pending_bytes)) {
     const int fanout1 = 1 << part.config().bits1;
     std::vector<uint64_t> sizes(fanout1);
@@ -269,6 +288,7 @@ void RadixProbeSink::Consume(Batch& batch, ThreadContext& ctx) {
   const uint64_t p1_mask =
       (uint64_t{1} << part.config().bits1) - 1;  // pass-1 fan-out mask
   const uint32_t row_stride = join_->probe_layout()->stride();
+  PJOIN_DCHECK(batch.layout->stride() == row_stride);
   uint64_t dropped = 0;
   uint64_t checks = 0;
   uint64_t passes = 0;
@@ -290,20 +310,29 @@ void RadixProbeSink::Consume(Batch& batch, ThreadContext& ctx) {
     }
     dropped = checks - passes;
   }
-  for (uint32_t i = 0; i < batch.size; ++i) {
-    const std::byte* row = batch.Row(i);
-    const uint64_t hash = hashes[i];
-    if (use_bloom && ((pass_bitmap[i >> 6] >> (i & 63)) & 1) == 0) {
-      continue;
+  if (!use_bloom && spill == nullptr) {
+    part.AddBatch(ctx.thread_id, hashes, batch.rows, nullptr, batch.size,
+                  ctx.bytes);
+  } else {
+    // Tuples the filter passes and whose pre-partition stays resident form
+    // the selection vector of the batched scatter.
+    uint32_t sel[kBatchCapacity];
+    uint32_t n = 0;
+    for (uint32_t i = 0; i < batch.size; ++i) {
+      if (use_bloom && ((pass_bitmap[i >> 6] >> (i & 63)) & 1) == 0) {
+        continue;
+      }
+      const uint64_t hash = hashes[i];
+      if (spill != nullptr &&
+          spill->IsSpilled(static_cast<int>(hash & p1_mask))) {
+        spill->probe(static_cast<int>(hash & p1_mask))
+            .AppendHashRow(hash, batch.Row(i), row_stride);
+        ++spilled;
+        continue;
+      }
+      sel[n++] = i;
     }
-    if (spill != nullptr &&
-        spill->IsSpilled(static_cast<int>(hash & p1_mask))) {
-      spill->probe(static_cast<int>(hash & p1_mask))
-          .AppendHashRow(hash, row, row_stride);
-      ++spilled;
-      continue;
-    }
-    part.Add(ctx.thread_id, hash, row, ctx.bytes);
+    part.AddBatch(ctx.thread_id, hashes, batch.rows, sel, n, ctx.bytes);
   }
   if (spilled > 0) {
     spill->stats.probe_tuples_spilled.fetch_add(spilled,
@@ -339,8 +368,7 @@ void RadixProbeSink::Finish(ExecContext& exec) {
 }
 
 void PartitionJoinSource::Prepare(ExecContext& exec) {
-  workers_.resize(exec.num_threads());
-  for (WorkerState& ws : workers_) ws.emitter_bound = false;
+  workers_ = std::make_unique<WorkerState[]>(exec.num_threads());
   cursor_.store(0, std::memory_order_relaxed);
   if (!join_->partitioned() && EmitsBuildRows(join_->kind())) {
     ht_scan_ = std::make_unique<HashJoinBuildScanSource>(&join_->hash());
@@ -350,8 +378,8 @@ void PartitionJoinSource::Prepare(ExecContext& exec) {
 }
 
 void PartitionJoinSource::Open(ThreadContext& ctx) {
-  // The robin-hood table keeps its memory segment across runs and
-  // partitions; the emitter is bound per morsel (Open has no consumer).
+  // The chain scratch is kept across partitions; the emitter is bound per
+  // morsel (Open has no consumer).
   (void)ctx;
 }
 
@@ -371,7 +399,6 @@ bool PartitionJoinSource::ProduceMorsel(Operator& consumer,
   WorkerState& ws = workers_[ctx.thread_id];
   int f = cursor_.fetch_add(1, std::memory_order_relaxed);
   RadixPartitioner& bp = join_->build_partitioner();
-  RadixPartitioner& pp = join_->probe_partitioner();
   SpillJoinState* spill = join_->spill();
   const int num_final = bp.num_partitions();
   const int num_extra = spill != nullptr ? spill->num_spilled() : 0;
@@ -402,96 +429,137 @@ bool PartitionJoinSource::ProduceMorsel(Operator& consumer,
     return true;
   }
 
-  JoinPartitionPair(ws, bp.partition_data(f), bp.partition_tuples(f),
-                    pp.partition_data(f), pp.partition_tuples(f), ctx);
+  JoinPartitionPair(ws, f, ctx);
   return true;
 }
 
-void PartitionJoinSource::JoinPartitionPair(WorkerState& ws,
-                                            const std::byte* bdata,
-                                            uint64_t bcount,
-                                            const std::byte* pdata,
-                                            uint64_t pcount,
+void PartitionJoinSource::JoinPartitionPair(WorkerState& ws, int f,
                                             ThreadContext& ctx) {
   RadixPartitioner& bp = join_->build_partitioner();
-  RadixPartitioner& pp = join_->probe_partitioner();
+  const uint64_t bcount = bp.partition_tuples(f);
   const uint32_t bstride = bp.tuple_stride();
-  const uint32_t pstride = pp.tuple_stride();
-  const JoinKind kind = join_->kind();
-  const KeySpec& bkey = join_->build_key();
-  const KeySpec& pkey = join_->probe_key();
 
-  // Build the per-partition hash table on the fly (Algorithm 2). Tuples are
-  // not moved: only pointers into the partition buffer are stored.
-  ws.table.Reset(bcount);
-  for (uint64_t i = 0; i < bcount; ++i) {
-    const std::byte* tuple = bdata + i * bstride;
-    ws.table.Insert(RadixPartitioner::TupleHash(tuple), tuple);
-  }
-  const bool track = TracksBuildMatches(kind);
-  if (track) {
-    ws.matched.assign(ws.table.capacity(), 0);
-  }
+  // Build (Algorithm 2): gather the partition into the worker's scratch and
+  // link its bucket chains. The radix bits are constant within a partition,
+  // so buckets hash on the bits above them.
+  ws.table.Reset(bcount, bstride, bp.config().bits1 + bp.config().bits2);
+  bp.ForEachPartitionSpan(f, [&](const std::byte* data, uint64_t n) {
+    ws.table.Append(data, n);
+  });
+  if (TracksBuildMatches(join_->kind())) ws.matched.assign(bcount, 0);
   ctx.bytes->AddRead(JoinPhase::kJoin, bcount * bstride);
 
-  // Probe.
-  uint64_t matched_tuples = 0;
-  for (uint64_t j = 0; j < pcount; ++j) {
-    const std::byte* ptuple = pdata + j * pstride;
-    const uint64_t hash = RadixPartitioner::TupleHash(ptuple);
-    const std::byte* probe_row = RadixPartitioner::TupleRow(ptuple);
-    bool matched = false;
-    ws.table.ForEachMatch(hash, [&](const std::byte* btuple, uint64_t slot) {
-      const std::byte* build_row = RadixPartitioner::TupleRow(btuple);
-      if (!KeySpec::Equals(bkey, build_row, pkey, probe_row)) return;
-      matched = true;
-      switch (kind) {
-        case JoinKind::kInner:
-        case JoinKind::kLeftOuter:
-          ws.emitter.EmitPair(build_row, probe_row, ctx);
-          break;
-        case JoinKind::kRightOuter:
-          ws.emitter.EmitPair(build_row, probe_row, ctx);
-          ws.matched[slot] = 1;
-          break;
-        case JoinKind::kProbeSemi:
-          // Emission handled below to avoid duplicates on multi-match.
-          break;
-        case JoinKind::kBuildSemi:
-        case JoinKind::kBuildAnti:
-          ws.matched[slot] = 1;
-          break;
-        case JoinKind::kProbeAnti:
-        case JoinKind::kMark:
-          break;
-      }
-    });
-    if (kind == JoinKind::kProbeSemi && matched) {
-      ws.emitter.EmitProbeOnly(probe_row, ctx);
-    } else if (kind == JoinKind::kProbeAnti && !matched) {
-      ws.emitter.EmitProbeOnly(probe_row, ctx);
-    } else if (kind == JoinKind::kLeftOuter && !matched) {
-      ws.emitter.EmitProbeOnly(probe_row, ctx);
-    } else if (kind == JoinKind::kMark) {
-      ws.emitter.EmitMark(probe_row, matched, ctx);
+  // A single 4- or 8-byte key compares as one word load per side.
+  const KeySpec& bkey = join_->build_key();
+  const KeySpec& pkey = join_->probe_key();
+  uint32_t boff = 0, bwidth = 0, poff = 0, pwidth = 0;
+  if (bkey.SingleWordKey(&boff, &bwidth) &&
+      pkey.SingleWordKey(&poff, &pwidth) && bwidth == pwidth) {
+    if (bwidth == 8) {
+      ProbePartition(ws, f, WordEquals<uint64_t>{boff, poff}, ctx);
+    } else {
+      ProbePartition(ws, f, WordEquals<uint32_t>{boff, poff}, ctx);
     }
-    matched_tuples += matched ? 1 : 0;
+    return;
   }
+  ProbePartition(
+      ws, f,
+      [&](const std::byte* build_row, const std::byte* probe_row) {
+        return KeySpec::Equals(bkey, build_row, pkey, probe_row);
+      },
+      ctx);
+}
+
+template <typename KeyEq>
+void PartitionJoinSource::ProbePartition(WorkerState& ws, int f,
+                                         const KeyEq& key_equals,
+                                         ThreadContext& ctx) {
+  const uint32_t pstride = join_->probe_partitioner().tuple_stride();
+  const JoinKind kind = join_->kind();
+  const BucketChainTable& table = ws.table;
+  JoinEmitter& emitter = ws.emitter;
+
+  // One matching build tuple b for probe lane i: the kind's action.
+  const std::byte* probe_base = nullptr;
+  auto probe_row = [&](uint32_t i) {
+    return RadixPartitioner::TupleRow(probe_base +
+                                      static_cast<size_t>(i) * pstride);
+  };
+  auto on_match = [&](uint32_t i, uint32_t b) {
+    switch (kind) {
+      case JoinKind::kInner:
+      case JoinKind::kLeftOuter:
+        emitter.EmitPair(table.row(b), probe_row(i), ctx);
+        break;
+      case JoinKind::kRightOuter:
+        emitter.EmitPair(table.row(b), probe_row(i), ctx);
+        ws.matched[b] = 1;
+        break;
+      case JoinKind::kProbeSemi:
+        emitter.EmitProbeOnly(probe_row(i), ctx);
+        break;
+      case JoinKind::kBuildSemi:
+      case JoinKind::kBuildAnti:
+        ws.matched[b] = 1;
+        break;
+      case JoinKind::kProbeAnti:
+      case JoinKind::kMark:
+        break;  // existence is all that matters
+    }
+  };
+  auto equals = [&](uint32_t i, const std::byte* build_row) {
+    return key_equals(build_row, probe_row(i));
+  };
+  // Kinds that only need existence stop at the first match.
+  const bool first_match_only = kind == JoinKind::kProbeSemi ||
+                                kind == JoinKind::kProbeAnti ||
+                                kind == JoinKind::kMark;
+
+  // Probe span by span in batches; all matching probe tuples of this build
+  // partition live in the same probe partition.
+  uint64_t matched_tuples = 0;
+  uint64_t pcount = 0;
+  join_->probe_partitioner().ForEachPartitionSpan(
+      f, [&](const std::byte* data, uint64_t n) {
+        pcount += n;
+        for (uint64_t begin = 0; begin < n; begin += kBatchCapacity) {
+          const uint32_t m = static_cast<uint32_t>(
+              std::min<uint64_t>(kBatchCapacity, n - begin));
+          probe_base = data + begin * pstride;
+          uint64_t hashes[kBatchCapacity];
+          for (uint32_t i = 0; i < m; ++i) {
+            hashes[i] = RadixPartitioner::TupleHash(
+                probe_base + static_cast<size_t>(i) * pstride);
+          }
+          bool matched[kBatchCapacity];
+          std::memset(matched, 0, m);
+          table.ProbeBatch(hashes, m, first_match_only, matched, equals,
+                           on_match);
+          for (uint32_t i = 0; i < m; ++i) matched_tuples += matched[i];
+          if (kind == JoinKind::kProbeAnti || kind == JoinKind::kLeftOuter) {
+            for (uint32_t i = 0; i < m; ++i) {
+              if (!matched[i]) emitter.EmitProbeOnly(probe_row(i), ctx);
+            }
+          } else if (kind == JoinKind::kMark) {
+            for (uint32_t i = 0; i < m; ++i) {
+              emitter.EmitMark(probe_row(i), matched[i], ctx);
+            }
+          }
+        }
+      });
   if (matched_tuples > 0) join_->AddProbeMatched(matched_tuples);
   ctx.bytes->AddRead(JoinPhase::kJoin, pcount * pstride);
 
   // Build-preserving kinds: this partition's verdicts are final (all
   // matching probe tuples live in the same partition), so unmatched build
   // rows can be emitted right here — no extra pipeline needed.
-  if (track) {
-    for (uint64_t slot = 0; slot < ws.table.capacity(); ++slot) {
-      const RobinHoodTable::Slot& s = ws.table.slot(slot);
-      if (s.tuple == nullptr) continue;
-      const bool m = ws.matched[slot] != 0;
+  if (TracksBuildMatches(kind)) {
+    for (uint32_t b = 0; b < table.size(); ++b) {
+      const bool m = ws.matched[b] != 0;
       if ((kind == JoinKind::kBuildSemi && m) ||
           (kind == JoinKind::kBuildAnti && !m) ||
           (kind == JoinKind::kRightOuter && !m)) {
-        ws.emitter.EmitBuildOnly(RadixPartitioner::TupleRow(s.tuple), ctx);
+        emitter.EmitBuildOnly(table.row(b), ctx);
       }
     }
   }

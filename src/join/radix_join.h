@@ -4,11 +4,12 @@
 // The radix join is a full pipeline breaker and a pipeline starter
 // (Algorithm 1): both inputs are materialized through the two-pass
 // morsel-driven radix partitioner, then a new pipeline joins the partition
-// pairs (Algorithm 2) with per-partition robin-hood hash tables that are
-// sized exactly and reuse their memory segment across partitions.
+// pairs (Algorithm 2). Each pair gathers its build side into worker-local
+// scratch linked into bucket chains (hash_table/bucket_chain.h, in place of
+// the paper's robin-hood table) and probes it level-wise in batches.
 //
-// The BRJ builds a register-blocked Bloom filter over the build keys during
-// the second build-side partition pass and probes it in the probe pipeline
+// The BRJ builds a register-blocked Bloom filter over the build keys when
+// the build side's partitioning finishes and probes it in the probe pipeline
 // *before* partitioning, so non-joining probe tuples are never materialized.
 // The adaptive variant samples the filter pass rate and switches the filter
 // off when (almost) everything passes.
@@ -27,7 +28,7 @@
 #include "exec/pipeline.h"
 #include "filter/adaptive.h"
 #include "filter/blocked_bloom.h"
-#include "hash_table/robin_hood.h"
+#include "hash_table/bucket_chain.h"
 #include "join/emitter.h"
 #include "join/hash_join.h"
 #include "join/join_types.h"
@@ -162,7 +163,7 @@ class RadixJoin {
     return bloom_dropped_.load(std::memory_order_relaxed);
   }
 
-  // Per-partition hash-table accounting, reported once per worker at Close.
+  // Per-worker chain-scratch accounting, reported once per worker at Close.
   void ReportWorkerTable(uint64_t grows, uint64_t peak_bytes) {
     ht_grows_.fetch_add(grows, std::memory_order_relaxed);
     uint64_t cur = ht_peak_bytes_.load(std::memory_order_relaxed);
@@ -208,7 +209,7 @@ class RadixJoin {
 };
 
 // Terminates the build pipeline: partitions the build side and (for BRJ)
-// constructs the Bloom filter during the second pass.
+// constructs the Bloom filter while finalizing the partitions.
 class RadixBuildSink : public Operator {
  public:
   explicit RadixBuildSink(RadixJoin* join) : join_(join) {}
@@ -295,22 +296,24 @@ class PartitionJoinSource : public Source {
 
  private:
   struct WorkerState {
-    RobinHoodTable table;       // reused across partitions (Section 4.6)
-    std::vector<uint8_t> matched;  // slot-indexed matched flags
+    BucketChainTable table;        // scratch reused across partitions
+    std::vector<uint8_t> matched;  // build-index matched flags
     JoinEmitter emitter;
     bool emitter_bound = false;  // emitter binds on the worker's first morsel
   };
 
-  // Joins one (build, probe) tuple-array pair.
-  void JoinPartitionPair(WorkerState& ws, const std::byte* bdata,
-                         uint64_t bcount, const std::byte* pdata,
-                         uint64_t pcount, ThreadContext& ctx);
+  // Joins the build and probe sides of final partition `f`: builds the
+  // worker's chains, then probes with the key compare the key shape allows.
+  void JoinPartitionPair(WorkerState& ws, int f, ThreadContext& ctx);
+  template <typename KeyEq>
+  void ProbePartition(WorkerState& ws, int f, const KeyEq& key_equals,
+                      ThreadContext& ctx);
   // Not-partitioned morsels: one buffered probe output, then the ht scan.
   bool ReplayHashMorsel(Operator& consumer, ThreadContext& ctx);
 
   RadixJoin* join_;
   std::atomic<int> cursor_{0};
-  std::vector<WorkerState> workers_;
+  std::unique_ptr<WorkerState[]> workers_;
   std::unique_ptr<HashJoinBuildScanSource> ht_scan_;
 };
 

@@ -23,8 +23,11 @@ constexpr int kMaxBits2 = 8;
 
 RadixBits ChooseRadixBits(uint64_t expected_build_tuples,
                           uint32_t tuple_stride) {
-  // Target: the per-partition robin-hood table (16 B/slot at load factor
-  // ~2/3) plus the partition tuples fit in half the L2 cache.
+  // Target: one build partition plus its join table fit in half the L2
+  // cache. The 24 B per tuple were sized for a robin-hood table (16 B/slot
+  // at load factor ~2/3). The partition join's bucket chains take 20-36 B
+  // per tuple (4-8 directory slots and a next index) beside the gathered
+  // tuples, which still fits the whole L2 at the sizes picked here.
   const CpuInfo& cpu = GetCpuInfo();
   uint64_t budget = static_cast<uint64_t>(cpu.l2_bytes) / 2;
   uint64_t per_tuple = tuple_stride + 24;  // tuple + amortized table slot
@@ -61,6 +64,25 @@ RadixPartitioner::RadixPartitioner(const RadixConfig& config)
     config_.use_swwcb = false;
   }
 
+  switch (tuples_per_block_ > 0 ? tuple_stride_ : 0) {
+    case 16:
+      stage_tuple_ = &RadixPartitioner::StageTuple<16>;
+      stage_batch_ = &RadixPartitioner::StageBatch<16>;
+      break;
+    case 32:
+      stage_tuple_ = &RadixPartitioner::StageTuple<32>;
+      stage_batch_ = &RadixPartitioner::StageBatch<32>;
+      break;
+    case 64:
+      stage_tuple_ = &RadixPartitioner::StageTuple<64>;
+      stage_batch_ = &RadixPartitioner::StageBatch<64>;
+      break;
+    default:
+      stage_tuple_ = &RadixPartitioner::StageTuple<0>;
+      stage_batch_ = &RadixPartitioner::StageBatch<0>;
+      break;
+  }
+
   chunks_.resize(config.num_threads);
   swwcb_mem_.resize(config.num_threads);
   swwcb_fill_.resize(config.num_threads);
@@ -82,17 +104,32 @@ RadixPartitioner::~RadixPartitioner() {
   }
 }
 
-void RadixPartitioner::Add(int thread_id, uint64_t hash, const std::byte* row,
-                           ByteCounter* bytes) {
-  int p1 = static_cast<int>(hash & static_cast<uint64_t>(fanout1_ - 1));
-  if (tuples_per_block_ > 0) {
+// The pass-1 scatter of one tuple. With the padded stride a compile-time
+// constant, slot addressing is a shift and the block-full test a constant
+// compare; a row that fills its padded slot exactly copies a fixed size.
+// kStride == 0 writes unbuffered tuples (wider than a cache line) straight
+// to the worker's chunks.
+template <uint32_t kStride>
+void RadixPartitioner::StageTuple(int thread_id, uint64_t hash,
+                                  const std::byte* row) {
+  const uint32_t row_stride = config_.row_stride;
+  const int p1 = static_cast<int>(hash & static_cast<uint64_t>(fanout1_ - 1));
+  if constexpr (kStride == 0) {
+    std::byte* dst = chunks_[thread_id][p1].AllocBytes(tuple_stride_);
+    std::memcpy(dst, &hash, 8);
+    std::memcpy(dst + 8, row, row_stride);
+  } else {
     std::byte* block =
         swwcb_mem_[thread_id].data() + static_cast<size_t>(p1) * kSwwcbBytes;
     uint32_t& fill = swwcb_fill_[thread_id][p1];
-    std::byte* slot = block + static_cast<size_t>(fill) * tuple_stride_;
+    std::byte* slot = block + static_cast<size_t>(fill) * kStride;
     std::memcpy(slot, &hash, 8);
-    std::memcpy(slot + 8, row, config_.row_stride);
-    if (++fill == tuples_per_block_) {
+    if (row_stride == kStride - 8) {
+      std::memcpy(slot + 8, row, kStride - 8);
+    } else {
+      std::memcpy(slot + 8, row, row_stride);
+    }
+    if (++fill == kSwwcbBytes / kStride) {
       std::byte* dst = chunks_[thread_id][p1].AllocBytes(kSwwcbBytes);
       if (config_.use_streaming) {
         StreamCopyAligned(dst, block, kSwwcbBytes);
@@ -103,13 +140,35 @@ void RadixPartitioner::Add(int thread_id, uint64_t hash, const std::byte* row,
       pass1_stats_[thread_id].flushes += 1;
       fill = 0;
     }
-  } else {
-    std::byte* dst = chunks_[thread_id][p1].AllocBytes(tuple_stride_);
-    std::memcpy(dst, &hash, 8);
-    std::memcpy(dst + 8, row, config_.row_stride);
   }
+}
+
+template <uint32_t kStride>
+void RadixPartitioner::StageBatch(int thread_id, const uint64_t* hashes,
+                                  const std::byte* rows, const uint32_t* sel,
+                                  uint32_t n) {
+  for (uint32_t j = 0; j < n; ++j) {
+    const uint32_t i = sel != nullptr ? sel[j] : j;
+    StageTuple<kStride>(thread_id, hashes[i],
+                        rows + static_cast<size_t>(i) * config_.row_stride);
+  }
+}
+
+void RadixPartitioner::Add(int thread_id, uint64_t hash, const std::byte* row,
+                           ByteCounter* bytes) {
+  (this->*stage_tuple_)(thread_id, hash, row);
   if (bytes != nullptr) {
     bytes->AddWrite(JoinPhase::kPartitionPass1, tuple_stride_);
+  }
+}
+
+void RadixPartitioner::AddBatch(int thread_id, const uint64_t* hashes,
+                                const std::byte* rows, const uint32_t* sel,
+                                uint32_t n, ByteCounter* bytes) {
+  (this->*stage_batch_)(thread_id, hashes, rows, sel, n);
+  if (bytes != nullptr) {
+    bytes->AddWrite(JoinPhase::kPartitionPass1,
+                    static_cast<uint64_t>(n) * tuple_stride_);
   }
 }
 
@@ -144,6 +203,10 @@ void RadixPartitioner::Finalize(ThreadPool& pool, PhaseTimer* timer,
                                 ByteCounter* per_thread_bytes) {
   PJOIN_CHECK(!finalized_);
   finalized_ = true;
+  if (in_place()) {
+    FinalizeInPlace(pool, timer, per_thread_bytes);
+    return;
+  }
   const int nthreads = config_.num_threads;
   const uint64_t hist_cells =
       static_cast<uint64_t>(fanout1_) * static_cast<uint64_t>(fanout2_);
@@ -245,6 +308,46 @@ void RadixPartitioner::Finalize(ThreadPool& pool, PhaseTimer* timer,
   // with Q8/Q9/Q21 at SF 100).
   for (auto& per_thread : chunks_) {
     for (auto& buf : per_thread) buf.Clear();
+  }
+}
+
+void RadixPartitioner::FinalizeInPlace(ThreadPool& pool, PhaseTimer* timer,
+                                       ByteCounter* per_thread_bytes) {
+  partition_count_.assign(fanout1_, 0);
+  total_tuples_ = 0;
+  for (int p1 = 0; p1 < fanout1_; ++p1) {
+    for (const auto& worker : chunks_) {
+      partition_count_[p1] += worker[p1].num_tuples();
+    }
+    total_tuples_ += partition_count_[p1];
+  }
+  BlockedBloomFilter* bloom = config_.bloom;
+  if (bloom == nullptr || total_tuples_ == 0) return;
+
+  // The filter's build is build-side work: its time and bytes are booked to
+  // the build pipeline. One worker per pre-partition, each owning a
+  // disjoint block range, so the inserts need no synchronization.
+  Stopwatch watch;
+  pass2_cursor_.store(0, std::memory_order_relaxed);
+  pool.ParallelRun([&](int pool_tid) {
+    uint64_t read_bytes = 0;
+    while (true) {
+      int p1 = pass2_cursor_.fetch_add(1, std::memory_order_relaxed);
+      if (p1 >= fanout1_) break;
+      ForEachPrePartitionChunk(p1, [&](const std::byte* data, uint64_t used) {
+        for (uint64_t off = 0; off < used; off += tuple_stride_) {
+          bloom->InsertUnsynchronized(TupleHash(data + off));
+        }
+        read_bytes += used;
+      });
+    }
+    if (per_thread_bytes != nullptr) {
+      per_thread_bytes[pool_tid].AddRead(JoinPhase::kBuildPipeline,
+                                         read_bytes);
+    }
+  });
+  if (timer != nullptr) {
+    timer->Add(JoinPhase::kBuildPipeline, watch.ElapsedSeconds());
   }
 }
 

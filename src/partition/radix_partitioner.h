@@ -1,7 +1,7 @@
 // Morsel-driven two-pass radix partitioner (Sections 3 and 4.5 of the paper).
 //
 // The partitioner consumes a tuple dataflow (hash + row bytes) and produces
-// 2^(bits1+bits2) cache-sized partitions in one contiguous output buffer.
+// 2^(bits1+bits2) cache-sized partitions.
 //
 // Phases, matching Figure 6 of the paper:
 //   pass 1    Workers stage incoming tuples into worker-local software
@@ -22,6 +22,14 @@
 //             requested, the pass also inserts every build tuple into a
 //             register-blocked Bloom filter — safe unsynchronized because a
 //             pre-partition owns a disjoint block range.
+//
+// With bits2 == 0 the pass-1 pre-partitions already are the final
+// partitions, so scan, exchange and pass 2 are skipped: the partitions are
+// read in place from the pass-1 chunk lists, and a requested Bloom filter is
+// filled from them one pre-partition per worker. A partition is therefore a
+// short list of contiguous spans (ForEachPartitionSpan): one span per
+// non-empty chunk with bits2 == 0, a single span of the output buffer
+// otherwise.
 //
 // Partition-tuple format: [hash: 8B][row: row_stride][padding]. The stride is
 // padded to a power of two (<= 64B) when write-combine buffers are in use;
@@ -77,6 +85,12 @@ class RadixPartitioner {
   // Stages one tuple. `row` must provide row_stride bytes.
   void Add(int thread_id, uint64_t hash, const std::byte* row,
            ByteCounter* bytes);
+
+  // Stages a batch: rows[i] lives at rows + i * row_stride and hashes to
+  // hashes[i]. With a selection vector, only the n rows sel[0..n) are staged
+  // (in that order); without one, rows 0..n.
+  void AddBatch(int thread_id, const uint64_t* hashes, const std::byte* rows,
+                const uint32_t* sel, uint32_t n, ByteCounter* bytes);
 
   // Flushes the worker's write-combine buffers (call from Close).
   void FlushThread(int thread_id, ByteCounter* bytes);
@@ -137,19 +151,35 @@ class RadixPartitioner {
     for (auto& worker : chunks_) worker[p1].Clear();
   }
 
-  // Runs histogram scan, exchange, and pass 2 on `pool`. Phase wall times go
-  // to `timer`; byte counts to `per_thread_bytes`, an array indexed by pool
-  // thread id (either may be null).
+  // Runs histogram scan, exchange, and pass 2 on `pool` — or, with
+  // bits2 == 0, only counts the partitions and fills the Bloom filter. Phase
+  // wall times go to `timer`; byte counts to `per_thread_bytes`, an array
+  // indexed by pool thread id (either may be null).
   void Finalize(ThreadPool& pool, PhaseTimer* timer,
                 ByteCounter* per_thread_bytes);
 
   // ---- Results -----------------------------------------------------------
 
+  // True when the partitions are the pass-1 chunk lists (bits2 == 0).
+  bool in_place() const { return config_.bits2 == 0; }
+
   uint64_t total_tuples() const { return total_tuples_; }
-  const std::byte* partition_data(int f) const {
-    return output_.data() + partition_offset_[f];
-  }
   uint64_t partition_tuples(int f) const { return partition_count_[f]; }
+
+  // Visits partition `f` as fn(data, tuples) over its contiguous spans, in
+  // no particular order; spans are never empty.
+  template <typename Fn>
+  void ForEachPartitionSpan(int f, Fn&& fn) const {
+    if (in_place()) {
+      for (const auto& worker : chunks_) {
+        worker[f].ForEachChunk([&](const std::byte* data, uint64_t used) {
+          fn(data, used / tuple_stride_);
+        });
+      }
+    } else if (partition_count_[f] > 0) {
+      fn(output_.data() + partition_offset_[f], partition_count_[f]);
+    }
+  }
 
   // Hash and row accessors on partition tuples.
   static uint64_t TupleHash(const std::byte* tuple) {
@@ -161,7 +191,11 @@ class RadixPartitioner {
 
   // Bytes held in temporary + final partition storage (memory footprint).
   uint64_t TemporaryBytes() const;
-  uint64_t OutputBytes() const { return output_.size(); }
+  // Bytes of final partition storage: the output buffer, or the staged
+  // chunk bytes when the partitions are read in place.
+  uint64_t OutputBytes() const {
+    return in_place() ? total_tuples_ * tuple_stride_ : output_.size();
+  }
 
   const RadixConfig& config() const { return config_; }
 
@@ -179,11 +213,24 @@ class RadixPartitioner {
     uint64_t streamed_bytes = 0;
   };
 
+  template <uint32_t kStride>
+  void StageTuple(int thread_id, uint64_t hash, const std::byte* row);
+  template <uint32_t kStride>
+  void StageBatch(int thread_id, const uint64_t* hashes,
+                  const std::byte* rows, const uint32_t* sel, uint32_t n);
+  // Finalize for bits2 == 0: counts and (with a Bloom filter) fills it.
+  void FinalizeInPlace(ThreadPool& pool, PhaseTimer* timer,
+                       ByteCounter* per_thread_bytes);
   void ScatterPrePartition(int p1, std::vector<uint64_t>& cursor_bytes,
                            std::byte* swwcb_mem, std::vector<uint32_t>& fill,
                            ByteCounter* bytes, Pass1Stats* local_stats);
 
   RadixConfig config_;
+  // The scatter instantiated for this partitioner's stride.
+  void (RadixPartitioner::*stage_tuple_)(int, uint64_t, const std::byte*);
+  void (RadixPartitioner::*stage_batch_)(int, const uint64_t*,
+                                         const std::byte*, const uint32_t*,
+                                         uint32_t);
   uint32_t tuple_stride_;       // padded on-disk stride incl. hash
   uint32_t tuples_per_block_;   // tuples per write-combine block (0: unbuffered)
   int fanout1_;
@@ -204,6 +251,7 @@ class RadixPartitioner {
   uint64_t total_tuples_ = 0;
   AlignedBuffer output_;
 
+  // Work-stealing cursor over pre-partitions (pass 2, in-place Bloom fill).
   std::atomic<int> pass2_cursor_{0};
   bool finalized_ = false;
   // Output-buffer bytes reported to the memory governor (chunks account

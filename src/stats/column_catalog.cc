@@ -153,13 +153,26 @@ TableCatalog ColumnCatalog::Build(const Table& table) {
 const TableCatalog* ColumnCatalog::Lookup(const Table& table) {
   if (table.num_rows() == 0) return nullptr;
   const uint64_t fingerprint = TableFingerprint(table);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = cache_.try_emplace(&table);
-  if (inserted || it->second.fingerprint != fingerprint) {
-    it->second = Build(table);
-    ++builds_;
+  std::shared_ptr<Slot> slot;
+  std::function<void(const Table&)> hook;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::shared_ptr<Slot>& cached = cache_[&table];
+    if (cached == nullptr || cached->fingerprint != fingerprint) {
+      cached = std::make_shared<Slot>();
+      cached->fingerprint = fingerprint;
+    }
+    slot = cached;
+    hook = build_hook_;
   }
-  return &it->second;
+  // Racing first touches of one table build it once; the others wait on
+  // this slot alone.
+  std::call_once(slot->once, [&] {
+    if (hook) hook(table);
+    slot->entry = Build(table);
+    builds_.fetch_add(1, std::memory_order_relaxed);
+  });
+  return &slot->entry;
 }
 
 const TableStats* ColumnCatalog::Get(const Table& table) {
@@ -184,9 +197,9 @@ void ColumnCatalog::Invalidate() {
   cache_.clear();
 }
 
-uint64_t ColumnCatalog::builds() {
+void ColumnCatalog::set_build_hook(std::function<void(const Table&)> hook) {
   std::lock_guard<std::mutex> lock(mu_);
-  return builds_;
+  build_hook_ = std::move(hook);
 }
 
 uint64_t ColumnDistinctCount(const Table& table, int col) {

@@ -31,8 +31,10 @@
 #ifndef PJOIN_STATS_COLUMN_CATALOG_H_
 #define PJOIN_STATS_COLUMN_CATALOG_H_
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -141,16 +143,31 @@ class ColumnCatalog {
 
   // Entries built since process start (the concurrency test checks that
   // racing first touches build once).
-  uint64_t builds();
+  uint64_t builds() const { return builds_.load(std::memory_order_relaxed); }
+
+  // Test hook: called at the start of every entry build (outside the
+  // catalog's lock). Null restores the default.
+  void set_build_hook(std::function<void(const Table&)> hook);
 
  private:
+  // One table's entry. The build runs once, behind `once`, outside mu_: a
+  // lookup of another (cached) table never waits for it.
+  struct Slot {
+    uint64_t fingerprint = 0;
+    std::once_flag once;
+    TableCatalog entry;
+  };
+
   // The cached entry for a non-empty `table`, rebuilt when its fingerprint
   // changed.
   const TableCatalog* Lookup(const Table& table);
 
   std::mutex mu_;
-  std::map<const Table*, TableCatalog> cache_;
-  uint64_t builds_ = 0;
+  // A rebuild replaces the slot: the table changed (or a new table reuses a
+  // dead one's address), so no query still reads the old entry.
+  std::map<const Table*, std::shared_ptr<Slot>> cache_;
+  std::function<void(const Table&)> build_hook_;
+  std::atomic<uint64_t> builds_{0};
 };
 
 // Convenience: distinct count of `table.column(col)` or 0 when the table is

@@ -1,4 +1,5 @@
-// Tests for the global chaining hash table and the robin-hood table.
+// Tests for the global chaining hash table, the robin-hood table and the
+// partition join's bucket-chained table.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "exec/thread_pool.h"
+#include "hash_table/bucket_chain.h"
 #include "hash_table/chaining_ht.h"
 #include "hash_table/robin_hood.h"
 #include "util/hash.h"
@@ -327,6 +329,148 @@ TEST(RobinHood, StressRandomKeys) {
     });
     ASSERT_EQ(found, n) << k;
   }
+}
+
+// ---- BucketChainTable -------------------------------------------------------
+
+// Partition tuples for these tests: [hash 8B][key 8B].
+std::vector<std::byte> ChainTuples(const std::vector<int64_t>& keys) {
+  std::vector<std::byte> out(keys.size() * 16);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const uint64_t hash = HashInt64(keys[i]);
+    std::memcpy(out.data() + i * 16, &hash, 8);
+    std::memcpy(out.data() + i * 16 + 8, &keys[i], 8);
+  }
+  return out;
+}
+
+// Probes `probe_keys` (<= one batch); returns the matched build keys per
+// lane and fills `matched`.
+std::vector<std::multiset<int64_t>> ProbeKeys(
+    const BucketChainTable& table, const std::vector<int64_t>& probe_keys,
+    bool first_match_only, bool* matched) {
+  std::vector<uint64_t> hashes;
+  for (int64_t k : probe_keys) hashes.push_back(HashInt64(k));
+  std::memset(matched, 0, probe_keys.size());
+  std::vector<std::multiset<int64_t>> hits(probe_keys.size());
+  table.ProbeBatch(
+      hashes.data(), static_cast<uint32_t>(probe_keys.size()),
+      first_match_only, matched,
+      [&](uint32_t i, const std::byte* row) {
+        return std::memcmp(row, &probe_keys[i], 8) == 0;
+      },
+      [&](uint32_t i, uint32_t b) {
+        int64_t key;
+        std::memcpy(&key, table.row(b), 8);
+        hits[i].insert(key);
+      });
+  return hits;
+}
+
+TEST(BucketChain, DuplicatesAllVisitedAcrossSpans) {
+  // Key 7 fifty times among 100 unique keys, plus a tuple carrying key 7's
+  // hash with a different key (the hash matches, the key compare must not).
+  Rng rng(5);
+  std::vector<int64_t> keys(50, 7);
+  for (int64_t k = 100; k < 200; ++k) keys.push_back(k);
+  for (size_t i = keys.size() - 1; i > 0; --i) {
+    std::swap(keys[i], keys[rng.Below(i + 1)]);
+  }
+  std::vector<std::byte> tuples = ChainTuples(keys);
+  const int64_t impostor = 999;
+  const uint64_t hash7 = HashInt64(7);
+  std::vector<std::byte> forged(16);
+  std::memcpy(forged.data(), &hash7, 8);
+  std::memcpy(forged.data() + 8, &impostor, 8);
+  tuples.insert(tuples.end(), forged.begin(), forged.end());
+  const uint64_t n = tuples.size() / 16;
+
+  for (bool one_span : {true, false}) {
+    SCOPED_TRACE(one_span ? "one span (in place)" : "three spans (gathered)");
+    BucketChainTable table;
+    table.Reset(n, 16, 4);
+    if (one_span) {
+      table.Append(tuples.data(), n);
+      EXPECT_EQ(table.row(0), tuples.data() + 8);
+    } else {
+      table.Append(tuples.data(), 40);
+      table.Append(tuples.data() + 40 * 16, 1);
+      table.Append(tuples.data() + 41 * 16, n - 41);
+      EXPECT_NE(table.row(0), tuples.data() + 8);
+    }
+    ASSERT_EQ(table.size(), n);
+    bool matched[4];
+    auto hits = ProbeKeys(table, {7, 150, 5000, 999}, false, matched);
+    EXPECT_EQ(hits[0].count(7), 50u);
+    EXPECT_EQ(hits[0].size(), 50u);
+    EXPECT_EQ(hits[1], std::multiset<int64_t>{150});
+    EXPECT_TRUE(hits[2].empty());
+    EXPECT_TRUE(hits[3].empty());  // key 999 is stored under 7's hash only
+    EXPECT_TRUE(matched[0] && matched[1]);
+    EXPECT_FALSE(matched[2] || matched[3]);
+
+    hits = ProbeKeys(table, {7, 7, 150}, true, matched);
+    EXPECT_EQ(hits[0].size(), 1u);  // existence only: first match leaves
+    EXPECT_EQ(hits[1].size(), 1u);
+    EXPECT_EQ(hits[2].size(), 1u);
+  }
+}
+
+TEST(BucketChain, EmptyPartition) {
+  BucketChainTable table;
+  table.Reset(0, 16, 4);
+  EXPECT_EQ(table.size(), 0u);
+  bool matched[3];
+  auto hits = ProbeKeys(table, {1, 2, 3}, false, matched);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(hits[i].empty());
+    EXPECT_FALSE(matched[i]);
+  }
+}
+
+TEST(BucketChain, AllProbesMissing) {
+  std::vector<int64_t> keys;
+  for (int64_t k = 0; k < 1000; ++k) keys.push_back(k);
+  const std::vector<std::byte> tuples = ChainTuples(keys);
+  BucketChainTable table;
+  table.Reset(keys.size(), 16, 0);
+  table.Append(tuples.data(), keys.size());
+  std::vector<int64_t> probe;
+  for (int64_t k = 0; k < kBatchCapacity; ++k) {
+    probe.push_back(100000 + k);
+  }
+  bool matched[kBatchCapacity];
+  auto hits = ProbeKeys(table, probe, false, matched);
+  for (size_t i = 0; i < probe.size(); ++i) {
+    EXPECT_TRUE(hits[i].empty()) << i;
+    EXPECT_FALSE(matched[i]) << i;
+  }
+}
+
+TEST(BucketChain, ScratchReusedAcrossPartitions) {
+  std::vector<int64_t> keys;
+  for (int64_t k = 0; k < 5000; ++k) keys.push_back(k);
+  const std::vector<std::byte> tuples = ChainTuples(keys);
+  BucketChainTable table;
+  table.Reset(keys.size(), 16, 2);
+  table.Append(tuples.data(), 2500);
+  table.Append(tuples.data() + 2500 * 16, 2500);
+  const uint64_t grows = table.grow_count();
+  const uint64_t peak = table.peak_bytes();
+  EXPECT_GE(peak, keys.size() * 16);
+  // A smaller partition, then the same size again: no growth.
+  table.Reset(100, 16, 2);
+  table.Append(tuples.data(), 50);
+  table.Append(tuples.data() + 50 * 16, 50);
+  bool matched[2];
+  auto hits = ProbeKeys(table, {42, 4000}, false, matched);
+  EXPECT_EQ(hits[0], std::multiset<int64_t>{42});
+  EXPECT_TRUE(hits[1].empty());  // key 4000 is not in this partition
+  table.Reset(keys.size(), 16, 2);
+  table.Append(tuples.data(), 2500);
+  table.Append(tuples.data() + 2500 * 16, 2500);
+  EXPECT_EQ(table.grow_count(), grows);
+  EXPECT_EQ(table.peak_bytes(), peak);
 }
 
 }  // namespace

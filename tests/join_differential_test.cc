@@ -146,7 +146,8 @@ RowLayout MakeOutputLayout(JoinKind kind, int build_cols, int probe_cols) {
 // `metrics_out`, when non-null, receives the radix join's metrics.
 IntRows RunJoin(JoinStrategy strategy, JoinKind kind, const IntRows& build,
                 const IntRows& probe, int build_cols, int probe_cols,
-                int threads, JoinMetrics* metrics_out = nullptr) {
+                int threads, JoinMetrics* metrics_out = nullptr,
+                int bits1 = -1, int bits2 = -1) {
   RowLayout build_layout = MakeLayout("b", build_cols);
   RowLayout probe_layout = MakeLayout("p", probe_cols);
   RowLayout out_layout = MakeOutputLayout(kind, build_cols, probe_cols);
@@ -194,6 +195,8 @@ IntRows RunJoin(JoinStrategy strategy, JoinKind kind, const IntRows& build,
     options.strategy = strategy;
     options.expected_build_tuples = build.size() | 1;
     options.num_threads = threads;
+    options.bits1 = bits1;
+    options.bits2 = bits2;
     RadixJoin join(kind, &build_layout, {0}, &probe_layout, {0}, projection,
                    options);
     RadixBuildSink build_sink(&join);
@@ -326,6 +329,43 @@ TEST_P(JoinDifferentialTest, BhjLongChainMatchesReference) {
     }
     ASSERT_EQ(actual.size(), expected.size());
     ASSERT_EQ(actual, expected);
+  }
+}
+
+// Duplicate-heavy radix join: a Zipf 1.0 build piles most tuples of a
+// partition into a few keys, so the partition join's bucket chains run long
+// and the probes of every other key must not walk them. RJ and BRJ, with
+// single-pass partitions read in place (automatic bits, and 3+0 bits) and
+// two passes (2+2 bits, one span per partition).
+TEST_P(JoinDifferentialTest, RadixZipfBuildMatchesReference) {
+  const JoinKind kind = GetParam();
+  Rng rng(5100 + static_cast<uint64_t>(kind));
+  ZipfGenerator zipf(800, 1.0);
+  IntRows build;
+  for (int i = 0; i < 3000; ++i) {
+    build.push_back({static_cast<int64_t>(zipf.Next(rng) - 1),
+                     static_cast<int64_t>(rng.Next() & 0xFFFF)});
+  }
+  IntRows probe;
+  for (int i = 0; i < 3000; ++i) {
+    // Keys 0..999: the hot keys, the long tail, and absent keys above 799.
+    probe.push_back({static_cast<int64_t>(rng.Below(1000)),
+                     static_cast<int64_t>(rng.Next() & 0xFFFF)});
+  }
+  const IntRows expected = ReferenceJoin(build, probe, 0, kind, 2, 2);
+  const int bits[][2] = {{-1, -1}, {3, 0}, {2, 2}};
+  for (JoinStrategy strategy : {JoinStrategy::kRJ, JoinStrategy::kBRJ}) {
+    for (const auto& b : bits) {
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(std::string(JoinStrategyName(strategy)) + " bits=" +
+                     std::to_string(b[0]) + "+" + std::to_string(b[1]) +
+                     " threads=" + std::to_string(threads));
+        const IntRows actual = RunJoin(strategy, kind, build, probe, 2, 2,
+                                       threads, nullptr, b[0], b[1]);
+        ASSERT_EQ(actual.size(), expected.size());
+        ASSERT_EQ(actual, expected);
+      }
+    }
   }
 }
 

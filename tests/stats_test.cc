@@ -16,11 +16,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <latch>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -284,6 +287,54 @@ TEST(StatsCatalogTest, ConcurrentFirstTouchBuildsOnce) {
     EXPECT_EQ(encoded[i], encoded[0]);
   }
   EXPECT_EQ(cat.Get(t), stats[0]);
+  cat.Invalidate();
+}
+
+// A cached table's lookup must not queue behind another table's first-touch
+// build. The build hook holds the big table's build open until the main
+// thread has looked up the small one, so that lookup returning at all is
+// the observation. (A regression blocks the lookup behind the build; the
+// hook's bounded wait then runs out, which fails the test instead of
+// hanging it.)
+TEST(StatsCatalogTest, CachedLookupDoesNotWaitForAnotherTablesBuild) {
+  std::vector<int64_t> small_values;
+  std::vector<int64_t> big_values;
+  for (int i = 0; i < 1000; ++i) small_values.push_back(i % 17);
+  for (int i = 0; i < 20000; ++i) big_values.push_back(i % 1234);
+  Table small = IntTable("sc_small", "v", small_values);
+  Table big = IntTable("sc_big", "v", big_values);
+  ColumnCatalog& cat = ColumnCatalog::Global();
+  cat.Invalidate();
+  const TableStats* small_stats = cat.Get(small);
+  ASSERT_NE(small_stats, nullptr);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool big_started = false;
+  bool release = false;
+  bool released_in_time = false;
+  cat.set_build_hook([&](const Table& table) {
+    if (&table != &big) return;
+    std::unique_lock<std::mutex> lock(mu);
+    big_started = true;
+    cv.notify_all();
+    released_in_time =
+        cv.wait_for(lock, std::chrono::seconds(30), [&] { return release; });
+  });
+  std::thread toucher([&] { EXPECT_NE(cat.Get(big), nullptr); });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return big_started; });
+  }
+  EXPECT_EQ(cat.Get(small), small_stats);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  toucher.join();
+  cat.set_build_hook(nullptr);
+  EXPECT_TRUE(released_in_time);
   cat.Invalidate();
 }
 
