@@ -58,6 +58,11 @@ class BucketChainTable {
   uint64_t size() const { return size_; }
   // Row bytes of build tuple `idx` (the tuple past its stored hash).
   const std::byte* row(uint32_t idx) const { return tuple(idx) + 8; }
+  // Inverse of row(): the build index of a row pointer it returned.
+  uint32_t index(const std::byte* row) const {
+    return static_cast<uint32_t>(static_cast<size_t>(row - 8 - base_) /
+                                 stride_);
+  }
 
   // Probes n <= kBatchCapacity hashes level-wise. For every build tuple whose
   // stored hash equals hashes[i] and whose row satisfies eq(i, build_row),

@@ -125,6 +125,10 @@ class ChainingHashTable {
   const std::byte* EntryRow(const std::byte* entry) const {
     return entry + header_size_;
   }
+  // Inverse of EntryRow.
+  const std::byte* RowEntry(const std::byte* row) const {
+    return row - header_size_;
+  }
 
   // Matched-flag handling (entries must have been built with
   // track_matches=true).

@@ -235,56 +235,82 @@ void HashJoinProbe::Open(ThreadContext& ctx) {
 void HashJoinProbe::Consume(Batch& batch, ThreadContext& ctx) {
   MetricsIn(batch, ctx);
   ChainingHashTable& ht = join_->table();
-  const KeySpec& probe_key = join_->probe_key();
-  const KeySpec& build_key = join_->build_key();
-  const JoinKind kind = join_->kind();
-  JoinEmitter& emitter = emitters_[ctx.thread_id];
 
   // Relaxed operator fusion: the batch is the staging buffer. The hash
   // kernel fills the hash vector and a prefetch pass requests the directory
   // cache lines, so the tag gather below finds the slots (likely) in cache.
   uint64_t hashes[kBatchCapacity];
-  HashRowsBatch(probe_key, batch.rows, batch.layout->stride(), batch.size,
-                hashes);
+  HashRowsBatch(join_->probe_key(), batch.rows, batch.layout->stride(),
+                batch.size, hashes);
   for (uint32_t i = 0; i < batch.size; ++i) {
     ht.PrefetchSlot(hashes[i]);
   }
   ctx.bytes->AddRead(JoinPhase::kProbePipeline,
                      static_cast<uint64_t>(batch.size) *
                          batch.layout->stride());
+  WithKeyEquals(join_->build_key(), join_->probe_key(),
+                [&](const auto& key_equals) {
+                  Probe(batch, hashes, key_equals, ctx);
+                });
+}
 
-  // One matching build entry for one probe tuple: the kind's action.
-  auto on_match = [&](const std::byte* entry, const std::byte* probe_row) {
+template <typename KeyEq>
+void HashJoinProbe::Probe(const Batch& batch, const uint64_t* hashes,
+                          const KeyEq& key_equals, ThreadContext& ctx) {
+  ChainingHashTable& ht = join_->table();
+  const JoinKind kind = join_->kind();
+  JoinEmitter& emitter = emitters_[ctx.thread_id];
+
+  // The walks below collect every matching (build row, probe row) pair;
+  // the kind's step turns the vector into output rows, matched flags or
+  // both. It runs when the vector fills (a long chain can match more than a
+  // batch) and once at the end of the batch.
+  MatchVector matches;
+  const MatchCollect collect = emitter.CollectFor(kind);
+  auto drain = [&] {
     switch (kind) {
       case JoinKind::kInner:
       case JoinKind::kLeftOuter:
-        emitter.EmitPair(ht.EntryRow(entry), probe_row, ctx);
+        emitter.EmitMatches(matches, ctx);
         break;
       case JoinKind::kRightOuter:
         // Matched pairs are materialized (the downstream operators run
         // after the post-probe build scan) and replayed from there.
-        MaterializeJoinRow(join_->projection(),
-                           join_->pair_buffer(ctx.thread_id).AppendSlot(),
-                           ht.EntryRow(entry), probe_row);
-        ht.MarkMatched(entry);
-        break;
-      case JoinKind::kProbeSemi:
-        emitter.EmitProbeOnly(probe_row, ctx);
-        break;
+        emitter.GatherInto(matches, join_->pair_buffer(ctx.thread_id));
+        [[fallthrough]];
       case JoinKind::kBuildSemi:
       case JoinKind::kBuildAnti:
-        ht.MarkMatched(entry);
+        for (uint32_t k = 0; k < matches.size; ++k) {
+          ht.MarkMatched(ht.RowEntry(matches.build[k]));
+        }
+        break;
+      case JoinKind::kProbeSemi:
+        for (uint32_t k = 0; k < matches.size; ++k) {
+          emitter.EmitProbeOnly(matches.probe[k], ctx);
+        }
         break;
       case JoinKind::kProbeAnti:
       case JoinKind::kMark:
-        break;  // existence is all that matters
+        break;
     }
+    matches.size = 0;
   };
-  auto entry_matches = [&](const std::byte* entry, const std::byte* probe_row,
-                           uint64_t hash) {
-    return ChainingHashTable::EntryHash(entry) == hash &&
-           KeySpec::Equals(build_key, ht.EntryRow(entry), probe_key,
-                           probe_row);
+  // Hash first, then the key; a match joins the vector.
+  auto match = [&](const std::byte* entry, const std::byte* probe_row,
+                   uint64_t hash) {
+    if (ChainingHashTable::EntryHash(entry) != hash ||
+        !key_equals(ht.EntryRow(entry), probe_row)) {
+      return false;
+    }
+    if (collect == MatchCollect::kPairs) {
+      matches.Add(ht.EntryRow(entry), probe_row);
+    } else if (collect == MatchCollect::kCount) {
+      ++matches.size;
+    } else {
+      return true;
+    }
+    if (matches.Full()) drain();
+    return true;
   };
   // Kinds that only need existence stop at the first match; kinds that
   // must visit every matching build tuple keep walking.
@@ -321,11 +347,9 @@ void HashJoinProbe::Consume(Batch& batch, ThreadContext& ctx) {
       for (uint32_t j = 0; j < lanes; ++j) {
         const uint32_t i = sel[j];
         const std::byte* entry = reinterpret_cast<const std::byte*>(heads[j]);
-        const std::byte* probe_row = batch.Row(i);
-        if (entry_matches(entry, probe_row, hashes[i])) {
+        if (match(entry, batch.Row(i), hashes[i])) {
           matched_tuples += matched[i] ? 0 : 1;
           matched[i] = true;
-          on_match(entry, probe_row);
           if (first_match_only) continue;
         }
         const std::byte* next = ChainingHashTable::EntryNext(entry);
@@ -337,6 +361,7 @@ void HashJoinProbe::Consume(Batch& batch, ThreadContext& ctx) {
       }
       lanes = live;
     }
+    drain();
     if (kind == JoinKind::kProbeAnti || kind == JoinKind::kLeftOuter) {
       for (uint32_t i = 0; i < batch.size; ++i) {
         if (!matched[i]) emitter.EmitProbeOnly(batch.Row(i), ctx);
@@ -369,9 +394,8 @@ void HashJoinProbe::Consume(Batch& batch, ThreadContext& ctx) {
     bool matched = false;
     for (const std::byte* entry = ht.ChainHead(hash); entry != nullptr;
          entry = ChainingHashTable::EntryNext(entry)) {
-      if (entry_matches(entry, probe_row, hash)) {
+      if (match(entry, probe_row, hash)) {
         matched = true;
-        on_match(entry, probe_row);
         if (first_match_only) break;
       }
     }
@@ -384,6 +408,7 @@ void HashJoinProbe::Consume(Batch& batch, ThreadContext& ctx) {
     }
     matched_tuples += matched ? 1 : 0;
   }
+  drain();
   join_->AddProbeStats(batch.size, matched_tuples);
 }
 

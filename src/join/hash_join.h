@@ -154,6 +154,12 @@ class HashJoinProbe : public Operator {
   }
 
  private:
+  // Probes one hashed batch, comparing keys with `key_equals` (the compare
+  // WithKeyEquals picks for the key shape).
+  template <typename KeyEq>
+  void Probe(const Batch& batch, const uint64_t* hashes,
+             const KeyEq& key_equals, ThreadContext& ctx);
+
   HashJoin* join_;
   std::vector<JoinEmitter> emitters_;  // per worker
   int num_workers_ = 0;

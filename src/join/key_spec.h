@@ -3,6 +3,7 @@
 #ifndef PJOIN_JOIN_KEY_SPEC_H_
 #define PJOIN_JOIN_KEY_SPEC_H_
 
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -99,6 +100,43 @@ class KeySpec {
   const RowLayout* layout_ = nullptr;
   std::vector<int> fields_;
 };
+
+// Key equality of a single 4- or 8-byte key field on both sides: the same
+// verdict as KeySpec::Equals' memcmp, as one load and compare per side.
+template <typename Word>
+struct WordEquals {
+  uint32_t build_offset;
+  uint32_t probe_offset;
+  bool operator()(const std::byte* build_row,
+                  const std::byte* probe_row) const {
+    Word a;
+    Word b;
+    std::memcpy(&a, build_row + build_offset, sizeof(Word));
+    std::memcpy(&b, probe_row + probe_offset, sizeof(Word));
+    return a == b;
+  }
+};
+
+// Calls fn(equals) with the cheapest build/probe key compare the key shape
+// allows: WordEquals for a single 4- or 8-byte key of equal width on both
+// sides, KeySpec::Equals otherwise. Both in-memory probes instantiate their
+// walk once per compare, so the compare inlines into it.
+template <typename Fn>
+void WithKeyEquals(const KeySpec& build, const KeySpec& probe, Fn&& fn) {
+  uint32_t boff = 0, bwidth = 0, poff = 0, pwidth = 0;
+  if (build.SingleWordKey(&boff, &bwidth) &&
+      probe.SingleWordKey(&poff, &pwidth) && bwidth == pwidth) {
+    if (bwidth == 8) {
+      fn(WordEquals<uint64_t>{boff, poff});
+    } else {
+      fn(WordEquals<uint32_t>{boff, poff});
+    }
+    return;
+  }
+  fn([&](const std::byte* build_row, const std::byte* probe_row) {
+    return KeySpec::Equals(build, build_row, probe, probe_row);
+  });
+}
 
 }  // namespace pjoin
 

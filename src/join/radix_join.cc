@@ -14,22 +14,6 @@ namespace pjoin {
 
 namespace {
 
-// Key equality of a single 4- or 8-byte key field on both sides: the same
-// verdict as KeySpec::Equals' memcmp, as one load and compare per side.
-template <typename Word>
-struct WordEquals {
-  uint32_t build_offset;
-  uint32_t probe_offset;
-  bool operator()(const std::byte* build_row,
-                  const std::byte* probe_row) const {
-    Word a;
-    Word b;
-    std::memcpy(&a, build_row + build_offset, sizeof(Word));
-    std::memcpy(&b, probe_row + probe_offset, sizeof(Word));
-    return a == b;
-  }
-};
-
 // Routes spill-core emissions through the worker's in-pipeline emitter: the
 // radix join emits every kind in-place (per-partition verdicts are final),
 // so no holding buffers are needed.
@@ -449,25 +433,10 @@ void PartitionJoinSource::JoinPartitionPair(WorkerState& ws, int f,
   if (TracksBuildMatches(join_->kind())) ws.matched.assign(bcount, 0);
   ctx.bytes->AddRead(JoinPhase::kJoin, bcount * bstride);
 
-  // A single 4- or 8-byte key compares as one word load per side.
-  const KeySpec& bkey = join_->build_key();
-  const KeySpec& pkey = join_->probe_key();
-  uint32_t boff = 0, bwidth = 0, poff = 0, pwidth = 0;
-  if (bkey.SingleWordKey(&boff, &bwidth) &&
-      pkey.SingleWordKey(&poff, &pwidth) && bwidth == pwidth) {
-    if (bwidth == 8) {
-      ProbePartition(ws, f, WordEquals<uint64_t>{boff, poff}, ctx);
-    } else {
-      ProbePartition(ws, f, WordEquals<uint32_t>{boff, poff}, ctx);
-    }
-    return;
-  }
-  ProbePartition(
-      ws, f,
-      [&](const std::byte* build_row, const std::byte* probe_row) {
-        return KeySpec::Equals(bkey, build_row, pkey, probe_row);
-      },
-      ctx);
+  WithKeyEquals(join_->build_key(), join_->probe_key(),
+                [&](const auto& key_equals) {
+                  ProbePartition(ws, f, key_equals, ctx);
+                });
 }
 
 template <typename KeyEq>
@@ -479,33 +448,51 @@ void PartitionJoinSource::ProbePartition(WorkerState& ws, int f,
   const BucketChainTable& table = ws.table;
   JoinEmitter& emitter = ws.emitter;
 
-  // One matching build tuple b for probe lane i: the kind's action.
   const std::byte* probe_base = nullptr;
   auto probe_row = [&](uint32_t i) {
     return RadixPartitioner::TupleRow(probe_base +
                                       static_cast<size_t>(i) * pstride);
   };
-  auto on_match = [&](uint32_t i, uint32_t b) {
+  // The walk collects every matching (build row, probe row) pair; the
+  // kind's step turns the vector into output rows, matched flags or both.
+  // It runs when the vector fills and at the end of each probe batch.
+  MatchVector matches;
+  const MatchCollect collect = emitter.CollectFor(kind);
+  auto drain = [&] {
     switch (kind) {
       case JoinKind::kInner:
       case JoinKind::kLeftOuter:
-        emitter.EmitPair(table.row(b), probe_row(i), ctx);
+        emitter.EmitMatches(matches, ctx);
         break;
       case JoinKind::kRightOuter:
-        emitter.EmitPair(table.row(b), probe_row(i), ctx);
-        ws.matched[b] = 1;
-        break;
-      case JoinKind::kProbeSemi:
-        emitter.EmitProbeOnly(probe_row(i), ctx);
-        break;
+        emitter.EmitMatches(matches, ctx);
+        [[fallthrough]];
       case JoinKind::kBuildSemi:
       case JoinKind::kBuildAnti:
-        ws.matched[b] = 1;
+        for (uint32_t k = 0; k < matches.size; ++k) {
+          ws.matched[table.index(matches.build[k])] = 1;
+        }
+        break;
+      case JoinKind::kProbeSemi:
+        for (uint32_t k = 0; k < matches.size; ++k) {
+          emitter.EmitProbeOnly(matches.probe[k], ctx);
+        }
         break;
       case JoinKind::kProbeAnti:
       case JoinKind::kMark:
-        break;  // existence is all that matters
+        break;
     }
+    matches.size = 0;
+  };
+  auto on_match = [&](uint32_t i, uint32_t b) {
+    if (collect == MatchCollect::kPairs) {
+      matches.Add(table.row(b), probe_row(i));
+    } else if (collect == MatchCollect::kCount) {
+      ++matches.size;
+    } else {
+      return;
+    }
+    if (matches.Full()) drain();
   };
   auto equals = [&](uint32_t i, const std::byte* build_row) {
     return key_equals(build_row, probe_row(i));
@@ -535,6 +522,7 @@ void PartitionJoinSource::ProbePartition(WorkerState& ws, int f,
           std::memset(matched, 0, m);
           table.ProbeBatch(hashes, m, first_match_only, matched, equals,
                            on_match);
+          drain();
           for (uint32_t i = 0; i < m; ++i) matched_tuples += matched[i];
           if (kind == JoinKind::kProbeAnti || kind == JoinKind::kLeftOuter) {
             for (uint32_t i = 0; i < m; ++i) {

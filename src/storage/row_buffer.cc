@@ -1,5 +1,6 @@
 #include "storage/row_buffer.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -40,6 +41,18 @@ std::byte* RowBuffer::AppendSlot() {
   std::byte* dst = page.data.data() + page.count * stride_;
   ++page.count;
   ++size_;
+  return dst;
+}
+
+std::byte* RowBuffer::AppendSlots(uint32_t want, uint32_t* got) {
+  PJOIN_DCHECK(want > 0);
+  if (pages_.empty() || pages_.back().count == page_rows_) AddPage();
+  Page& page = pages_.back();
+  const uint32_t n = std::min(want, page_rows_ - page.count);
+  std::byte* dst = page.data.data() + static_cast<size_t>(page.count) * stride_;
+  page.count += n;
+  size_ += n;
+  *got = n;
   return dst;
 }
 

@@ -31,6 +31,10 @@ class RowBuffer {
   // Reserves space for one row and returns the pointer (caller fills it).
   std::byte* AppendSlot();
 
+  // Reserves up to `want` contiguous rows in the current page (at least
+  // one), sets `*got` to how many, and returns the first (caller fills them).
+  std::byte* AppendSlots(uint32_t want, uint32_t* got);
+
   uint64_t size() const { return size_; }
   uint32_t stride() const { return stride_; }
   uint64_t TotalBytes() const { return size_ * stride_; }

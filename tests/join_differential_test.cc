@@ -259,33 +259,65 @@ Table ToTable(const std::string& prefix, const IntRows& rows, int cols) {
 }
 
 // A bare count(*) over the join projects no column, so every pair and
-// build-only row travels at stride 0; the right-outer BHJ's pair buffers
-// must still count the matches.
+// build-only row travels at stride 0 and inner and left-outer probes only
+// count their matches; the right-outer BHJ's pair buffers must still count
+// the matches. The second build repeats one key 3000 times, so a probe of it
+// matches more than one output batch and the count-only walk drains its
+// match vector mid-walk, in the BHJ's chain walk and the radix join's
+// bucket chains alike.
 TEST_P(JoinDifferentialTest, CountStarWithoutOutputColumnsMatchesReference) {
   const JoinKind kind = GetParam();
   const DataConfig& cfg = kConfigs[0];
   const uint64_t seed = 9000 + static_cast<uint64_t>(kind) * 131;
-  const IntRows build = MakeBuild(cfg, seed);
-  const IntRows probe = MakeProbe(cfg, seed + 1);
-  const auto expected = static_cast<int64_t>(
-      ReferenceJoin(build, probe, 0, kind, cfg.build_cols, cfg.probe_cols)
-          .size());
-  Table b = ToTable("b", build, cfg.build_cols);
-  Table p = ToTable("p", probe, cfg.probe_cols);
-  auto plan = Aggregate(
-      Join(ScanTable(&b), ScanTable(&p), {{"b0", "p0"}}, kind,
-           kind == JoinKind::kMark ? "mark" : ""),
-      {}, {AggDef::CountStar("n")});
-  for (JoinStrategy strategy :
-       {JoinStrategy::kBHJ, JoinStrategy::kRJ, JoinStrategy::kBRJ}) {
-    SCOPED_TRACE(JoinStrategyName(strategy));
-    ExecOptions options;
-    options.join_strategy = strategy;
-    options.num_threads = 2;
-    options.rewrite.enabled = 0;  // keep `b` on the build side
-    QueryResult result = ExecuteQuery(*plan, options);
-    ASSERT_EQ(result.num_rows(), 1u);
-    EXPECT_EQ(std::get<int64_t>(result.rows[0][0]), expected);
+  struct Case {
+    const char* name;
+    IntRows build;
+    IntRows probe;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"base", MakeBuild(cfg, seed), MakeProbe(cfg, seed + 1)});
+  Rng rng(seed + 2);
+  Case hot{"hot_key", {}, {}};
+  for (int i = 0; i < 3000; ++i) {
+    hot.build.push_back({7, static_cast<int64_t>(rng.Next() & 0xFFFF)});
+  }
+  for (int64_t k = 0; k < 1000; ++k) {
+    hot.build.push_back({100 + k, static_cast<int64_t>(rng.Next() & 0xFFFF)});
+  }
+  for (size_t i = hot.build.size() - 1; i > 0; --i) {
+    std::swap(hot.build[i], hot.build[rng.Below(i + 1)]);
+  }
+  for (int i = 0; i < 2000; ++i) {
+    const int64_t key = rng.Below(20) == 0
+                            ? 7
+                            : static_cast<int64_t>(rng.Below(1500));
+    hot.probe.push_back({key, static_cast<int64_t>(rng.Next() & 0xFFFF)});
+  }
+  cases.push_back(std::move(hot));
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto expected = static_cast<int64_t>(
+        ReferenceJoin(c.build, c.probe, 0, kind, 2, 2).size());
+    Table b = ToTable("b", c.build, 2);
+    Table p = ToTable("p", c.probe, 2);
+    auto plan = Aggregate(
+        Join(ScanTable(&b), ScanTable(&p), {{"b0", "p0"}}, kind,
+             kind == JoinKind::kMark ? "mark" : ""),
+        {}, {AggDef::CountStar("n")});
+    for (JoinStrategy strategy :
+         {JoinStrategy::kBHJ, JoinStrategy::kRJ, JoinStrategy::kBRJ}) {
+      for (int threads : {1, 2, 4}) {
+        SCOPED_TRACE(std::string(JoinStrategyName(strategy)) +
+                     " threads=" + std::to_string(threads));
+        ExecOptions options;
+        options.join_strategy = strategy;
+        options.num_threads = threads;
+        options.rewrite.enabled = 0;  // keep `b` on the build side
+        QueryResult result = ExecuteQuery(*plan, options);
+        ASSERT_EQ(result.num_rows(), 1u);
+        EXPECT_EQ(std::get<int64_t>(result.rows[0][0]), expected);
+      }
+    }
   }
 }
 
