@@ -58,7 +58,7 @@ int main() {
   for (double scale : scales) {
     ExecOptions opts = bench::Options(JoinStrategy::kAuto, threads);
     opts.advisor.l2_bytes = model_l2;
-    opts.advisor.llc_bytes = model_l2 * 4;
+    opts.advisor.profile = &CostProfile::Reference();
     opts.advisor.partition_margin = 50.0;
     opts.advisor.est_scale = scale;
     opts.advisor.replan_qerror = 0.0;

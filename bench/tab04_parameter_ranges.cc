@@ -5,7 +5,8 @@
 // "Workable": RJ (or BRJ) within 25% of the BHJ. "Beneficial": faster than
 // the BHJ. This bench runs a compressed version of every sweep and derives
 // the thresholds from the measurements, then prints them next to the
-// paper's published ranges.
+// paper's published ranges and next to what kAuto picks for each join of
+// the plan (the calibrated advisor's window against the measured one).
 #include "bench/bench_common.h"
 #include "util/cpu_info.h"
 
@@ -14,6 +15,7 @@ namespace {
 
 struct Ratio {
   double value;  // RJ/BRJ throughput relative to BHJ
+  std::string auto_pick;  // kAuto's strategy per join, in join-id order
 };
 
 Ratio Compare(const PlanNode& plan, JoinStrategy partitioned, int threads,
@@ -22,7 +24,11 @@ Ratio Compare(const PlanNode& plan, JoinStrategy partitioned, int threads,
       MeasurePlan(plan, bench::Options(partitioned, threads), reps, pool);
   QueryStats bhj = MeasurePlan(
       plan, bench::Options(JoinStrategy::kBHJ, threads), reps, pool);
-  return Ratio{pj.Throughput() / bhj.Throughput()};
+  std::string picks;
+  for (const auto& [id, d] : JoinAdvisor::AdvisePlan(plan, {})) {
+    picks += (picks.empty() ? "" : ",") + std::string(JoinStrategyName(d.choice));
+  }
+  return Ratio{pj.Throughput() / bhj.Throughput(), picks};
 }
 
 std::string Verdict(double ratio) {
@@ -46,7 +52,7 @@ int main() {
 
   ThreadPool pool(threads);
   TablePrinter table({"factor", "setting", "RJ-or-BRJ vs BHJ", "verdict",
-                      "paper range (workable / beneficial)"});
+                      "kAuto", "paper range (workable / beneficial)"});
 
   // Selectivity (handled by the Bloom filter): compare BRJ at 5% and 100%.
   for (double sel : {0.05, 1.0}) {
@@ -55,7 +61,7 @@ int main() {
     Ratio r = Compare(*plan, JoinStrategy::kBRJ, threads, reps, &pool);
     table.AddRow({"selectivity", TablePrinter::Double(sel * 100, 0) + "%",
                   TablePrinter::Percent(r.value - 1.0), Verdict(r.value),
-                  "handled by Bloom filter"});
+                  r.auto_pick, "handled by Bloom filter"});
   }
 
   // Payload size: <=16 B beneficial, <=32 B workable.
@@ -65,7 +71,7 @@ int main() {
     Ratio r = Compare(*plan, JoinStrategy::kRJ, threads, reps, &pool);
     table.AddRow({"payload size", std::to_string(8 * cols) + " B",
                   TablePrinter::Percent(r.value - 1.0), Verdict(r.value),
-                  "<=32 B / <=16 B"});
+                  r.auto_pick, "<=32 B / <=16 B"});
   }
 
   // Pipeline depth: <8 workable, <2 beneficial.
@@ -75,7 +81,7 @@ int main() {
     Ratio r = Compare(*plan, JoinStrategy::kRJ, threads, reps, &pool);
     table.AddRow({"pipeline depth", std::to_string(depth) + " joins",
                   TablePrinter::Percent(r.value - 1.0), Verdict(r.value),
-                  "<8 / <2 joins"});
+                  r.auto_pick, "<8 / <2 joins"});
   }
 
   // Skew: z <= 1 workable, z <= 0.5 beneficial.
@@ -85,7 +91,7 @@ int main() {
     Ratio r = Compare(*plan, JoinStrategy::kRJ, threads, reps, &pool);
     table.AddRow({"skew (Zipf)", "z=" + TablePrinter::Double(z, 2),
                   TablePrinter::Percent(r.value - 1.0), Verdict(r.value),
-                  "<=1 / <=0.5"});
+                  r.auto_pick, "<=1 / <=0.5"});
   }
 
   // Build size relative to the LLC: > LLC workable, >> LLC beneficial.
@@ -104,7 +110,7 @@ int main() {
     table.AddRow({"build size",
                   TablePrinter::Double(factor, 2) + "x LLC (scaled)",
                   TablePrinter::Percent(r.value - 1.0), Verdict(r.value),
-                  "> LLC / >> LLC"});
+                  r.auto_pick, "> LLC / >> LLC"});
   }
 
   // Size difference: < 1:50 workable, < 1:10 beneficial. Probe size fixed
@@ -116,7 +122,7 @@ int main() {
     Ratio r = Compare(*plan, JoinStrategy::kRJ, threads, reps, &pool);
     table.AddRow({"size difference", "1:" + std::to_string(ratio),
                   TablePrinter::Percent(r.value - 1.0), Verdict(r.value),
-                  "< x50 / < x10"});
+                  r.auto_pick, "< x50 / < x10"});
   }
 
   table.Print();

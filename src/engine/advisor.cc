@@ -7,6 +7,7 @@
 #include <string>
 
 #include "engine/coded_keys.h"
+#include "partition/radix_partitioner.h"
 #include "spill/memory_governor.h"
 #include "stats/column_catalog.h"
 #include "util/check.h"
@@ -17,36 +18,22 @@ namespace pjoin {
 
 namespace {
 
-// --- Cost-model calibration ------------------------------------------------
-// All costs are modeled bytes of memory traffic per join. The constants
-// encode the paper's Section 5 surfaces qualitatively: a non-partitioned
-// probe pays at most two cache lines per tuple (directory slot + entry, with
-// software prefetching hiding most of the latency), while partitioning pays
-// a fixed number of full passes over padded tuples on both sides.
+// --- Cost model --------------------------------------------------------------
+// Costs are single-threaded nanoseconds: tuple counts times the per-tuple
+// costs of the building blocks in the CostProfile.
 
-// Per-probe-tuple penalty (bytes) when the BHJ table lives in the LLC.
-constexpr double kLlcMissBytes = 24.0;
-// Per-probe-tuple penalty (bytes) when the BHJ table spills to DRAM:
-// directory line plus entry line, discounted for prefetch overlap.
-constexpr double kDramMissBytes = 96.0;
-// Material passes over each side's padded partition tuples: pass-1 write,
-// histogram re-scan, pass-2 read + write, join-phase read.
-constexpr double kPassFactor = 5.0;
-// Per-partition robin-hood insert cost per build tuple (bytes).
-constexpr double kPartitionInsertBytes = 16.0;
 // Pipeline-depth penalty per join below the probe side: partitioning breaks
 // the probe pipeline, re-materializing work the joins below already paid for.
 constexpr double kDepthPenalty = 0.05;
-// Bloom filter: bytes touched per key on build and per tuple on probe.
-constexpr double kBloomBytesPerKey = 8.0;
 // False-positive allowance added to the modeled pass rate.
 constexpr double kBloomFpAllowance = 0.05;
 // Above this modeled pass rate a winning BRJ is demoted to the adaptive
 // variant: the filter is likely useless and should be able to switch off.
 constexpr double kAdaptivePassRate = 0.8;
-// Cost (in modeled memory-traffic bytes) per byte of spill I/O. Buffered
-// sequential temp-file I/O is slower than a DRAM pass but not catastrophically
-// so; the factor applies to write + re-read of every spilled byte.
+// Cost of one byte of spill I/O relative to one byte of pass-1 scatter.
+// Buffered sequential temp-file I/O is slower than a memory pass but not
+// catastrophically so; the factor applies to write + re-read of every
+// spilled byte.
 constexpr double kSpillIoFactor = 4.0;
 // Runtime guardrail: a guarded partitioned plan runs not partitioned when
 // its staged build side exceeds the estimate by this factor.
@@ -54,7 +41,7 @@ constexpr double kBuildOverflowFactor = 4.0;
 
 // Stride of a [hash:8B][row] partition tuple as the radix partitioner pads
 // it (power of two up to 64 bytes for write-combine buffers).
-double PaddedPartitionStride(uint32_t row_width) {
+uint32_t PaddedPartitionStride(uint32_t row_width) {
   uint32_t s = 8 + row_width;
   if (s > 64) return (s + 7u) & ~7u;
   uint32_t p = 1;
@@ -101,20 +88,37 @@ struct WalkContext {
   double est_scale = 1.0;  // resolved fault-injection factor
 };
 
+// The statistics histogram of `column`'s base column under `side`; null for
+// computed keys, non-numeric columns, and empty tables.
+const EqualHeightHistogram* KeyHistogram(const PlanNode& side,
+                                         const std::string& column) {
+  int col = -1;
+  const Table* table = ResolveBaseColumn(side, column, &col);
+  if (table == nullptr) return nullptr;
+  const TableStats* ts = ColumnCatalog::Global().Get(*table);
+  if (ts == nullptr) return nullptr;
+  const EqualHeightHistogram& h = ts->columns[col].histogram;
+  return h.valid() ? &h : nullptr;
+}
+
 // The skew estimate of `join`'s first build key: its base column's
-// hottest-value share from the column catalog. None for computed keys,
-// non-numeric columns, and empty tables.
+// hottest-value share.
 std::optional<SkewEstimate> BuildKeySkew(const PlanNode& join) {
   if (join.keys.empty()) return std::nullopt;
-  int col = -1;
-  const Table* table =
-      ResolveBaseColumn(*join.build, join.keys[0].first, &col);
-  if (table == nullptr) return std::nullopt;
-  const TableStats* ts = ColumnCatalog::Global().Get(*table);
-  if (ts == nullptr) return std::nullopt;
-  const EqualHeightHistogram& h = ts->columns[col].histogram;
-  if (!h.valid()) return std::nullopt;
-  return SkewEstimate{h.sample_rows(), h.top_share()};
+  const EqualHeightHistogram* h = KeyHistogram(*join.build, join.keys[0].first);
+  if (h == nullptr) return std::nullopt;
+  return SkewEstimate{h->sample_rows(), h->top_share()};
+}
+
+// Share of the probe key's rows inside the build key's [min, max]: probe
+// keys outside it cannot join, whatever FK containment says. 1 without
+// both histograms.
+double ProbeKeyInRange(const PlanNode& join) {
+  if (join.keys.empty()) return 1.0;
+  const EqualHeightHistogram* b = KeyHistogram(*join.build, join.keys[0].first);
+  const EqualHeightHistogram* p = KeyHistogram(*join.probe, join.keys[0].second);
+  if (b == nullptr || p == nullptr) return 1.0;
+  return p->BetweenFraction(b->min(), b->max());
 }
 
 struct SubtreeInfo {
@@ -238,7 +242,8 @@ SubtreeInfo Walk(const PlanNode& node, const std::set<std::string>& required,
       JoinDecision d = JoinAdvisor::Decide(
           node.join_kind, est_build, build.base_rows, probe.est_rows,
           SumWidths(ctx, build_required), SumWidths(ctx, probe_required),
-          probe.joins, *ctx.options, skew ? &*skew : nullptr);
+          probe.joins, *ctx.options, skew ? &*skew : nullptr,
+          ProbeKeyInRange(node));
       d.est_build_base_rows = build.base_rows;
       d.est_out_rows = EstimateJoinOutputRows(node, est_build, probe.est_rows);
       (*ctx.out)[join_id] = d;
@@ -306,11 +311,10 @@ JoinDecision JoinAdvisor::Decide(JoinKind kind, uint64_t est_build_rows,
                                  uint64_t est_probe_rows, uint32_t build_width,
                                  uint32_t probe_width, int probe_depth,
                                  const AdvisorOptions& options,
-                                 const SkewEstimate* skew) {
-  const CpuInfo& cpu = GetCpuInfo();
-  const uint64_t l2 = options.l2_bytes > 0 ? options.l2_bytes : cpu.l2_bytes;
-  const uint64_t llc =
-      options.llc_bytes > 0 ? options.llc_bytes : cpu.llc_bytes;
+                                 const SkewEstimate* skew,
+                                 double probe_in_range) {
+  const uint64_t l2 =
+      options.l2_bytes > 0 ? options.l2_bytes : GetCpuInfo().l2_bytes;
 
   JoinDecision d;
   d.est_build_rows = est_build_rows;
@@ -328,71 +332,17 @@ JoinDecision JoinAdvisor::Decide(JoinKind kind, uint64_t est_build_rows,
   const double entry = (header + build_width + 7u) & ~7u;
   d.est_ht_bytes = static_cast<uint64_t>(build * (entry + 16.0));
 
-  double miss = kDramMissBytes;
-  if (d.est_ht_bytes <= l2) {
-    miss = 0.0;
-  } else if (d.est_ht_bytes <= llc) {
-    miss = kLlcMissBytes;
-  }
-  d.cost_bhj = 2.0 * build * entry + probe * (probe_width + miss);
-
-  // RJ: kPassFactor passes over padded [hash][row] tuples on both sides plus
-  // per-partition table inserts; partitioning the probe side also breaks the
-  // pipeline below it (depth penalty).
-  const double sb = PaddedPartitionStride(build_width);
-  const double sp = PaddedPartitionStride(probe_width);
-  const double depth_penalty = 1.0 + kDepthPenalty * probe_depth;
-  const double build_part_cost =
-      kPassFactor * build * sb + kPartitionInsertBytes * build;
-  d.cost_rj = build_part_cost + kPassFactor * probe * sp * depth_penalty;
-
-  // BRJ: the filter prunes the probe side before it is partitioned. Under
-  // FK containment the pass rate is bounded by the surviving fraction of the
-  // build side's base table, plus a false-positive allowance.
+  // Pass rate of the probe side through a build-key filter. Under FK
+  // containment it is bounded by the surviving fraction of the build side's
+  // base table, and no key outside the build key's range can pass; plus a
+  // false-positive allowance.
   const bool bloomable = RadixJoin::BloomApplicable(kind);
   const double sigma =
       build_base_rows > 0
           ? std::min(1.0, build / static_cast<double>(build_base_rows))
           : 1.0;
-  d.est_pass_rate = std::min(1.0, sigma + kBloomFpAllowance);
-  d.cost_brj =
-      bloomable
-          ? build_part_cost + kBloomBytesPerKey * (build + probe) +
-                kPassFactor * probe * d.est_pass_rate * sp * depth_penalty
-          : d.cost_rj;
-
-  // Out-of-core term. With a memory budget below the modeled build state,
-  // every strategy spills the overflow to temp files (write + re-read). The
-  // I/O volume is the same order for all three, but the BHJ pays an extra
-  // re-pack pass over the build side — it discovers the overflow only after
-  // materializing the whole table — while the radix join's pass-1
-  // pre-partitions are the spill unit: eviction is one sequential write of
-  // chunks it had already formed. When spilling is inevitable, partitioning
-  // is the cheaper on-ramp (the NOCAP observation).
-  const uint64_t budget = options.memory_budget > 0
-                              ? options.memory_budget
-                              : MemoryGovernor::Global().budget();
-  if (budget > 0) {
-    if (d.est_ht_bytes > budget) {
-      const double f =
-          1.0 - static_cast<double>(budget) / static_cast<double>(d.est_ht_bytes);
-      d.cost_bhj += build * entry /* re-pack pass */ +
-                    kSpillIoFactor * 2.0 * f * (build * sb + probe * sp);
-      d.spill_expected = true;
-    }
-    const double part_bytes = build * sb;
-    if (part_bytes > budget) {
-      const double f = 1.0 - static_cast<double>(budget) / part_bytes;
-      d.cost_rj += kSpillIoFactor * 2.0 * f * (build * sb + probe * sp);
-      if (bloomable) {
-        d.cost_brj += kSpillIoFactor * 2.0 * f *
-                      (build * sb + probe * d.est_pass_rate * sp);
-      } else {
-        d.cost_brj = d.cost_rj;
-      }
-      d.spill_expected = true;
-    }
-  }
+  d.est_pass_rate =
+      std::min(1.0, std::min(sigma, probe_in_range) + kBloomFpAllowance);
 
   // Skew estimate. A radix join's hottest final partition holds at least the
   // hottest key's share of the build side; when that share overflows the
@@ -412,14 +362,105 @@ JoinDecision JoinAdvisor::Decide(JoinKind kind, uint64_t est_build_rows,
       PartitionOverflowShare(est_build_rows, build_width, options);
   d.skew_overflow = d.est_max_partition_share > overflow_share;
 
-  // Decision. Hard rule first: a build side that fits L2 never partitions
-  // (the paper's headline case — 58 of 59 TPC-H joins). Suspended when the
-  // budget is below even that table: the decision must weigh spill I/O.
-  if (d.est_ht_bytes <= l2 && (budget == 0 || d.est_ht_bytes <= budget)) {
-    d.choice = JoinStrategy::kBHJ;
-    d.reason = "build fits L2";
-    return d;
+  // Hard rules first; they are not costed, so they never wait for a
+  // calibration. Both are suspended when the budget is below the table: the
+  // decision must weigh spill I/O.
+  //  * A build that fits L2 never partitions (the paper's headline case —
+  //    58 of 59 TPC-H joins), nor one that would fit if its estimate were
+  //    kBuildOverflowFactor too high: the runtime guardrail catches a build
+  //    that overflows its estimate that much, nothing catches one that
+  //    falls short of it, and on a cache-resident table the BHJ's probe is
+  //    as fast as the partition join's.
+  //  * A probe side smaller than its build never partitions: the radix
+  //    join wins by turning the probe's cache misses into sequential passes
+  //    (Section 5.2), and a small probe has few misses to save.
+  const uint64_t budget = options.memory_budget > 0
+                              ? options.memory_budget
+                              : MemoryGovernor::Global().budget();
+  if (budget == 0 || d.est_ht_bytes <= budget) {
+    if (static_cast<double>(d.est_ht_bytes) <=
+        kBuildOverflowFactor * static_cast<double>(l2)) {
+      d.choice = JoinStrategy::kBHJ;
+      d.reason = "build fits L2";
+      return d;
+    }
+    if (est_probe_rows < est_build_rows) {
+      d.choice = JoinStrategy::kBHJ;
+      d.reason = "probe smaller than build";
+      return d;
+    }
   }
+
+  // The probes behind the profile hold at most what this join is about to
+  // allocate: its table, or the budget when that is smaller.
+  const CostProfile& profile =
+      options.profile != nullptr ? *options.profile : CostProfile::Process();
+  const uint64_t cap =
+      budget > 0 ? std::min(d.est_ht_bytes, budget) : d.est_ht_bytes;
+  const BhjCosts bhj = profile.Bhj(d.est_ht_bytes, cap, &d.calibration_ms);
+  const PartitionCosts& part = profile.Partition(cap, &d.calibration_ms);
+
+  // BHJ: a probe whose key is absent is usually settled by the directory's
+  // tag, without a chain walk.
+  const double match = std::min(1.0, std::min(sigma, probe_in_range));
+  d.cost_bhj = build * bhj.build_ns +
+               probe * (match * bhj.probe_ns + (1.0 - match) * bhj.miss_ns);
+
+  // RJ: every tuple of both sides goes through the scatter once per pass
+  // (ChooseRadixBits picks a second pass only for builds far beyond L2),
+  // then build tuples are linked into bucket chains and probe tuples walk
+  // them. Partitioning the probe side also breaks the pipeline below it.
+  const uint32_t sb = PaddedPartitionStride(build_width);
+  const uint32_t sp = PaddedPartitionStride(probe_width);
+  const double passes =
+      ChooseRadixBits(est_build_rows | 1, 8 + build_width).bits2 > 0 ? 2 : 1;
+  const double depth_penalty = 1.0 + kDepthPenalty * probe_depth;
+  const double build_part =
+      build * (passes * part.ScatterNs(sb) + part.chain_build_ns);
+  const double probe_part = probe *
+                            (passes * part.ScatterNs(sp) + part.chain_probe_ns) *
+                            depth_penalty;
+  d.cost_rj = build_part + probe_part;
+
+  // BRJ: the filter is built over the build keys and tested by every probe
+  // tuple; only the passing share is partitioned and joined.
+  d.cost_brj = bloomable ? build_part + build * part.bloom_build_ns +
+                               probe * part.bloom_probe_ns +
+                               d.est_pass_rate * probe_part
+                         : d.cost_rj;
+
+  // Out-of-core term. With a memory budget below the modeled build state,
+  // every strategy spills the overflow to temp files (write + re-read),
+  // priced per byte like the scatter. The I/O volume is the same order for
+  // all three, but the BHJ pays an extra re-pack pass over the build side —
+  // it discovers the overflow only after materializing the whole table —
+  // while the radix join's pass-1 pre-partitions are the spill unit:
+  // eviction is one sequential write of chunks it had already formed. When
+  // spilling is inevitable, partitioning is the cheaper on-ramp (the NOCAP
+  // observation).
+  if (budget > 0) {
+    const double ns_per_byte = part.ScatterNs(64) / 64.0;
+    const double io_ns = kSpillIoFactor * 2.0 * ns_per_byte;
+    if (d.est_ht_bytes > budget) {
+      const double f =
+          1.0 - static_cast<double>(budget) / static_cast<double>(d.est_ht_bytes);
+      d.cost_bhj += build * entry * ns_per_byte /* re-pack pass */ +
+                    io_ns * f * (build * sb + probe * sp);
+      d.spill_expected = true;
+    }
+    const double part_bytes = build * sb;
+    if (part_bytes > budget) {
+      const double f = 1.0 - static_cast<double>(budget) / part_bytes;
+      d.cost_rj += io_ns * f * (build * sb + probe * sp);
+      if (bloomable) {
+        d.cost_brj += io_ns * f * (build * sb + probe * d.est_pass_rate * sp);
+      } else {
+        d.cost_brj = d.cost_rj;
+      }
+      d.spill_expected = true;
+    }
+  }
+
   // Skewed builds never partition (the paper's answer to skew, Table 4 and
   // Fig. 17); under a budget the BHJ goes hybrid instead.
   if (d.skew_overflow) {
@@ -450,7 +491,7 @@ JoinDecision JoinAdvisor::Decide(JoinKind kind, uint64_t est_build_rows,
   } else {
     d.choice = JoinStrategy::kBHJ;
     d.reason = d.spill_expected ? "spill inevitable; hybrid hash still cheaper"
-                                : "partitioning not worth the bandwidth";
+                                : "partitioning not worth the time";
   }
   return d;
 }

@@ -1,17 +1,18 @@
 // Cost-based join-strategy advisor: "to partition, or not to partition",
 // answered per join at plan-lowering time (the paper's Section 5 decision,
-// turned into an analytic model instead of a manual knob).
+// turned into a cost model instead of a manual knob).
 //
 // For every join node the advisor scores
 //   * BHJ  — materialize the build side once, probe fully pipelined; pays
-//            one cache/DRAM miss per probe tuple when the table outgrows the
-//            cache hierarchy,
-//   * RJ   — partition both sides (bandwidth-bound multi-pass scatter) so
-//            every per-partition table fits L2; pays the full partitioning
-//            traffic on the probe side and breaks the probe pipeline,
+//            cache and DRAM misses per probe tuple once the table outgrows
+//            the caches,
+//   * RJ   — partition both sides (pass-1 scatter, a second pass for huge
+//            builds) so every per-partition table fits L2; pays the
+//            partitioning on the probe side and breaks the probe pipeline,
 //   * BRJ  — RJ plus a Bloom filter built from the build keys that prunes
 //            non-joining probe tuples *before* they are partitioned,
-// in a common currency (modeled bytes of memory traffic) and picks the
+// in one currency, single-threaded nanoseconds per tuple of each building
+// block measured on this host (engine/cost_profile.h), and picks the
 // cheapest, with the paper's asymmetry built in: partitioning must win by a
 // clear margin before it is chosen, because the BHJ's downside is bounded
 // while the RJ's is not (Section 5.2, "when in doubt, do not partition").
@@ -32,6 +33,7 @@
 #include <memory>
 #include <vector>
 
+#include "engine/cost_profile.h"
 #include "engine/plan.h"
 #include "exec/pipeline.h"
 #include "join/radix_join.h"
@@ -39,10 +41,14 @@
 namespace pjoin {
 
 struct AdvisorOptions {
-  // Cache-size overrides for the cost model; 0 = use the host's values from
-  // GetCpuInfo(). Tests pin these to make decisions machine-independent.
+  // L2 override for the "build fits L2" rule and the partition sizing; 0 =
+  // the host's value from GetCpuInfo().
   uint64_t l2_bytes = 0;
-  uint64_t llc_bytes = 0;
+
+  // Per-tuple costs the model prices strategies with; null = the process's
+  // calibrated profile. Tests and goldens pass CostProfile::Reference() so
+  // their decisions do not depend on the host.
+  const CostProfile* profile = nullptr;
 
   // A partitioned strategy is chosen only when its modeled cost is below
   // margin * cost(BHJ) — the "when in doubt, do not partition" asymmetry.
@@ -78,7 +84,9 @@ struct SkewEstimate {
   double top_share = 0.0;    // share of the hottest key in those rows
 };
 
-// One join's scored decision. Costs are modeled bytes of memory traffic.
+// One join's scored decision. Costs are single-threaded nanoseconds; a
+// decision settled by a hard rule ("build fits L2", "probe smaller than
+// build") is not costed (all three stay 0).
 struct JoinDecision {
   JoinStrategy choice = JoinStrategy::kBHJ;
   uint64_t est_build_rows = 0;
@@ -93,6 +101,9 @@ struct JoinDecision {
   double cost_bhj = 0;
   double cost_rj = 0;
   double cost_brj = 0;
+  // Wall time this decision spent calibrating the profile (first decisions
+  // of a size class only).
+  double calibration_ms = 0;
   bool spill_expected = false;  // budgeted run: some strategy must spill
   // Skew estimate (populated when the build key's histogram informed the
   // costs).
@@ -123,17 +134,20 @@ class JoinAdvisor {
   // The cost model proper, exposed for decision-surface tests.
   // `build_base_rows` is the unfiltered cardinality of the build subtree's
   // base table; est_build / base bounds the Bloom filter's pass rate under
-  // the FK-containment assumption. `skew`, when non-null, is the build key's
+  // the FK-containment assumption. `probe_in_range` is the share of probe
+  // keys inside the build key's [min, max] (from the column histograms), a
+  // second bound on it. `skew`, when non-null, is the build key's
   // hottest-value share; a share that overflows one partition picks BHJ.
   static JoinDecision Decide(JoinKind kind, uint64_t est_build_rows,
                              uint64_t build_base_rows,
                              uint64_t est_probe_rows, uint32_t build_width,
                              uint32_t probe_width, int probe_depth,
                              const AdvisorOptions& options,
-                             const SkewEstimate* skew = nullptr);
+                             const SkewEstimate* skew = nullptr,
+                             double probe_in_range = 1.0);
 
   // Largest build-side share one final partition can absorb before its
-  // robin-hood table overflows the margin-scaled L2 target. Shares above it
+  // table overflows the margin-scaled L2 target. Shares above it
   // mark the decision skew_overflow, which picks BHJ.
   static double PartitionOverflowShare(uint64_t est_build_rows,
                                        uint32_t build_width,
@@ -149,7 +163,8 @@ class JoinAdvisor {
 
   // The partitioned variant a guarded join builds its radix engine as: the
   // plan's pick, or for a plan-time BHJ (guarded only under re-planning) the
-  // cheaper of RJ/BRJ — the Bloom filter cannot be retrofitted mid-query.
+  // cheaper of RJ/BRJ (RJ when the plan was not costed) — the Bloom filter
+  // cannot be retrofitted mid-query.
   static JoinStrategy PartitionedVariant(JoinKind kind,
                                          const JoinDecision& plan);
 

@@ -112,6 +112,23 @@ void CollectEarlyUses(const PlanNode& node, std::set<std::string>* out) {
   }
 }
 
+// Wall plus finish seconds of the distinct pipelines `ops` ran in (null
+// entries and operators that never ran are skipped).
+double PipelineSeconds(const QueryMetrics& qm,
+                       std::initializer_list<const OperatorMetrics*> ops) {
+  std::set<int> seen;
+  double seconds = 0;
+  for (const OperatorMetrics* op : ops) {
+    if (op == nullptr || op->pipeline_index() < 0 ||
+        !seen.insert(op->pipeline_index()).second) {
+      continue;
+    }
+    const PipelineMetrics& p = qm.pipelines()[op->pipeline_index()];
+    seconds += p.wall_seconds + p.finish_seconds;
+  }
+  return seconds;
+}
+
 // Copies the advisor's decision record, and how a guarded join resolved at
 // runtime, into a join's metrics so EXPLAIN ANALYZE and the JSON export can
 // show estimated vs actual.
@@ -124,6 +141,7 @@ void AttachAdvisorMetrics(JoinMetrics& m, const JoinDecision& d,
   m.advisor.cost_bhj = d.cost_bhj;
   m.advisor.cost_rj = d.cost_rj;
   m.advisor.cost_brj = d.cost_brj;
+  m.advisor.calibration_ms = d.calibration_ms;
   m.advisor.reason = d.reason;
   m.advisor.skew_sampled = d.skew_sampled;
   m.advisor.est_top_share = d.est_top_share;
@@ -201,7 +219,7 @@ class Lowerer {
   const RewriteInfo* rewrite_info_ = nullptr;
   // Per-join observability collectors, invoked after the run (they read the
   // operator registry, so rows_out is only final once the pipelines stop).
-  std::vector<std::function<JoinMetrics()>> metrics_fns_;
+  std::vector<std::function<JoinMetrics(const QueryMetrics&)>> metrics_fns_;
   HashAggOp* root_agg_ = nullptr;
 };
 
@@ -397,7 +415,8 @@ Lowerer::Stream Lowerer::LowerJoin(const PlanNode& node,
     HashJoin* join = hash_joins_.back().get();
     join->set_join_id(join_id);
     operators_.push_back(std::make_unique<HashJoinBuildSink>(join));
-    build.pipeline->AddOperator(operators_.back().get());
+    Operator* build_op = operators_.back().get();
+    build.pipeline->AddOperator(build_op);
     build.pipeline->timing_phase = JoinPhase::kBuildPipeline;
     if (!build_completed) CompletePipeline(build.pipeline);
 
@@ -412,8 +431,12 @@ Lowerer::Stream Lowerer::LowerJoin(const PlanNode& node,
       sources_.push_back(std::make_unique<HashJoinBuildScanSource>(join));
       scan_src = sources_.back().get();
     }
-    metrics_fns_.push_back([join, probe_op, scan_src, advised, adv] {
+    metrics_fns_.push_back([join, build_op, probe_op, scan_src, advised,
+                            adv](const QueryMetrics& qm) {
       JoinMetrics m = join->CollectMetrics();
+      m.seconds = PipelineSeconds(
+          qm, {build_op->metrics(), probe_op->metrics(),
+               scan_src != nullptr ? scan_src->metrics() : nullptr});
       // Right-outer pairs and build-only rows replay through the ht scan.
       if (probe_op->metrics() != nullptr) {
         m.rows_out += probe_op->metrics()->Totals().rows_out;
@@ -458,19 +481,24 @@ Lowerer::Stream Lowerer::LowerJoin(const PlanNode& node,
   }
 
   operators_.push_back(std::make_unique<RadixBuildSink>(join));
-  build.pipeline->AddOperator(operators_.back().get());
+  Operator* build_op = operators_.back().get();
+  build.pipeline->AddOperator(build_op);
   build.pipeline->timing_phase = JoinPhase::kBuildPipeline;
   if (!build_completed) CompletePipeline(build.pipeline);
 
   operators_.push_back(std::make_unique<RadixProbeSink>(join));
-  probe.pipeline->AddOperator(operators_.back().get());
+  Operator* probe_op = operators_.back().get();
+  probe.pipeline->AddOperator(probe_op);
   probe.pipeline->timing_phase = JoinPhase::kPartitionPass1;
   CompletePipeline(probe.pipeline);
 
   sources_.push_back(std::make_unique<PartitionJoinSource>(join));
   Source* join_src = sources_.back().get();
-  metrics_fns_.push_back([join, join_src, guard] {
+  metrics_fns_.push_back([join, build_op, probe_op, join_src,
+                          guard](const QueryMetrics& qm) {
     JoinMetrics m = join->CollectMetrics();
+    m.seconds = PipelineSeconds(
+        qm, {build_op->metrics(), probe_op->metrics(), join_src->metrics()});
     if (join_src->metrics() != nullptr) {
       m.rows_out = join_src->metrics()->Totals().rows_out;
     }
@@ -650,7 +678,7 @@ QueryResult Lowerer::Run(ThreadPool& pool, QueryStats* stats) {
   }
   std::vector<JoinMetrics> joins;
   for (const auto& fn : metrics_fns_) {
-    JoinMetrics m = fn();
+    JoinMetrics m = fn(qm);
     for (const CodedKeyPlan& plan : coded_keys_) {
       if (plan.join_index == m.join_id) ++m.coded_key_pairs;
     }

@@ -86,19 +86,23 @@ std::string AutoLabel(const JoinDecision& d) {
   return std::string("auto:") + JoinStrategyName(d.choice);
 }
 
-// The advisor sub-line: estimates, layout widths, modeled costs (rounded to
-// whole bytes so the line is stable across runs), and the decision reason.
+// The advisor sub-line: estimates, layout widths, modeled costs in
+// single-threaded ns (rounded to whole ns; a profile pins them in tests), and
+// the decision reason. A decision settled by a hard rule is not costed.
 void RenderAdvisorLine(const JoinDecision& d, int depth, bool fell_back,
                        const JoinMetrics* jm, std::ostringstream* out) {
   for (int i = 0; i < depth + 1; ++i) *out << "  ";
   *out << "advisor: est_build=" << d.est_build_rows
        << " est_probe=" << d.est_probe_rows << " widths=" << d.build_width
        << "B/" << d.probe_width << "B depth=" << d.probe_depth
-       << " ht=" << HumanBytes(d.est_ht_bytes)
-       << " cost[bhj=" << static_cast<uint64_t>(std::llround(d.cost_bhj))
-       << " rj=" << static_cast<uint64_t>(std::llround(d.cost_rj))
-       << " brj=" << static_cast<uint64_t>(std::llround(d.cost_brj))
-       << "] -- " << d.reason;
+       << " ht=" << HumanBytes(d.est_ht_bytes);
+  if (d.cost_bhj > 0) {
+    *out << " pass=" << Fixed(d.est_pass_rate, 3)
+         << " cost_ns[bhj=" << static_cast<uint64_t>(std::llround(d.cost_bhj))
+         << " rj=" << static_cast<uint64_t>(std::llround(d.cost_rj))
+         << " brj=" << static_cast<uint64_t>(std::llround(d.cost_brj)) << "]";
+  }
+  *out << " -- " << d.reason;
   if (jm != nullptr && jm->advisor.present) {
     // Estimate quality against the observed counts.
     const double qb = EstimateQError(d.est_build_rows, jm->build_tuples);
@@ -346,7 +350,8 @@ void Render(const PlanNode& node, int depth, RenderState* st) {
 // advice match the executed plan), then renders the rewrite line and the
 // tree, annotated with `metrics` when non-null.
 std::string RenderPlan(const PlanNode& root, const ExecOptions& options,
-                       const QueryMetrics* metrics) {
+                       const QueryMetrics* metrics,
+                       std::map<int, JoinDecision>* advice = nullptr) {
   FingerprintScope fingerprints;
   RewriteResult rewrite = RewritePlan(root, options.rewrite);
   const PlanNode& plan = rewrite.plan != nullptr ? *rewrite.plan : root;
@@ -365,7 +370,17 @@ std::string RenderPlan(const PlanNode& root, const ExecOptions& options,
     st.out << "\n";
   }
   Render(plan, 0, &st);
+  if (advice != nullptr) *advice = std::move(st.advice);
   return st.out.str();
+}
+
+// Modeled cost of the strategy a join ran, in single-threaded ns.
+double CostOf(const JoinDecision& d, JoinStrategy ran) {
+  switch (ran) {
+    case JoinStrategy::kBHJ: return d.cost_bhj;
+    case JoinStrategy::kRJ: return d.cost_rj;
+    default: return d.cost_brj;
+  }
 }
 
 }  // namespace
@@ -378,13 +393,31 @@ std::string ExplainAnalyzePlan(const PlanNode& root, const ExecOptions& options,
                                const QueryStats& stats) {
   const QueryMetrics& qm = stats.metrics;
   std::ostringstream out;
-  out << RenderPlan(root, options, &qm);
+  std::map<int, JoinDecision> advice;
+  out << RenderPlan(root, options, &qm, &advice);
   out << "\ntotal: " << Fixed(qm.seconds() * 1e3, 3) << "ms"
       << " source_tuples=" << qm.source_tuples()
       << " result_rows=" << qm.result_rows()
       << " threads=" << qm.num_threads();
   if (!qm.simd_tier.empty()) out << " simd=" << qm.simd_tier;
   out << "\n";
+
+  // The cost profile calibration this query's planning paid for, then each
+  // costed advised join's predicted time (its strategy's cost spread over
+  // the workers) beside the time its pipelines took.
+  if (qm.calibrated_joins() > 0) {
+    out << "advisor: calibration=" << Fixed(qm.calibration_ms(), 3)
+        << "ms joins=" << qm.calibrated_joins() << "\n";
+  }
+  for (const auto& [id, d] : advice) {
+    const JoinMetrics* jm = qm.FindJoin(id);
+    if (jm == nullptr || d.cost_bhj <= 0) continue;
+    const double predicted_ms =
+        CostOf(d, jm->strategy) / qm.num_threads() / 1e6;
+    out << "join #" << id << " " << JoinStrategyName(jm->strategy)
+        << ": predicted=" << Fixed(predicted_ms, 3)
+        << "ms measured=" << Fixed(jm->seconds * 1e3, 3) << "ms\n";
+  }
 
   // Server-mode section (only for runs submitted through QueryServer):
   // admission identity, queue wait, and the arbitration outcome.

@@ -128,6 +128,18 @@ const JoinMetrics* QueryMetrics::FindJoin(int join_id) const {
   return nullptr;
 }
 
+int QueryMetrics::calibrated_joins() const {
+  int n = 0;
+  for (const JoinMetrics& j : joins_) n += j.advisor.calibration_ms > 0;
+  return n;
+}
+
+double QueryMetrics::calibration_ms() const {
+  double ms = 0;
+  for (const JoinMetrics& j : joins_) ms += j.advisor.calibration_ms;
+  return ms;
+}
+
 EncodingMetrics QueryMetrics::encoding() const {
   EncodingMetrics e;
   for (const ScanMetrics& s : scans_) {
@@ -257,6 +269,10 @@ std::string QueryMetrics::ToJson(bool include_timings) const {
         << ",\"coded_key_pairs\":" << j.coded_key_pairs
         << ",\"build_width\":" << j.build_width
         << ",\"probe_width\":" << j.probe_width;
+    if (include_timings) {
+      out << ",\"seconds\":";
+      AppendDouble(out, j.seconds);
+    }
     const HashTableMetrics& h = j.hash_table;
     out << ",\"hash_table\":{\"build_tuples\":" << h.build_tuples
         << ",\"directory_slots\":" << h.directory_slots
@@ -337,6 +353,12 @@ std::string QueryMetrics::ToJson(bool include_timings) const {
       << ",\"joins_reordered\":" << rewrite.joins_reordered
       << ",\"blooms_planted\":" << rewrite.blooms_planted
       << ",\"bloom_dropped\":" << rewrite.bloom_dropped << "}";
+  out << ",\"advisor\":{\"calibrated_joins\":" << calibrated_joins();
+  if (include_timings) {
+    out << ",\"calibration_ms\":";
+    AppendDouble(out, calibration_ms());
+  }
+  out << "}";
   out << ",\"stats\":{\"tables\":" << stats.tables
       << ",\"columns\":" << stats.columns << "}";
   const EncodingMetrics e = encoding();

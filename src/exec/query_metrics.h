@@ -203,9 +203,10 @@ struct AdvisorMetrics {
   JoinStrategy choice = JoinStrategy::kBHJ;  // what the advisor picked
   uint64_t est_build_tuples = 0;
   uint64_t est_probe_tuples = 0;
-  double cost_bhj = 0;  // modeled memory traffic, bytes
+  double cost_bhj = 0;  // single-threaded ns; 0 when not costed
   double cost_rj = 0;
   double cost_brj = 0;
+  double calibration_ms = 0;  // profile calibration this decision paid for
   bool fell_back = false;  // runtime guardrail demoted a radix pick to BHJ
   const char* reason = "";  // static string from the advisor
   // Skew estimate from the build key's histogram (zero without statistics).
@@ -274,6 +275,10 @@ struct JoinMetrics {
   ReplanMetrics replan;
   // Key pairs this join compared as dictionary codes (engine/coded_keys.h).
   uint32_t coded_key_pairs = 0;
+  // Wall plus finish time of the pipelines the join's operators run in: its
+  // build pipeline, its probe pipeline (shared with the operators pipelined
+  // around the probe) and, for a radix join, its partition-join pipeline.
+  double seconds = 0;
 
   uint64_t build_bytes() const { return build_tuples * build_width; }
   uint64_t probe_bytes() const { return probe_tuples * probe_width; }
@@ -388,6 +393,10 @@ class QueryMetrics {
   const std::vector<ScanMetrics>& scans() const { return scans_; }
   const std::vector<JoinMetrics>& joins() const { return joins_; }
   EncodingMetrics encoding() const;
+  // Advised joins whose decision calibrated the cost profile, and the wall
+  // time those calibrations took (engine/cost_profile.h).
+  int calibrated_joins() const;
+  double calibration_ms() const;
 
   // Join record by executor join id; null when the id was never collected.
   const JoinMetrics* FindJoin(int join_id) const;

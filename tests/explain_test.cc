@@ -60,7 +60,7 @@ TEST(Explain, AutoStrategyShowsAdvisorDecision) {
   ExecOptions options;
   options.join_strategy = JoinStrategy::kAuto;
   options.advisor.l2_bytes = 1 << 20;
-  options.advisor.llc_bytes = 16 << 20;
+  options.advisor.profile = &CostProfile::Reference();
   const std::string text = ExplainPlan(*plan, options);
   EXPECT_EQ(text, ExplainPlan(*plan, options));
 
@@ -68,8 +68,16 @@ TEST(Explain, AutoStrategyShowsAdvisorDecision) {
   EXPECT_NE(text.find("join #0 [inner, auto:BHJ]"), std::string::npos);
   EXPECT_NE(text.find("advisor: est_build=100 est_probe=5000"),
             std::string::npos);
-  EXPECT_NE(text.find("cost[bhj="), std::string::npos);
   EXPECT_NE(text.find("-- build fits L2"), std::string::npos);
+  // The L2 rule settles it without costs.
+  EXPECT_EQ(text.find("cost_ns["), std::string::npos);
+
+  // Past a tiny modeled L2 the decision is costed, in ns of the profile.
+  ExecOptions costed = options;
+  costed.advisor.l2_bytes = 64;
+  const std::string priced = ExplainPlan(*plan, costed);
+  EXPECT_NE(priced.find(" pass="), std::string::npos);
+  EXPECT_NE(priced.find(" cost_ns[bhj="), std::string::npos);
 
   // Manual strategies render without the advisor line.
   ExecOptions manual;

@@ -318,7 +318,7 @@ TEST_F(MetricsTest, ExplainAnalyzeShowsAdvisorDecisionAndActuals) {
   ExecOptions options;
   options.join_strategy = JoinStrategy::kAuto;
   options.advisor.l2_bytes = 1 << 20;
-  options.advisor.llc_bytes = 16 << 20;
+  options.advisor.profile = &CostProfile::Reference();
   options.num_threads = 2;
   QueryStats stats;
   ExecuteQuery(*plan, options, &stats);
@@ -345,8 +345,22 @@ TEST_F(MetricsTest, ExplainAnalyzeShowsAdvisorDecisionAndActuals) {
     EXPECT_TRUE(jm->advisor.present);
     EXPECT_EQ(jm->advisor.choice, JoinStrategy::kBHJ);
     EXPECT_FALSE(jm->advisor.fell_back);
-    EXPECT_GT(jm->advisor.cost_bhj, 0.0);
-    EXPECT_GT(jm->advisor.cost_rj, 0.0);
+    // Settled by the L2 rule, so not costed.
+    EXPECT_EQ(jm->advisor.cost_bhj, 0.0);
+    EXPECT_EQ(jm->advisor.cost_rj, 0.0);
+  }
+  // Nothing calibrated, so no calibration line.
+  EXPECT_EQ(text.find("advisor: calibration="), std::string::npos);
+
+  // Costed joins show their predicted time beside their pipelines' time.
+  options.advisor.l2_bytes = 64;
+  ExecuteQuery(*plan, options, &stats);
+  text = ExplainAnalyzePlan(*plan, options, stats);
+  EXPECT_NE(text.find("join #0 "), text.rfind("join #0 "));
+  EXPECT_NE(text.find(": predicted="), std::string::npos);
+  EXPECT_NE(text.find("ms measured="), std::string::npos);
+  for (int join_id = 0; join_id < 2; ++join_id) {
+    EXPECT_GT(stats.metrics.FindJoin(join_id)->seconds, 0.0);
   }
 }
 
@@ -355,7 +369,7 @@ TEST_F(MetricsTest, ToJsonStableUnderAutoStrategy) {
   ExecOptions options;
   options.join_strategy = JoinStrategy::kAuto;
   options.advisor.l2_bytes = 1 << 20;
-  options.advisor.llc_bytes = 16 << 20;
+  options.advisor.profile = &CostProfile::Reference();
   options.num_threads = 1;
 
   QueryStats a, b;
@@ -370,12 +384,16 @@ TEST_F(MetricsTest, ToJsonStableUnderAutoStrategy) {
   EXPECT_NE(ja.find("\"cost_bhj\":"), std::string::npos);
   EXPECT_NE(ja.find("\"fell_back\":false"), std::string::npos);
 
-  // Manual strategies serialize without it (pre-advisor schema unchanged).
+  // Manual strategies serialize without it (pre-advisor schema unchanged);
+  // the query-level advisor section only counts calibrations.
   ExecOptions manual = options;
   manual.join_strategy = JoinStrategy::kBHJ;
   QueryStats m;
   ExecuteQuery(*plan, manual, &m);
-  EXPECT_EQ(m.metrics.ToJson(false).find("\"advisor\""), std::string::npos);
+  const std::string jm = m.metrics.ToJson(false);
+  EXPECT_EQ(jm.find("\"advisor\":{\"choice\""), std::string::npos);
+  EXPECT_NE(jm.find("\"advisor\":{\"calibrated_joins\":0}"),
+            std::string::npos);
 }
 
 TEST_F(MetricsTest, ToJsonSchemaIsFixed) {

@@ -85,7 +85,7 @@ ExecOptions ReplanOptions(double est_scale, double threshold = 2.0) {
   options.join_strategy = JoinStrategy::kAuto;
   options.num_threads = 2;
   options.advisor.l2_bytes = 64 << 10;
-  options.advisor.llc_bytes = 1 << 20;
+  options.advisor.profile = &CostProfile::Reference();
   options.advisor.partition_margin = 1000.0;
   options.advisor.est_scale = est_scale;
   options.advisor.replan_qerror = threshold;
@@ -110,12 +110,12 @@ TEST(Replan, DisabledByDefaultKeepsLegacyGuardrail) {
 
 TEST(Replan, OverestimateSwitchesPartitionedPlanToBHJ) {
   // Truth: a 1200-row build fits the modeled 64KiB L2 (48-byte ht entries ->
-  // ~57KiB). The x64 corruption makes the advisor see 76800 rows ->
-  // partitioned. The re-plan observes staged=1200 (q-error 64), re-costs,
+  // ~57KiB). The x64 corruption makes the advisor see 76800 rows (under a
+  // larger probe side) -> partitioned. The re-plan observes staged=1200 (q-error 64), re-costs,
   // and the L2 rule sends the join to BHJ — a switch, not an overflow
   // fallback.
   Table build = MakeTable("ro_b", "b", KeyedRows(1200, 500, 21), 2);
-  Table probe = MakeTable("ro_p", "p", KeyedRows(20000, 1000, 22), 1);
+  Table probe = MakeTable("ro_p", "p", KeyedRows(100000, 1000, 22), 1);
   auto plan = CountPlan(&build, &probe, JoinKind::kInner);
 
   ExecOptions bhj;

@@ -24,7 +24,7 @@ namespace {
 AdvisorOptions PinnedCaches() {
   AdvisorOptions opt;
   opt.l2_bytes = 1ull << 20;
-  opt.llc_bytes = 16ull << 20;
+  opt.profile = &CostProfile::Reference();
   return opt;
 }
 
@@ -170,7 +170,7 @@ ExecOptions ForcedPartitionAutoOptions() {
   ExecOptions options;
   options.join_strategy = JoinStrategy::kAuto;
   options.advisor.l2_bytes = 512;
-  options.advisor.llc_bytes = 2048;
+  options.advisor.profile = &CostProfile::Reference();
   options.advisor.partition_margin = 1000.0;
   options.num_threads = 2;
   return options;
