@@ -40,8 +40,8 @@ int main() {
   int auto_partitioned = 0;
   int oracle_partitioned = 0;
   for (const TpchQuery& query : TpchQueries()) {
-    // What kAuto actually ran, join by join (audits are post-fallback, in
-    // the query-global post-order numbering).
+    // What kAuto ran, join by join (in the query-global post-order
+    // numbering).
     ExecOptions auto_options = bench::Options(JoinStrategy::kAuto, threads);
     QueryStats auto_stats;
     query.run(*db, auto_options, &auto_stats, &pool);

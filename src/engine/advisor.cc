@@ -7,6 +7,7 @@
 #include <string>
 
 #include "engine/coded_keys.h"
+#include "join/radix_join.h"
 #include "partition/radix_partitioner.h"
 #include "spill/memory_governor.h"
 #include "stats/column_catalog.h"
@@ -35,9 +36,12 @@ constexpr double kAdaptivePassRate = 0.8;
 // catastrophically so; the factor applies to write + re-read of every
 // spilled byte.
 constexpr double kSpillIoFactor = 4.0;
-// Runtime guardrail: a guarded partitioned plan runs not partitioned when
-// its staged build side exceeds the estimate by this factor.
-constexpr double kBuildOverflowFactor = 4.0;
+// Overestimate the "build fits L2" rule forgives: a build whose estimated
+// table is up to this many times L2 still picks BHJ. The estimates the rule
+// reads mostly overshoot (the eight costed TPC-H SF 0.1 builds were
+// overestimated 2-400x), and on a cache-resident table the BHJ's probe is
+// as fast as the partition join's.
+constexpr double kL2OverestimateAllowance = 4.0;
 
 // Stride of a [hash:8B][row] partition tuple as the radix partitioner pads
 // it (power of two up to 64 bytes for write-combine buffers).
@@ -61,16 +65,6 @@ double EvenPartitionShare(uint64_t est_build_rows, uint32_t build_width,
   int bits = 1;
   while (bits < 16 && (1u << bits) < want) ++bits;
   return 1.0 / static_cast<double>(1u << bits);
-}
-
-// Scales `rows` by observed/estimated, clamped to at least one row: the
-// cardinality-feedback correction re-planning applies up a join chain.
-uint64_t ScaleRows(uint64_t rows, uint64_t observed, uint64_t estimated) {
-  const double ratio = static_cast<double>(std::max<uint64_t>(1, observed)) /
-                       static_cast<double>(std::max<uint64_t>(1, estimated));
-  return std::max<uint64_t>(
-      1, static_cast<uint64_t>(std::llround(
-             static_cast<double>(std::max<uint64_t>(1, rows)) * ratio)));
 }
 
 // --- Plan walk -------------------------------------------------------------
@@ -244,11 +238,9 @@ SubtreeInfo Walk(const PlanNode& node, const std::set<std::string>& required,
           SumWidths(ctx, build_required), SumWidths(ctx, probe_required),
           probe.joins, *ctx.options, skew ? &*skew : nullptr,
           ProbeKeyInRange(node));
-      d.est_build_base_rows = build.base_rows;
-      d.est_out_rows = EstimateJoinOutputRows(node, est_build, probe.est_rows);
       (*ctx.out)[join_id] = d;
-      return SubtreeInfo{d.est_out_rows, probe.base_rows,
-                         build.joins + probe.joins + 1};
+      return SubtreeInfo{EstimateJoinOutputRows(node, est_build, probe.est_rows),
+                         probe.base_rows, build.joins + probe.joins + 1};
     }
     case PlanNode::Kind::kAgg:
       PJOIN_CHECK_MSG(false, "aggregate must be the root");
@@ -295,11 +287,6 @@ double JoinAdvisor::PartitionOverflowShare(uint64_t est_build_rows,
       static_cast<double>(std::max<uint64_t>(1, est_build_rows));
   return std::min(1.0, options.partition_margin * static_cast<double>(l2) /
                            (build * per_tuple));
-}
-
-double JoinAdvisor::ResolvedReplanThreshold(const AdvisorOptions& options) {
-  return options.replan_qerror < 0 ? ReplanQErrorThreshold()
-                                   : options.replan_qerror;
 }
 
 double JoinAdvisor::ResolvedEstimateScale(const AdvisorOptions& options) {
@@ -366,11 +353,8 @@ JoinDecision JoinAdvisor::Decide(JoinKind kind, uint64_t est_build_rows,
   // calibration. Both are suspended when the budget is below the table: the
   // decision must weigh spill I/O.
   //  * A build that fits L2 never partitions (the paper's headline case —
-  //    58 of 59 TPC-H joins), nor one that would fit if its estimate were
-  //    kBuildOverflowFactor too high: the runtime guardrail catches a build
-  //    that overflows its estimate that much, nothing catches one that
-  //    falls short of it, and on a cache-resident table the BHJ's probe is
-  //    as fast as the partition join's.
+  //    58 of 59 TPC-H joins), nor one whose estimate is within
+  //    kL2OverestimateAllowance of fitting.
   //  * A probe side smaller than its build never partitions: the radix
   //    join wins by turning the probe's cache misses into sequential passes
   //    (Section 5.2), and a small probe has few misses to save.
@@ -379,7 +363,7 @@ JoinDecision JoinAdvisor::Decide(JoinKind kind, uint64_t est_build_rows,
                               : MemoryGovernor::Global().budget();
   if (budget == 0 || d.est_ht_bytes <= budget) {
     if (static_cast<double>(d.est_ht_bytes) <=
-        kBuildOverflowFactor * static_cast<double>(l2)) {
+        kL2OverestimateAllowance * static_cast<double>(l2)) {
       d.choice = JoinStrategy::kBHJ;
       d.reason = "build fits L2";
       return d;
@@ -494,122 +478,6 @@ JoinDecision JoinAdvisor::Decide(JoinKind kind, uint64_t est_build_rows,
                                 : "partitioning not worth the time";
   }
   return d;
-}
-
-// --- Runtime resolution ----------------------------------------------------
-
-JoinStrategy JoinAdvisor::PartitionedVariant(JoinKind kind,
-                                             const JoinDecision& plan) {
-  if (plan.choice != JoinStrategy::kBHJ) return plan.choice;
-  return RadixJoin::BloomApplicable(kind) && plan.cost_brj < plan.cost_rj
-             ? JoinStrategy::kBRJ
-             : JoinStrategy::kRJ;
-}
-
-JoinResolution JoinAdvisor::Resolve(JoinKind kind, const JoinDecision& plan,
-                                    uint64_t staged_build,
-                                    uint64_t corrected_probe,
-                                    double replan_qerror,
-                                    const AdvisorOptions& options) {
-  JoinResolution r;
-  ReplanMetrics& rp = r.replan;
-  const bool planned_bhj = plan.choice == JoinStrategy::kBHJ;
-  bool bhj = planned_bhj;
-  if (replan_qerror > 0) {
-    rp.enabled = true;
-    rp.staged_build_tuples = staged_build;
-    rp.corrected_probe_tuples = corrected_probe;
-    rp.qerror_build = EstimateQError(plan.est_build_rows, staged_build);
-    rp.qerror_probe = EstimateQError(plan.est_probe_rows, corrected_probe);
-    if (std::max(rp.qerror_build, rp.qerror_probe) >= replan_qerror) {
-      // Estimate wrong: re-cost with the observed build side and the
-      // corrected probe side. The skew estimate survives from plan time (it
-      // describes the base column, which did not change).
-      rp.triggered = true;
-      const SkewEstimate skew{plan.skew_sample_rows, plan.est_top_share};
-      const JoinDecision re = Decide(
-          kind, staged_build, std::max(plan.est_build_base_rows, staged_build),
-          corrected_probe, plan.build_width, plan.probe_width,
-          plan.probe_depth, options, plan.skew_sampled ? &skew : nullptr);
-      rp.recost_bhj = re.cost_bhj;
-      rp.recost_rj = re.cost_rj;
-      rp.recost_brj = re.cost_brj;
-      bhj = re.choice == JoinStrategy::kBHJ;
-    }
-  }
-  if (!rp.triggered && !bhj) {
-    // Guardrail: an undersold build side mis-sizes the partition fan-out.
-    const double estimate =
-        static_cast<double>(std::max<uint64_t>(1, plan.est_build_rows));
-    const auto limit = static_cast<uint64_t>(
-        std::max(1.0, std::ceil(estimate * kBuildOverflowFactor)));
-    if (staged_build > limit) {
-      r.overflow_demoted = true;
-      bhj = true;
-    }
-  }
-  r.partition = !bhj;
-  if (rp.enabled) {
-    rp.switched = bhj != planned_bhj;
-    rp.final_choice = bhj ? JoinStrategy::kBHJ : PartitionedVariant(kind, plan);
-  }
-  return r;
-}
-
-AdvisorGuard::AdvisorGuard(JoinKind kind, const JoinDecision& decision,
-                           const AdvisorOptions& options, int join_id,
-                           int feedback_begin)
-    : kind_(kind),
-      decision_(decision),
-      options_(options),
-      replan_qerror_(JoinAdvisor::ResolvedReplanThreshold(options)),
-      join_id_(join_id),
-      feedback_begin_(feedback_begin) {}
-
-bool AdvisorGuard::Partition(ExecContext& exec, uint64_t staged_build) {
-  uint64_t corrected_probe = std::max<uint64_t>(1, decision_.est_probe_rows);
-  if (deferred()) {
-    // Correct the probe estimate from the nearest upstream join that
-    // published feedback (post-order: the probe subtree's top join has the
-    // highest id below ours).
-    for (int id = join_id_ - 1; id >= feedback_begin_; --id) {
-      const ExecContext::CardFeedback* fb = exec.FindCardFeedback(id);
-      if (fb == nullptr) continue;
-      corrected_probe =
-          ScaleRows(corrected_probe, fb->corrected_rows, fb->est_rows);
-      break;
-    }
-    // Publish this join's output estimate, corrected by the ratio the build
-    // side was off by; downstream joins resolve after us.
-    ExecContext::CardFeedback fb;
-    fb.est_rows = decision_.est_out_rows;
-    fb.corrected_rows = ScaleRows(decision_.est_out_rows, staged_build,
-                                  decision_.est_build_rows);
-    exec.RecordCardFeedback(join_id_, fb);
-  }
-  resolution_ = JoinAdvisor::Resolve(kind_, decision_, staged_build,
-                                     corrected_probe, replan_qerror_, options_);
-  return resolution_.partition;
-}
-
-void AdvisorGuard::ProbeCounted(ExecContext& exec, uint64_t rows) {
-  if (!deferred()) return;
-  // Refine the published output estimate with the observed probe count.
-  const ExecContext::CardFeedback* prev = exec.FindCardFeedback(join_id_);
-  if (prev == nullptr || prev->exact) return;
-  ExecContext::CardFeedback fb = *prev;
-  fb.corrected_rows =
-      ScaleRows(fb.corrected_rows, rows, decision_.est_probe_rows);
-  exec.RecordCardFeedback(join_id_, fb);
-}
-
-void AdvisorGuard::OutputCounted(ExecContext& exec, uint64_t rows) {
-  if (!deferred()) return;
-  ExecContext::CardFeedback fb;
-  fb.est_rows = decision_.est_out_rows;
-  fb.corrected_rows = rows;
-  fb.exact = true;
-  exec.RecordCardFeedback(join_id_, fb);
 }
 
 }  // namespace pjoin

@@ -17,26 +17,23 @@
 // clear margin before it is chosen, because the BHJ's downside is bounded
 // while the RJ's is not (Section 5.2, "when in doubt, do not partition").
 //
-// Because estimates lie, an advisor-chosen radix join runs guarded: the build
-// side is staged through the radix partitioner's pass 1 as usual, and once
-// the staged count is known JoinAdvisor::Resolve answers partition-or-not a
-// second time. If the staged count overflows the estimate 4x (or, with
-// re-planning armed, a re-cost says so) the join runs not partitioned: the
-// staged [hash][row] tuples are re-routed into the chaining hash table
-// without re-reading the input (join/radix_join.h). The outcome is recorded
-// in QueryMetrics.
+// This is the only place partition-or-not is decided: once per join, before
+// the join's operators exist. Nothing re-decides at runtime; a misestimated
+// build runs the strategy it was given. An undersold radix join keeps the
+// fan-out sized for its estimate (larger partitions, same results) and
+// under a memory budget spills pass-1 pre-partitions; a BHJ sizes its
+// directory from the build it counts either way. The "build fits L2" rule
+// leans toward BHJ, whose downside is bounded, because the estimates it
+// reads mostly overshoot.
 #ifndef PJOIN_ENGINE_ADVISOR_H_
 #define PJOIN_ENGINE_ADVISOR_H_
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "engine/cost_profile.h"
 #include "engine/plan.h"
-#include "exec/pipeline.h"
-#include "join/radix_join.h"
 
 namespace pjoin {
 
@@ -62,15 +59,7 @@ struct AdvisorOptions {
   // decision toward partitioning (the NOCAP observation).
   uint64_t memory_budget = 0;
 
-  // Mid-query re-planning trigger. When the resolved value is > 0, every
-  // advised join runs guarded and resolves at the probe sink's Prepare,
-  // re-costing the strategy when the observed build/probe q-error meets the
-  // threshold. 0 disables (the plan-time choice runs, guarded only by the
-  // overflow fallback); the default sentinel (-1) reads PJOIN_REPLAN_QERROR,
-  // which defaults to 0.
-  double replan_qerror = -1.0;
-
-  // Fault injection for re-planner tests and bench/ext_misestimate:
+  // Fault injection for misestimate tests and bench/ext_misestimate:
   // multiplies every join's build-side cardinality estimate inside the
   // advisor walk, compounding up the join chain. The default sentinel
   // (<= 0) reads PJOIN_EST_SCALE, which defaults to 1 (no corruption).
@@ -94,8 +83,6 @@ struct JoinDecision {
   uint32_t build_width = 0;  // materialized build row bytes
   uint32_t probe_width = 0;  // probe row bytes entering the join
   int probe_depth = 0;       // joins below the probe side (pipeline depth)
-  uint64_t est_out_rows = 0;        // estimated join output (AdvisePlan only)
-  uint64_t est_build_base_rows = 0; // unfiltered build base-table cardinality
   uint64_t est_ht_bytes = 0; // BHJ hash table: entries + directory
   double est_pass_rate = 1.0;  // modeled Bloom pass rate (BRJ)
   double cost_bhj = 0;
@@ -113,13 +100,6 @@ struct JoinDecision {
   double est_max_partition_share = 0;  // max(hottest key, even 1/P spread)
   bool skew_overflow = false;  // share overflows one margin-scaled partition
   const char* reason = "";  // static string, stable across runs
-};
-
-// How a guarded join resolved once its build side was staged.
-struct JoinResolution {
-  bool partition = true;          // false: run the non-partitioned BHJ
-  bool overflow_demoted = false;  // the 4x build-overflow guardrail tripped
-  ReplanMetrics replan;           // enabled only when re-planning was armed
 };
 
 class JoinAdvisor {
@@ -153,58 +133,9 @@ class JoinAdvisor {
                                        uint32_t build_width,
                                        const AdvisorOptions& options);
 
-  // Resolved re-plan trigger: options.replan_qerror, or PJOIN_REPLAN_QERROR
-  // when the option holds the sentinel. > 0 arms deferred re-planning.
-  static double ResolvedReplanThreshold(const AdvisorOptions& options);
-
   // Resolved estimate-corruption factor: options.est_scale, or
   // PJOIN_EST_SCALE when the option holds the sentinel.
   static double ResolvedEstimateScale(const AdvisorOptions& options);
-
-  // The partitioned variant a guarded join builds its radix engine as: the
-  // plan's pick, or for a plan-time BHJ (guarded only under re-planning) the
-  // cheaper of RJ/BRJ (RJ when the plan was not costed) — the Bloom filter
-  // cannot be retrofitted mid-query.
-  static JoinStrategy PartitionedVariant(JoinKind kind,
-                                         const JoinDecision& plan);
-
-  // Partition-or-not, answered again once the build side is staged: the only
-  // post-lowering strategy decision, made once per guarded join. With
-  // `replan_qerror` > 0 the strategy is re-costed from the staged build and
-  // the feedback-corrected probe count when either q-error reaches the
-  // threshold. A partitioned plan that is not re-costed runs not partitioned
-  // when the staged build exceeds 4x its estimate (the guardrail).
-  static JoinResolution Resolve(JoinKind kind, const JoinDecision& plan,
-                                uint64_t staged_build, uint64_t corrected_probe,
-                                double replan_qerror,
-                                const AdvisorOptions& options);
-};
-
-// The advisor behind a guarded radix join: resolves through Resolve and,
-// with re-planning armed, keeps the ExecContext cardinality feedback that
-// downstream joins correct their probe estimates from. Joins in the probe
-// subtree hold post-order ids [feedback_begin, join_id).
-class AdvisorGuard : public PartitionGuard {
- public:
-  AdvisorGuard(JoinKind kind, const JoinDecision& decision,
-               const AdvisorOptions& options, int join_id, int feedback_begin);
-
-  bool deferred() const override { return replan_qerror_ > 0; }
-  bool Partition(ExecContext& exec, uint64_t staged_build) override;
-  void ProbeCounted(ExecContext& exec, uint64_t rows) override;
-  void OutputCounted(ExecContext& exec, uint64_t rows) override;
-
-  const JoinDecision& decision() const { return decision_; }
-  const JoinResolution& resolution() const { return resolution_; }
-
- private:
-  JoinKind kind_;
-  JoinDecision decision_;
-  AdvisorOptions options_;
-  double replan_qerror_;
-  int join_id_;
-  int feedback_begin_;
-  JoinResolution resolution_;
 };
 
 }  // namespace pjoin

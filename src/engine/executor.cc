@@ -129,11 +129,9 @@ double PipelineSeconds(const QueryMetrics& qm,
   return seconds;
 }
 
-// Copies the advisor's decision record, and how a guarded join resolved at
-// runtime, into a join's metrics so EXPLAIN ANALYZE and the JSON export can
-// show estimated vs actual.
-void AttachAdvisorMetrics(JoinMetrics& m, const JoinDecision& d,
-                          const JoinResolution& r) {
+// Copies the advisor's decision record into a join's metrics so EXPLAIN
+// ANALYZE and the JSON export can show estimated vs actual.
+void AttachAdvisorMetrics(JoinMetrics& m, const JoinDecision& d) {
   m.advisor.present = true;
   m.advisor.choice = d.choice;
   m.advisor.est_build_tuples = d.est_build_rows;
@@ -146,8 +144,6 @@ void AttachAdvisorMetrics(JoinMetrics& m, const JoinDecision& d,
   m.advisor.skew_sampled = d.skew_sampled;
   m.advisor.est_top_share = d.est_top_share;
   m.advisor.est_max_partition_share = d.est_max_partition_share;
-  m.advisor.fell_back = r.overflow_demoted;
-  m.replan = r.replan;
 }
 
 class Lowerer {
@@ -345,9 +341,6 @@ Lowerer::Stream Lowerer::LowerJoin(const PlanNode& node,
     build_completed = true;
   }
 
-  // Join ids assigned while lowering the probe subtree form the feedback
-  // range a replan-armed join reads its corrected probe estimate from.
-  const int probe_ids_begin = next_join_id_;
   Stream probe = Lower(*node.probe, probe_required);
 
   // Join id in post-order (children were lowered first) — the numbering of
@@ -398,17 +391,10 @@ Lowerer::Stream Lowerer::LowerJoin(const PlanNode& node,
   const bool advised = decision != nullptr;
   const JoinDecision adv = advised ? *decision : JoinDecision{};
 
-  // Two pipeline shapes. A manual BHJ, and an advised BHJ with re-planning
-  // off, lower to the pipelined probe (the HashJoin family); every other
-  // join lowers to the breaker probe (the radix family). Advised joins there
-  // run guarded, so partition-or-not is answered again once the build side
-  // is staged — with re-planning armed even an advised BHJ, whose staged
-  // build can become either engine's.
-  const bool guarded =
-      advised && (strategy != JoinStrategy::kBHJ ||
-                  JoinAdvisor::ResolvedReplanThreshold(options_.advisor) > 0);
-
-  if (strategy == JoinStrategy::kBHJ && !guarded) {
+  // Two pipeline shapes, one per strategy family: a BHJ (manual or advised)
+  // lowers to the pipelined probe (the HashJoin family), RJ / BRJ / adaptive
+  // BRJ to the breaker probe (the radix family). Either runs as lowered.
+  if (strategy == JoinStrategy::kBHJ) {
     hash_joins_.push_back(std::make_unique<HashJoin>(
         node.join_kind, build.layout, build_keys, probe.layout, probe_keys,
         *projection));
@@ -444,7 +430,7 @@ Lowerer::Stream Lowerer::LowerJoin(const PlanNode& node,
       if (scan_src != nullptr && scan_src->metrics() != nullptr) {
         m.rows_out += scan_src->metrics()->Totals().rows_out;
       }
-      if (advised) AttachAdvisorMetrics(m, adv, JoinResolution{});
+      if (advised) AttachAdvisorMetrics(m, adv);
       return m;
     });
     if (scan_src == nullptr) return Stream{probe.pipeline, out};
@@ -453,12 +439,9 @@ Lowerer::Stream Lowerer::LowerJoin(const PlanNode& node,
     return Stream{next, out};
   }
 
-  // Breaker probe: radix joins (RJ / BRJ / adaptive BRJ), guarded when
-  // advised.
+  // Breaker probe: radix joins (RJ / BRJ / adaptive BRJ).
   RadixJoin::Options radix_options;
-  radix_options.strategy =
-      guarded ? JoinAdvisor::PartitionedVariant(node.join_kind, adv)
-              : strategy;
+  radix_options.strategy = strategy;
   radix_options.expected_build_tuples =
       (advised ? adv.est_build_rows : node.build->EstimateRows()) | 1;
   radix_options.num_threads = num_threads_;
@@ -472,13 +455,6 @@ Lowerer::Stream Lowerer::LowerJoin(const PlanNode& node,
       *projection, radix_options));
   RadixJoin* join = radix_joins_.back().get();
   join->set_join_id(join_id);
-  const AdvisorGuard* guard = nullptr;
-  if (guarded) {
-    auto owned = std::make_unique<AdvisorGuard>(
-        node.join_kind, adv, options_.advisor, join_id, probe_ids_begin);
-    guard = owned.get();
-    join->set_guard(std::move(owned));
-  }
 
   operators_.push_back(std::make_unique<RadixBuildSink>(join));
   Operator* build_op = operators_.back().get();
@@ -494,17 +470,15 @@ Lowerer::Stream Lowerer::LowerJoin(const PlanNode& node,
 
   sources_.push_back(std::make_unique<PartitionJoinSource>(join));
   Source* join_src = sources_.back().get();
-  metrics_fns_.push_back([join, build_op, probe_op, join_src,
-                          guard](const QueryMetrics& qm) {
+  metrics_fns_.push_back([join, build_op, probe_op, join_src, advised,
+                          adv](const QueryMetrics& qm) {
     JoinMetrics m = join->CollectMetrics();
     m.seconds = PipelineSeconds(
         qm, {build_op->metrics(), probe_op->metrics(), join_src->metrics()});
     if (join_src->metrics() != nullptr) {
       m.rows_out = join_src->metrics()->Totals().rows_out;
     }
-    if (guard != nullptr) {
-      AttachAdvisorMetrics(m, guard->decision(), guard->resolution());
-    }
+    if (advised) AttachAdvisorMetrics(m, adv);
     return m;
   });
   Pipeline* next = NewPipeline(join_src, JoinPhase::kJoin,

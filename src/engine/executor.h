@@ -37,7 +37,7 @@ struct ExecOptions {
   // numbering of Figure 12); entries override the global strategy.
   std::map<int, JoinStrategy> join_overrides;
 
-  // Cost-model knobs for JoinStrategy::kAuto (cache sizes, fallback factor).
+  // Cost-model knobs for JoinStrategy::kAuto (cache size, profile, margin).
   AdvisorOptions advisor;
 
   // Algebraic rewrite pass applied before lowering (PJOIN_REWRITE, default

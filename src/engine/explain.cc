@@ -89,8 +89,8 @@ std::string AutoLabel(const JoinDecision& d) {
 // The advisor sub-line: estimates, layout widths, modeled costs in
 // single-threaded ns (rounded to whole ns; a profile pins them in tests), and
 // the decision reason. A decision settled by a hard rule is not costed.
-void RenderAdvisorLine(const JoinDecision& d, int depth, bool fell_back,
-                       const JoinMetrics* jm, std::ostringstream* out) {
+void RenderAdvisorLine(const JoinDecision& d, int depth, const JoinMetrics* jm,
+                       std::ostringstream* out) {
   for (int i = 0; i < depth + 1; ++i) *out << "  ";
   *out << "advisor: est_build=" << d.est_build_rows
        << " est_probe=" << d.est_probe_rows << " widths=" << d.build_width
@@ -113,7 +113,6 @@ void RenderAdvisorLine(const JoinDecision& d, int depth, bool fell_back,
       *out << " MISPREDICT";
     }
   }
-  if (fell_back) *out << " [fell back to BHJ: build overflowed estimate]";
   *out << "\n";
   if (d.skew_sampled) {
     for (int i = 0; i < depth + 1; ++i) *out << "  ";
@@ -165,24 +164,6 @@ void RenderJoinActuals(const JoinMetrics& jm, int depth,
   auto indent = [&] {
     for (int i = 0; i < depth + 1; ++i) out << "  ";
   };
-  if (jm.replan.enabled) {
-    const ReplanMetrics& r = jm.replan;
-    indent();
-    // Deliberately avoids the phrase "fell back": a replan switch is a
-    // re-costed decision, not the overflow guardrail tripping.
-    out << "replan: plan=" << JoinStrategyName(jm.advisor.choice)
-        << " final=" << JoinStrategyName(r.final_choice)
-        << " qerr_build=" << Fixed(r.qerror_build, 3)
-        << " qerr_probe=" << Fixed(r.qerror_probe, 3)
-        << " staged=" << r.staged_build_tuples
-        << " probe_corrected=" << r.corrected_probe_tuples;
-    if (r.triggered) {
-      out << " (triggered" << (r.switched ? ", switched)" : ", confirmed)");
-    } else {
-      out << " (not triggered)";
-    }
-    out << "\n";
-  }
   if (jm.has_hash_table) {
     const HashTableMetrics& ht = jm.hash_table;
     indent();
@@ -280,10 +261,8 @@ void Render(const PlanNode& node, int depth, RenderState* st) {
       out << "\n";
       if (adv != nullptr) {
         // Estimated vs actual rows sit on adjacent lines so mispredictions
-        // are visible; a triggered guardrail is flagged inline.
-        const bool fell_back =
-            jm != nullptr && jm->advisor.present && jm->advisor.fell_back;
-        RenderAdvisorLine(*adv, depth, fell_back, jm, &out);
+        // are visible.
+        RenderAdvisorLine(*adv, depth, jm, &out);
       }
       if (jm != nullptr) RenderJoinActuals(*jm, depth, out);
       Render(*node.build, depth + 1, st);

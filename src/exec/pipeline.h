@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -65,25 +64,6 @@ class ExecContext {
     return source_tuples_.load(std::memory_order_relaxed);
   }
 
-  // Observed-cardinality feedback from pipeline breakers, keyed by post-order
-  // join id. Replan-armed joins publish their output estimate as actuals
-  // arrive (build staged, probe counted, output emitted); downstream joins
-  // read the nearest upstream entry before resolving their own strategy.
-  // Written from Prepare/Finish only — pipelines prepare and finish serially
-  // — so no synchronization is needed.
-  struct CardFeedback {
-    uint64_t est_rows = 0;        // plan-time output estimate
-    uint64_t corrected_rows = 0;  // runtime-corrected (or exact) output
-    bool exact = false;           // true once the join's output was counted
-  };
-  void RecordCardFeedback(int join_id, const CardFeedback& fb) {
-    card_feedback_[join_id] = fb;
-  }
-  const CardFeedback* FindCardFeedback(int join_id) const {
-    auto it = card_feedback_.find(join_id);
-    return it == card_feedback_.end() ? nullptr : &it->second;
-  }
-
  private:
   ThreadPool* pool_;
   int num_threads_;
@@ -91,7 +71,6 @@ class ExecContext {
   PhaseTimer timer_;
   QueryMetrics metrics_;
   std::atomic<uint64_t> source_tuples_{0};
-  std::map<int, CardFeedback> card_feedback_;
 };
 
 // A pipeline operator. Operators form a singly linked chain; Consume pushes

@@ -306,7 +306,7 @@ std::string QueryMetrics::ToJson(bool include_timings) const {
       AppendDouble(out, a.cost_rj);
       out << ",\"cost_brj\":";
       AppendDouble(out, a.cost_brj);
-      out << ",\"fell_back\":" << Bool(a.fell_back) << ",\"reason\":";
+      out << ",\"reason\":";
       AppendString(out, a.reason);
       out << ",\"skew_sampled\":" << Bool(a.skew_sampled)
           << ",\"est_top_share\":";
@@ -324,23 +324,7 @@ std::string QueryMetrics::ToJson(bool include_timings) const {
       out << ",\"mispredict\":"
           << Bool(qb >= kMispredictQError || qp >= kMispredictQError) << "}";
     }
-    const ReplanMetrics& r = j.replan;
-    out << ",\"replan\":{\"enabled\":" << Bool(r.enabled)
-        << ",\"triggered\":" << Bool(r.triggered)
-        << ",\"switched\":" << Bool(r.switched) << ",\"qerror_build\":";
-    AppendDouble(out, r.qerror_build);
-    out << ",\"qerror_probe\":";
-    AppendDouble(out, r.qerror_probe);
-    out << ",\"staged_build_tuples\":" << r.staged_build_tuples
-        << ",\"corrected_probe_tuples\":" << r.corrected_probe_tuples
-        << ",\"final\":\"" << JoinStrategyName(r.final_choice)
-        << "\",\"recost_bhj\":";
-    AppendDouble(out, r.recost_bhj);
-    out << ",\"recost_rj\":";
-    AppendDouble(out, r.recost_rj);
-    out << ",\"recost_brj\":";
-    AppendDouble(out, r.recost_brj);
-    out << "}}";
+    out << "}";
   }
   out << "]";
 

@@ -207,30 +207,11 @@ struct AdvisorMetrics {
   double cost_rj = 0;
   double cost_brj = 0;
   double calibration_ms = 0;  // profile calibration this decision paid for
-  bool fell_back = false;  // runtime guardrail demoted a radix pick to BHJ
   const char* reason = "";  // static string from the advisor
   // Skew estimate from the build key's histogram (zero without statistics).
   bool skew_sampled = false;
   double est_top_share = 0;
   double est_max_partition_share = 0;
-};
-
-// Mid-query re-planning record of one advisor-chosen join
-// (PJOIN_REPLAN_QERROR > 0). `enabled` is false when the re-planner is off —
-// the default — and the rest of the record keeps its initial values.
-struct ReplanMetrics {
-  bool enabled = false;    // decision was deferred to the probe phase
-  bool triggered = false;  // observed q-error crossed the threshold
-  bool switched = false;   // final strategy differs from the plan-time pick
-  double qerror_build = 1.0;  // staged build vs plan-time estimate
-  double qerror_probe = 1.0;  // feedback-corrected probe vs estimate
-  uint64_t staged_build_tuples = 0;
-  uint64_t corrected_probe_tuples = 0;
-  // Re-costed strategy surface (only meaningful when triggered).
-  double recost_bhj = 0;
-  double recost_rj = 0;
-  double recost_brj = 0;
-  JoinStrategy final_choice = JoinStrategy::kBHJ;  // what actually ran
 };
 
 // q-error of an estimate against an observation (>= 1; symmetric in
@@ -272,7 +253,6 @@ struct JoinMetrics {
   uint64_t partition_ht_peak_bytes = 0; // largest worker chain scratch
   SpillMetrics spill;
   AdvisorMetrics advisor;
-  ReplanMetrics replan;
   // Key pairs this join compared as dictionary codes (engine/coded_keys.h).
   uint32_t coded_key_pairs = 0;
   // Wall plus finish time of the pipelines the join's operators run in: its

@@ -53,8 +53,7 @@ void ChainingHashTable::MaterializeEntry(int thread_id, uint64_t hash,
 
 void ChainingHashTable::Build(ThreadPool& pool) {
   // The insert hands out entry pages, not worker buffers: a buffer can hold
-  // every entry (a re-routed radix build materializes into buffer 0), and
-  // the pages still spread over all workers.
+  // every entry, and the pages still spread over all workers.
   struct EntryPage {
     std::byte* rows;
     uint32_t count;

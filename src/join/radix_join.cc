@@ -8,7 +8,6 @@
 #include "kernels/kernels.h"
 #include "spill/memory_governor.h"
 #include "util/check.h"
-#include "util/stopwatch.h"
 
 namespace pjoin {
 
@@ -76,7 +75,6 @@ RadixJoin::RadixJoin(JoinKind kind, const RowLayout* build_layout,
 }
 
 JoinMetrics RadixJoin::CollectMetrics() const {
-  if (!partitioned()) return hash_->CollectMetrics();
   JoinMetrics m;
   m.join_id = join_id_;
   m.kind = kind_;
@@ -122,42 +120,10 @@ void RadixBuildSink::Close(ThreadContext& ctx) {
   join_->build_partitioner().FlushThread(ctx.thread_id, ctx.bytes);
 }
 
-void RadixBuildSink::Finish(ExecContext& exec) {
-  if (!join_->build_deferred()) join_->FinishBuild(exec);
-}
-
-void RadixJoin::RouteStagedToHashTable(ExecContext& exec) {
-  Stopwatch watch;
-  hash_ = std::make_unique<HashJoin>(kind_, build_layout_, build_key_.fields(),
-                                     probe_layout_, probe_key_.fields(),
-                                     projection_);
-  hash_->set_join_id(join_id_);
-  // The staged hashes are exactly what the chaining table keys on.
-  ChainingHashTable& ht = hash_->table();
-  const uint32_t row_stride = build_layout_->stride();
-  build_part_->ForEachStagedTuple([&](uint64_t hash, const std::byte* row) {
-    ht.MaterializeEntry(0, hash, row, row_stride);
-  });
-  // FinishBuild, not a raw Build: under a memory budget the re-routed BHJ
-  // must be able to go hybrid (spill partitions) like a planned BHJ would.
-  hash_->FinishBuild(exec);
-  // A count(*)-only query projects zero columns out of the join; the output
-  // buffers then only track row counts (RowBuffer requires stride >= 1).
-  const uint32_t out_stride =
-      std::max<uint32_t>(1, projection_.output->stride());
-  hash_out_.reserve(exec.num_threads());
-  for (int i = 0; i < exec.num_threads(); ++i) {
-    hash_out_.emplace_back(out_stride);
-  }
-  exec.timer().Add(JoinPhase::kBuildPipeline, watch.ElapsedSeconds());
-}
+void RadixBuildSink::Finish(ExecContext& exec) { join_->FinishBuild(exec); }
 
 void RadixJoin::FinishBuild(ExecContext& exec) {
   RadixPartitioner& part = *build_part_;
-  if (guard_ != nullptr && !guard_->Partition(exec, part.PendingTuples())) {
-    RouteStagedToHashTable(exec);
-    return;
-  }
   if (bloom_enabled()) {
     // The filter is generated while partitioning during the second pass over
     // the build side (Section 4.7). Exact sizing: the staged tuple count is
@@ -233,35 +199,7 @@ void RadixJoin::FinishBuild(ExecContext& exec) {
   part.Finalize(*exec.pool(), &exec.timer(), exec.bytes_array());
 }
 
-void RadixProbeSink::Prepare(ExecContext& exec) {
-  if (join_->build_deferred()) join_->FinishBuild(exec);
-  if (join_->partitioned()) return;
-  hash_probe_ = std::make_unique<HashJoinProbe>(&join_->hash());
-  hash_probe_->set_metrics(metrics_);
-  hash_probe_->set_next(&hash_out_);
-  hash_probe_->Prepare(exec);
-}
-
-void RadixProbeSink::Open(ThreadContext& ctx) {
-  if (hash_probe_ != nullptr) hash_probe_->Open(ctx);
-}
-
-void RadixProbeSink::HashOutputSink::Consume(Batch& batch,
-                                             ThreadContext& ctx) {
-  RowBuffer& buf = join_->hash_output(ctx.thread_id);
-  if (batch.layout->stride() == 0) {
-    // Zero-width output rows: record the count, there is nothing to copy.
-    for (uint32_t i = 0; i < batch.size; ++i) buf.AppendSlot();
-    return;
-  }
-  for (uint32_t i = 0; i < batch.size; ++i) buf.Append(batch.Row(i));
-}
-
 void RadixProbeSink::Consume(Batch& batch, ThreadContext& ctx) {
-  if (hash_probe_ != nullptr) {
-    hash_probe_->Consume(batch, ctx);
-    return;
-  }
   MetricsIn(batch, ctx);
   RadixPartitioner& part = join_->probe_partitioner();
   const KeySpec& key = join_->probe_key();
@@ -330,35 +268,20 @@ void RadixProbeSink::Consume(Batch& batch, ThreadContext& ctx) {
 }
 
 void RadixProbeSink::Close(ThreadContext& ctx) {
-  if (hash_probe_ != nullptr) {
-    hash_probe_->Close(ctx);
-    return;
-  }
   join_->probe_partitioner().FlushThread(ctx.thread_id, ctx.bytes);
 }
 
 void RadixProbeSink::Finish(ExecContext& exec) {
-  if (join_->partitioned()) {
-    // Finish runs once, after every worker Closed, so the probe spill
-    // writers can flush here without a barrier (unlike the BHJ's probe
-    // Close path).
-    if (join_->spill() != nullptr) join_->spill()->FinishProbeWrite();
-    join_->probe_partitioner().Finalize(*exec.pool(), &exec.timer(),
-                                        exec.bytes_array());
-  }
-  if (join_->guard() != nullptr && metrics_ != nullptr) {
-    join_->guard()->ProbeCounted(exec, metrics_->Totals().rows_in);
-  }
+  // Finish runs once, after every worker Closed, so the probe spill writers
+  // can flush here without a barrier (unlike the BHJ's probe Close path).
+  if (join_->spill() != nullptr) join_->spill()->FinishProbeWrite();
+  join_->probe_partitioner().Finalize(*exec.pool(), &exec.timer(),
+                                      exec.bytes_array());
 }
 
 void PartitionJoinSource::Prepare(ExecContext& exec) {
   workers_ = std::make_unique<WorkerState[]>(exec.num_threads());
   cursor_.store(0, std::memory_order_relaxed);
-  if (!join_->partitioned() && EmitsBuildRows(join_->kind())) {
-    ht_scan_ = std::make_unique<HashJoinBuildScanSource>(&join_->hash());
-    ht_scan_->set_metrics(metrics_);
-    ht_scan_->Prepare(exec);
-  }
 }
 
 void PartitionJoinSource::Open(ThreadContext& ctx) {
@@ -367,19 +290,8 @@ void PartitionJoinSource::Open(ThreadContext& ctx) {
   (void)ctx;
 }
 
-bool PartitionJoinSource::ReplayHashMorsel(Operator& consumer,
-                                           ThreadContext& ctx) {
-  const int idx = cursor_.fetch_add(1, std::memory_order_relaxed);
-  if (idx >= join_->num_hash_outputs()) {
-    return ht_scan_ != nullptr && ht_scan_->ProduceMorsel(consumer, ctx);
-  }
-  PushRows(consumer, join_->hash_output(idx), ctx);
-  return true;
-}
-
 bool PartitionJoinSource::ProduceMorsel(Operator& consumer,
                                         ThreadContext& ctx) {
-  if (!join_->partitioned()) return ReplayHashMorsel(consumer, ctx);
   WorkerState& ws = workers_[ctx.thread_id];
   int f = cursor_.fetch_add(1, std::memory_order_relaxed);
   RadixPartitioner& bp = join_->build_partitioner();
@@ -557,12 +469,6 @@ void PartitionJoinSource::Close(ThreadContext& ctx) {
   WorkerState& ws = workers_[ctx.thread_id];
   ws.emitter.Flush(ctx);
   join_->ReportWorkerTable(ws.table.grow_count(), ws.table.peak_bytes());
-}
-
-void PartitionJoinSource::Finish(ExecContext& exec) {
-  if (join_->guard() != nullptr && metrics_ != nullptr) {
-    join_->guard()->OutputCounted(exec, metrics_->Totals().rows_out);
-  }
 }
 
 }  // namespace pjoin

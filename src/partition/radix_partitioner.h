@@ -104,25 +104,6 @@ class RadixPartitioner {
   // Late-binds the Bloom filter built during pass 2 (must be sized already).
   void set_bloom(BlockedBloomFilter* bloom) { config_.bloom = bloom; }
 
-  // Visits every staged tuple as fn(hash, row). Valid in the same window as
-  // PendingTuples() — after all FlushThread calls, before Finalize. The
-  // kAuto guardrail uses this to re-route an overflowing build side into the
-  // non-partitioned join without re-reading the input.
-  template <typename Fn>
-  void ForEachStagedTuple(Fn&& fn) const {
-    for (const auto& worker : chunks_) {
-      for (const ChunkedTupleBuffer& buf : worker) {
-        buf.ForEachChunk([&](const std::byte* data, uint64_t used) {
-          for (uint64_t off = 0; off + tuple_stride_ <= used;
-               off += tuple_stride_) {
-            const std::byte* tuple = data + off;
-            fn(TupleHash(tuple), TupleRow(tuple));
-          }
-        });
-      }
-    }
-  }
-
   // ---- Spill hooks (valid in the PendingTuples window) -------------------
   //
   // Pass-1 pre-partitions (LOW bits1 hash bits) are the spill granularity of

@@ -131,11 +131,6 @@ int BenchRepetitions() {
 
 bool EncodingEnabled() { return GetEnvInt64("PJOIN_ENCODING", 1) != 0; }
 
-double ReplanQErrorThreshold() {
-  double v = GetEnvDouble("PJOIN_REPLAN_QERROR", 0.0);
-  return v < 0.0 ? 0.0 : v;
-}
-
 double EstimateScale() {
   double v = GetEnvDouble("PJOIN_EST_SCALE", 1.0);
   return v <= 0.0 ? 1.0 : v;

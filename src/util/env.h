@@ -75,12 +75,6 @@ SimdTier RequestedSimdTier(SimdTier def);
 // the catalog builds does not depend on it.
 bool EncodingEnabled();
 
-// Mid-query re-planning trigger (PJOIN_REPLAN_QERROR, default 0 = off).
-// When > 0, joins advised by the kAuto strategy defer their engine choice
-// to the probe phase and re-cost the strategy whenever the observed
-// build/probe cardinality q-error meets or exceeds this threshold.
-double ReplanQErrorThreshold();
-
 // Algebraic rewrite pass master switch (PJOIN_REWRITE, default 1).
 // 0 disables predicate pushdown, Bloom pushdown, and join reordering:
 // every plan lowers exactly as written and the EXPLAIN/JSON output is
@@ -94,8 +88,8 @@ int RewriteDpCapEnv();
 
 // Plan-time estimate corruption factor (PJOIN_EST_SCALE, default 1.0).
 // Multiplies every join's build-side cardinality estimate inside the
-// advisor walk — a fault-injection knob for testing and benchmarking the
-// re-planner; values <= 0 are treated as 1.0.
+// advisor walk — a fault-injection knob for testing and benchmarking what a
+// misestimate costs; values <= 0 are treated as 1.0.
 double EstimateScale();
 
 }  // namespace pjoin

@@ -11,9 +11,9 @@
 //     of selectivity, duplicates, payload width, skew, ratio) where kAuto —
 //     under default and adversarially tiny cost-model caches — must produce
 //     results identical to every manual strategy.
-//   * Runtime guardrail: when the cardinality estimate is badly wrong, an
-//     advisor-chosen radix join must fall back to BHJ mid-build and still
-//     return correct results, recording the fallback in the metrics.
+//   * Misestimates: the plan-time choice is the only one. With the build
+//     estimate corrupted 100x down or 64x up, every join kind runs the
+//     strategy planned from the wrong estimate and still matches manual BHJ.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,6 +26,7 @@
 #include "engine/executor.h"
 #include "engine/plan.h"
 #include "exec/thread_pool.h"
+#include "partition/radix_partitioner.h"
 #include "spill/memory_governor.h"
 #include "tests/test_util.h"
 #include "tpch/gen.h"
@@ -371,93 +372,6 @@ TEST(CostProfile, BhjProbeNeverFallsAsTheTableGrows) {
   EXPECT_EQ(ref.calibrations(), 0);
 }
 
-// ---- Resolve: partition-or-not once the build side is staged -------------
-
-// A partitioned plan-time pick with a 100-row build estimate: the overflow
-// guardrail's limit is 4 x 100 = 400 staged tuples.
-JoinDecision PartitionedPlan() {
-  JoinDecision d;
-  d.choice = JoinStrategy::kRJ;
-  d.est_build_rows = 100;
-  d.est_build_base_rows = 100;
-  d.est_probe_rows = 1000;
-  d.build_width = 8;
-  d.probe_width = 8;
-  return d;
-}
-
-TEST(AdvisorResolve, OverflowGuardrailLimitIsInclusive) {
-  const AdvisorOptions opt = PinnedCaches();
-  const JoinDecision plan = PartitionedPlan();
-  const JoinResolution at =
-      JoinAdvisor::Resolve(JoinKind::kInner, plan, 400, 1000, 0.0, opt);
-  EXPECT_TRUE(at.partition);
-  EXPECT_FALSE(at.overflow_demoted);
-  const JoinResolution over =
-      JoinAdvisor::Resolve(JoinKind::kInner, plan, 401, 1000, 0.0, opt);
-  EXPECT_FALSE(over.partition);
-  EXPECT_TRUE(over.overflow_demoted);
-}
-
-TEST(AdvisorResolve, QErrorAtThresholdTriggers) {
-  const AdvisorOptions opt = PinnedCaches();
-  const JoinDecision plan = PartitionedPlan();
-  // Staged 200 against an estimate of 100: q-error exactly 2.
-  const JoinResolution at =
-      JoinAdvisor::Resolve(JoinKind::kInner, plan, 200, 1000, 2.0, opt);
-  ASSERT_TRUE(at.replan.enabled);
-  EXPECT_DOUBLE_EQ(at.replan.qerror_build, 2.0);
-  EXPECT_TRUE(at.replan.triggered);
-  const JoinResolution below =
-      JoinAdvisor::Resolve(JoinKind::kInner, plan, 199, 1000, 2.0, opt);
-  ASSERT_TRUE(below.replan.enabled);
-  EXPECT_FALSE(below.replan.triggered);
-}
-
-TEST(AdvisorResolve, RecostToBHJSwitchesWithoutGuardrailFlag) {
-  const AdvisorOptions opt = PinnedCaches();
-  JoinDecision plan = PartitionedPlan();
-  plan.est_build_rows = 100000;
-  plan.est_build_base_rows = 100000;
-  // 100 staged tuples fit the pinned L2: the re-cost answers BHJ by the L2
-  // rule, uncosted. That is a re-plan switch, not the overflow guardrail.
-  const JoinResolution r =
-      JoinAdvisor::Resolve(JoinKind::kInner, plan, 100, 1000, 2.0, opt);
-  EXPECT_FALSE(r.partition);
-  EXPECT_FALSE(r.overflow_demoted);
-  EXPECT_TRUE(r.replan.triggered);
-  EXPECT_TRUE(r.replan.switched);
-  EXPECT_EQ(r.replan.final_choice, JoinStrategy::kBHJ);
-  EXPECT_EQ(r.replan.recost_rj, 0.0);
-}
-
-TEST(AdvisorResolve, UntriggeredOverflowStillDemotes) {
-  const AdvisorOptions opt = PinnedCaches();
-  const JoinDecision plan = PartitionedPlan();
-  // q-error 5 stays under the threshold of 100, but 500 > 400 staged.
-  const JoinResolution r =
-      JoinAdvisor::Resolve(JoinKind::kInner, plan, 500, 1000, 100.0, opt);
-  EXPECT_TRUE(r.replan.enabled);
-  EXPECT_FALSE(r.replan.triggered);
-  EXPECT_FALSE(r.partition);
-  EXPECT_TRUE(r.overflow_demoted);
-  EXPECT_EQ(r.replan.final_choice, JoinStrategy::kBHJ);
-}
-
-TEST(AdvisorResolve, ReplanOffNeverEnablesRecord) {
-  const AdvisorOptions opt = PinnedCaches();
-  const JoinDecision plan = PartitionedPlan();
-  for (double threshold : {0.0, -1.0}) {
-    for (uint64_t staged : {1ull, 100ull, 400ull, 401ull, 100000ull}) {
-      const JoinResolution r = JoinAdvisor::Resolve(
-          JoinKind::kInner, plan, staged, 1000, threshold, opt);
-      EXPECT_FALSE(r.replan.enabled) << "staged=" << staged;
-      EXPECT_FALSE(r.replan.triggered) << "staged=" << staged;
-      EXPECT_EQ(r.partition, staged <= 400) << "staged=" << staged;
-    }
-  }
-}
-
 // ---- AdvisePlan: per-join decisions with executor numbering --------------
 
 TEST(AdvisorPlan, WalksPlanWithPostOrderIdsAndWidths) {
@@ -535,8 +449,8 @@ TEST_P(AdvisorPropertyTest, AutoMatchesEveryManualStrategy) {
     EXPECT_TRUE(run(auto_default).ApproxEquals(reference)) << "kAuto default";
 
     // kAuto with an absurdly small modeled L2, the reference profile and no
-    // margin: every join is forced onto the guarded radix path across the
-    // whole sweep (estimates are exact here, so no fallback triggers).
+    // margin: every join is forced onto the radix path across the whole
+    // sweep, and runs the strategy it was advised.
     ExecOptions auto_forced;
     auto_forced.join_strategy = JoinStrategy::kAuto;
     auto_forced.advisor.l2_bytes = 64;
@@ -549,7 +463,7 @@ TEST_P(AdvisorPropertyTest, AutoMatchesEveryManualStrategy) {
     ASSERT_NE(jm, nullptr);
     ASSERT_TRUE(jm->advisor.present);
     EXPECT_NE(jm->advisor.choice, JoinStrategy::kBHJ);
-    EXPECT_FALSE(jm->advisor.fell_back);
+    EXPECT_EQ(jm->strategy, jm->advisor.choice);
     ++idx;
   }
 }
@@ -564,16 +478,14 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// ---- Runtime guardrail: estimate overflow falls back to BHJ --------------
+// ---- Misestimated builds run the plan-time choice ------------------------
 
-// Build-side payload column whose range makes the selectivity estimator
-// badly underestimate: all rows hold small values except one huge outlier,
-// so `pay <= 10000` passes everything but is estimated at ~1%.
-IntRows OutlierBuildRows(uint64_t rows, uint64_t key_universe) {
+// Rows of (key, payload) with `key_universe` distinct keys.
+IntRows KeyedBuildRows(uint64_t rows, uint64_t key_universe) {
   IntRows out;
   for (uint64_t i = 0; i < rows; ++i) {
     out.push_back({static_cast<int64_t>(i % key_universe),
-                   i == 0 ? int64_t{1000000} : int64_t{1}});
+                   static_cast<int64_t>(i)});
   }
   return out;
 }
@@ -581,8 +493,8 @@ IntRows OutlierBuildRows(uint64_t rows, uint64_t key_universe) {
 ExecOptions TinyCacheAutoOptions() {
   ExecOptions options;
   options.join_strategy = JoinStrategy::kAuto;
-  // A tiny modeled L2 keeps the (underestimated) build out of the L2 rule,
-  // and no margin makes the advisor pick a partitioned strategy.
+  // A tiny modeled L2 keeps the build out of the L2 rule, and no margin
+  // makes the advisor pick a partitioned strategy.
   options.advisor.l2_bytes = 64;
   options.advisor.profile = &CostProfile::Reference();
   options.advisor.partition_margin = 1000.0;
@@ -590,52 +502,13 @@ ExecOptions TinyCacheAutoOptions() {
   return options;
 }
 
-TEST(AdvisorGuardrail, FallsBackToBHJWhenBuildOverflowsEstimate) {
-  Table build = MakeTable("gb", "b", OutlierBuildRows(20000, 500), 2);
+TEST(AdvisorLowering, AdvisedRadixJoinRunsPlannedStrategy) {
+  // Exact estimates (no predicate) and a forced partitioned pick: the join
+  // lowers to the radix join the advisor chose and partitions.
+  Table build = MakeTable("gb", "b", KeyedBuildRows(20000, 500), 2);
   IntRows probe_rows;
   for (int64_t i = 0; i < 40000; ++i) probe_rows.push_back({i % 1000});
   Table probe = MakeTable("gp", "p", probe_rows, 1);
-
-  auto plan = CountPlan(&build, &probe, JoinKind::kInner);
-
-  // Reference: the same plan under manual BHJ.
-  ExecOptions bhj;
-  bhj.join_strategy = JoinStrategy::kBHJ;
-  bhj.num_threads = 2;
-  QueryResult reference = ExecuteQuery(*plan, bhj);
-
-  // The est_scale fault knob undersells the build side 100x (histograms
-  // estimate unpredicated scans exactly, so corruption must be injected):
-  // kAuto sees est_build = 200, picks a partitioned strategy, then stages
-  // 20000 tuples — past the 4x overflow limit — and must fall back.
-  ExecOptions auto_options = TinyCacheAutoOptions();
-  auto_options.advisor.est_scale = 0.01;
-  QueryStats stats;
-  QueryResult result = ExecuteQuery(*plan, auto_options, &stats);
-  EXPECT_TRUE(result.ApproxEquals(reference));
-
-  const JoinMetrics* jm = stats.metrics.FindJoin(0);
-  ASSERT_NE(jm, nullptr);
-  ASSERT_TRUE(jm->advisor.present);
-  EXPECT_NE(jm->advisor.choice, JoinStrategy::kBHJ);  // what it planned
-  EXPECT_TRUE(jm->advisor.fell_back);                 // what happened
-  EXPECT_LT(jm->advisor.est_build_tuples, 1000u);
-  EXPECT_TRUE(jm->has_hash_table);     // the BHJ actually ran
-  EXPECT_FALSE(jm->has_partitions);    // the radix join never finalized
-  EXPECT_EQ(jm->build_tuples, 20000u);
-  // The join record and accounting follow the engine that ran.
-  ASSERT_EQ(stats.metrics.joins().size(), 1u);
-  EXPECT_EQ(stats.metrics.joins()[0].strategy, JoinStrategy::kBHJ);
-  EXPECT_EQ(stats.partition_bytes, 0u);
-}
-
-TEST(AdvisorGuardrail, AccurateEstimateStaysOnRadixPath) {
-  // Control: same tables, no predicate — the estimate is exact, the staged
-  // build is within budget, and the guarded join finalizes as planned.
-  Table build = MakeTable("gb2", "b", OutlierBuildRows(20000, 500), 2);
-  IntRows probe_rows;
-  for (int64_t i = 0; i < 40000; ++i) probe_rows.push_back({i % 1000});
-  Table probe = MakeTable("gp2", "p", probe_rows, 1);
   auto plan = CountPlan(&build, &probe, JoinKind::kInner);
 
   ExecOptions bhj;
@@ -643,27 +516,32 @@ TEST(AdvisorGuardrail, AccurateEstimateStaysOnRadixPath) {
   bhj.num_threads = 2;
   QueryResult reference = ExecuteQuery(*plan, bhj);
 
-  // The margin override forces the partitioned pick, to test the guardrail
-  // arm that does NOT trigger.
-  ExecOptions auto_options = TinyCacheAutoOptions();
   QueryStats stats;
-  QueryResult result = ExecuteQuery(*plan, auto_options, &stats);
+  QueryResult result = ExecuteQuery(*plan, TinyCacheAutoOptions(), &stats);
   EXPECT_TRUE(result.ApproxEquals(reference));
 
   const JoinMetrics* jm = stats.metrics.FindJoin(0);
   ASSERT_NE(jm, nullptr);
   ASSERT_TRUE(jm->advisor.present);
   EXPECT_NE(jm->advisor.choice, JoinStrategy::kBHJ);
-  EXPECT_FALSE(jm->advisor.fell_back);
+  EXPECT_EQ(jm->strategy, jm->advisor.choice);
+  EXPECT_EQ(jm->advisor.est_build_tuples, 20000u);
   EXPECT_TRUE(jm->has_partitions);
+  EXPECT_FALSE(jm->has_hash_table);
   EXPECT_GT(stats.partition_bytes, 0u);
 }
 
-TEST(AdvisorGuardrail, FallbackCorrectForEveryJoinKind) {
-  // The fallback path re-routes staged tuples into the chaining table and
-  // replays spilled probe output (plus the hash-table scan for
-  // build-preserving kinds) — every join kind must survive it unchanged.
-  Table build = MakeTable("gk_b", "b", OutlierBuildRows(4000, 250), 2);
+// A build estimate corrupted through est_scale: undersold 100x, the build
+// stays out of the L2 rule and the join partitions with a fan-out sized for
+// 1/100 of its build; oversold 64x, the probe looks smaller than the build
+// and the join runs BHJ. The 0 leg reads PJOIN_EST_SCALE (1 unless the
+// environment sets it), so a run can add its own factor. Each leg runs the
+// strategy planned from its estimate and must match manual BHJ.
+class AdvisorMisestimateTest : public ::testing::TestWithParam<JoinKind> {};
+
+TEST_P(AdvisorMisestimateTest, PlannedStrategyMatchesBHJ) {
+  const JoinKind kind = GetParam();
+  Table build = MakeTable("gk_b", "b", KeyedBuildRows(4000, 250), 2);
   IntRows probe_rows;
   Rng rng(23);
   for (int64_t i = 0; i < 8000; ++i) {
@@ -671,27 +549,47 @@ TEST(AdvisorGuardrail, FallbackCorrectForEveryJoinKind) {
   }
   Table probe = MakeTable("gk_p", "p", probe_rows, 1);
 
-  for (JoinKind kind : kKinds) {
-    SCOPED_TRACE(JoinKindName(kind));
-    auto make_plan = [&] { return CountPlan(&build, &probe, kind); };
-    ExecOptions bhj;
-    bhj.join_strategy = JoinStrategy::kBHJ;
-    bhj.num_threads = 2;
-    QueryResult reference = ExecuteQuery(*make_plan(), bhj);
+  ExecOptions bhj;
+  bhj.join_strategy = JoinStrategy::kBHJ;
+  bhj.num_threads = 2;
+  QueryResult reference = ExecuteQuery(*CountPlan(&build, &probe, kind), bhj);
 
-    // Every kind takes the guarded path without a margin; undersell the
-    // build 100x via est_scale so the guardrail trips.
+  for (double scale : {0.01, 64.0, 0.0}) {
+    SCOPED_TRACE("est_scale=" + std::to_string(scale));
     ExecOptions auto_options = TinyCacheAutoOptions();
-    auto_options.advisor.est_scale = 0.01;
+    auto_options.advisor.est_scale = scale;
     QueryStats stats;
-    QueryResult result = ExecuteQuery(*make_plan(), auto_options, &stats);
+    QueryResult result =
+        ExecuteQuery(*CountPlan(&build, &probe, kind), auto_options, &stats);
     EXPECT_TRUE(result.ApproxEquals(reference));
     const JoinMetrics* jm = stats.metrics.FindJoin(0);
     ASSERT_NE(jm, nullptr);
     ASSERT_TRUE(jm->advisor.present);
-    EXPECT_TRUE(jm->advisor.fell_back);
+    EXPECT_EQ(jm->strategy, jm->advisor.choice);
+    EXPECT_EQ(jm->build_tuples, 4000u);
+    if (scale == 0.01) {
+      EXPECT_EQ(jm->advisor.est_build_tuples, 40u);
+      EXPECT_NE(jm->advisor.choice, JoinStrategy::kBHJ);
+      ASSERT_TRUE(jm->has_partitions);
+      // The fan-out is the one the estimate asked for.
+      const RadixBits bits =
+          ChooseRadixBits(jm->advisor.est_build_tuples | 1,
+                          8 + jm->build_width);
+      EXPECT_EQ(jm->build_side.bits1, bits.bits1);
+      EXPECT_EQ(jm->build_side.bits2, bits.bits2);
+    }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, AdvisorMisestimateTest, ::testing::ValuesIn(kKinds),
+    [](const ::testing::TestParamInfo<JoinKind>& info) {
+      std::string name = JoinKindName(info.param);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 // ---- Oracle accuracy on the TPC-H join map -------------------------------
 
@@ -716,7 +614,7 @@ TEST(AdvisorOracle, TpchOverwhelminglyNonPartitioned) {
     QueryStats stats;
     q.run(*db, options, &stats, &pool);
     // Multi-step queries renumber every step's joins into one post-order
-    // sequence; a join's strategy is what actually ran (post-fallback).
+    // sequence; a join's strategy is the engine that ran.
     const std::vector<JoinMetrics>& joins = stats.metrics.joins();
     ASSERT_EQ(static_cast<int>(joins.size()), q.num_joins);
     for (int j = 0; j < q.num_joins; ++j) {

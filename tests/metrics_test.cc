@@ -335,8 +335,8 @@ TEST_F(MetricsTest, ExplainAnalyzeShowsAdvisorDecisionAndActuals) {
   EXPECT_NE(text.find("advisor: est_build=200 est_probe=20000"),
             std::string::npos);
   EXPECT_NE(text.find("-- build fits L2"), std::string::npos);
-  // No guardrail trigger on this query.
-  EXPECT_EQ(text.find("fell back"), std::string::npos);
+  // The inner join is an advised BHJ too; both run as advised.
+  EXPECT_NE(text.find("join #0 [inner, auto:BHJ]"), std::string::npos);
 
   // The metrics record the decision for each join.
   for (int join_id = 0; join_id < 2; ++join_id) {
@@ -344,7 +344,7 @@ TEST_F(MetricsTest, ExplainAnalyzeShowsAdvisorDecisionAndActuals) {
     ASSERT_NE(jm, nullptr);
     EXPECT_TRUE(jm->advisor.present);
     EXPECT_EQ(jm->advisor.choice, JoinStrategy::kBHJ);
-    EXPECT_FALSE(jm->advisor.fell_back);
+    EXPECT_EQ(jm->strategy, jm->advisor.choice);  // the engine that ran
     // Settled by the L2 rule, so not costed.
     EXPECT_EQ(jm->advisor.cost_bhj, 0.0);
     EXPECT_EQ(jm->advisor.cost_rj, 0.0);
@@ -382,7 +382,10 @@ TEST_F(MetricsTest, ToJsonStableUnderAutoStrategy) {
   EXPECT_NE(ja.find("\"advisor\":{\"choice\":\"BHJ\""), std::string::npos);
   EXPECT_NE(ja.find("\"est_build_tuples\":"), std::string::npos);
   EXPECT_NE(ja.find("\"cost_bhj\":"), std::string::npos);
-  EXPECT_NE(ja.find("\"fell_back\":false"), std::string::npos);
+  // The decision's reason follows its costs.
+  EXPECT_NE(ja.find("\"cost_brj\":0.000000,\"reason\":\"build fits L2\""),
+            std::string::npos)
+      << ja;
 
   // Manual strategies serialize without it (pre-advisor schema unchanged);
   // the query-level advisor section only counts calibrations.

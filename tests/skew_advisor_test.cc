@@ -84,25 +84,6 @@ TEST(SkewAdvisor, OverflowPicksBhjAtEveryBudget) {
   }
 }
 
-// Deferred re-planning re-costs through Decide with the plan-time skew
-// estimate, so an observed build side large enough to overflow one
-// partition resolves not partitioned too.
-TEST(SkewAdvisor, ReplanRecostHonorsSkewRule) {
-  AdvisorOptions opt = PinnedCaches();
-  opt.partition_margin = 1000.0;
-  const SkewEstimate est = EstimateWithTopShare(0.3);
-  const JoinDecision plan = JoinAdvisor::Decide(
-      JoinKind::kInner, 200000, 200000, 2000000, 8, 8, 0, opt, &est);
-  ASSERT_FALSE(plan.skew_overflow);
-  ASSERT_NE(plan.choice, JoinStrategy::kBHJ);
-  const uint64_t staged = 200000000;
-  ASSERT_LT(JoinAdvisor::PartitionOverflowShare(staged, 8, opt), 0.3);
-  const JoinResolution r = JoinAdvisor::Resolve(
-      JoinKind::kInner, plan, staged, 2000000, /*replan_qerror=*/2.0, opt);
-  EXPECT_TRUE(r.replan.triggered);
-  EXPECT_FALSE(r.partition);
-}
-
 TEST(SkewAdvisor, UniformSampleNeverTripsOverflow) {
   // A near-uniform sample estimates the hottest partition at the even 1/P
   // spread, which the radix-bit choice keeps below the overflow threshold:
@@ -245,7 +226,8 @@ TEST(SkewAdvisor, ExplainShowsSkewDecisionFields) {
   EXPECT_NE(text.find("skewed build; partitioning collapses"),
             std::string::npos)
       << text;
-  EXPECT_EQ(text.find("fell back"), std::string::npos) << text;
+  EXPECT_NE(text.find("join #0 [inner, auto:BHJ]"), std::string::npos)
+      << text;
 
   // EXPLAIN ANALYZE renders the same estimate beside the actuals.
   QueryStats stats;
@@ -255,7 +237,12 @@ TEST(SkewAdvisor, ExplainShowsSkewDecisionFields) {
   EXPECT_NE(analyzed.find("skewed build; partitioning collapses"),
             std::string::npos)
       << analyzed;
-  EXPECT_EQ(analyzed.find("fell back"), std::string::npos) << analyzed;
+  // The join ran the BHJ it was advised: a hash table, no partitions.
+  EXPECT_NE(analyzed.find("join #0 [inner, auto:BHJ]"), std::string::npos)
+      << analyzed;
+  EXPECT_NE(analyzed.find("ht: entries=20000"), std::string::npos)
+      << analyzed;
+  EXPECT_EQ(analyzed.find("radix:"), std::string::npos) << analyzed;
 
   // Identical runs render identically (deterministic statistics).
   EXPECT_EQ(text, ExplainPlan(*plan, options));

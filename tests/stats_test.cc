@@ -3,7 +3,7 @@
 // Claim structure:
 //   * Histogram accuracy: equal-height histograms keep the q-error of range
 //     and equality estimates within 2x on uniform, Zipf-distributed, and
-//     TPC-H columns (the bound the re-planner's trigger assumes).
+//     TPC-H columns (the advisor's mispredict flag fires at 2x).
 //   * Sketch accuracy: the distinct sketch is exact below its exact-set cap
 //     and within 5% above it.
 //   * Determinism: building a table's catalog entry twice yields identical
